@@ -15,7 +15,9 @@ model = xlq.LqModel(a=0, b=1, c=0, d=0, m=1, n=1, r=0, p=0, q=0,
 print("model:", model)
 print("assumption bound:", xlq.assumption_bound(model), "vs rho =", model.rho)
 
-value, policy = xlq.exploratory_solution(model)
+# One solve: value coefficients, optimal policy and classical solution.
+sol = xlq.solve(model)
+value, policy = sol.value, sol.policy
 print(f"\nvalue function   v(x) = {value.k2 / 2:+.6f} x^2 {value.k1:+.6f} x "
       f"{value.k0:+.6f}")
 print(f"optimal feedback N(u | {policy.slope:+.6f} x {policy.intercept:+.6f}, "
@@ -30,7 +32,7 @@ res = xlq.hjb_residual(model, value, xs, "exploratory")
 print("max |HJB residual| on [-10, 10]:", np.max(np.abs(res)))
 
 # The classical problem shares (k2, k1); its feedback is the policy mean.
-classical = xlq.classical_solution(model)
+classical = sol.classical
 print("\nclassical value  w(x) = v(x) - entropy annuity; alpha0 =",
       classical.alpha0)
 print("u*(1) =", classical.control(1.0), "== policy mean(1) =",

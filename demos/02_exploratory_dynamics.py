@@ -34,9 +34,8 @@ b = xlq.simulate_classical(model, policy.slope, policy.intercept, 1.0,
 print("zero-variance run equals classical bitwise:",
       np.array_equal(a.states, b.states))
 
-# Per-path streams: results do not depend on batch size or parallelism.
-big = xlq.simulate_exploratory(model, policy, 1.0, grid, seed=7, n_paths=256,
-                               parallelism=4)
+# Per-path streams: results do not depend on the batch size.
+big = xlq.simulate_exploratory(model, policy, 1.0, grid, seed=7, n_paths=256)
 small = xlq.simulate_exploratory(model, policy, 1.0, grid, seed=7, n_paths=100)
 print("path 42 identical in both batches:",
       np.array_equal(big.states[42], small.states[42]))

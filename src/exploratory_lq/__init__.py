@@ -9,6 +9,7 @@ every closed form.
 from .closed_form import (
     ClassicalSolution,
     QuadraticValue,
+    Solution,
     SweepPoint,
     classical_solution,
     exploration_cost,
@@ -23,6 +24,7 @@ from .closed_form import (
     riccati_roots,
     softmax_density,
     solution_record,
+    solve,
     solve_k0,
     solve_k1,
     solve_k2,

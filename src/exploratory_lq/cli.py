@@ -5,7 +5,8 @@ tables / JSON summaries plus a plain-text report.  Exit codes: 0 on
 success, 1 for configuration errors, 2 for model-validation failures,
 3 for numerical failures; every error names the violated condition on
 standard error.  Outputs are byte-identical across repeated runs with
-the same inputs, whatever the parallelism degree.
+the same inputs.  ``--parallelism`` and ``sim.parallelism`` are accepted
+and have no effect: paths are simulated serially.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form, config, moments, policy_eval, sde
+from . import closed_form, config, moments, policy_eval, rng, sde
+from .constants import ABS_TOL
 from .errors import ConfigError, ExploratoryLqError, ModelValidationError, NumericalError
 from .model import AffineGaussianPolicy, LqModel, check_model, derived_coeffs
 
@@ -43,7 +45,6 @@ class RunSpec:
     fmt: str = "csv"
     sweep: list = field(default_factory=list)
     override: bool = False
-    parallelism: int = 1
     assumption_ok: bool = True
 
 
@@ -71,11 +72,11 @@ def _write_table(path_base: Path, fmt: str, header: list[str], rows: list[tuple]
     return path
 
 
-def emit_report(model: LqModel, *, assumption_ok: bool,
+def emit_report(solution: closed_form.Solution, *, assumption_ok: bool,
                 mc_sections: list[str] | None = None) -> str:
     """Fixed-order plain-text summary of the closed-form solution."""
-    record = closed_form.solution_record(
-        model, allow_assumption_violation=not assumption_ok)
+    model = solution.model
+    record = solution.record()
     bound = record["assumption_bound"]
     lines = [
         "model: " + " ".join(
@@ -96,10 +97,16 @@ def emit_report(model: LqModel, *, assumption_ok: bool,
     return "\n".join(lines) + "\n"
 
 
-def _optimal_policy(spec: RunSpec) -> AffineGaussianPolicy:
-    _, policy = closed_form.exploratory_solution(
-        spec.model, allow_assumption_violation=spec.override)
-    return policy
+def _solve(spec: RunSpec) -> closed_form.Solution:
+    return closed_form.solve(spec.model, allow_assumption_violation=spec.override)
+
+
+def _write_report(spec: RunSpec, solution: closed_form.Solution,
+                  mc_sections: list[str] | None = None) -> None:
+    report = emit_report(solution, assumption_ok=spec.assumption_ok,
+                         mc_sections=mc_sections)
+    (spec.out_dir / "report.txt").write_text(report, encoding="utf-8")
+    sys.stdout.write(report)
 
 
 def _grid(spec: RunSpec) -> sde.PathGrid:
@@ -107,24 +114,19 @@ def _grid(spec: RunSpec) -> sde.PathGrid:
 
 
 def _cmd_solve(spec: RunSpec) -> None:
-    record = closed_form.solution_record(
-        spec.model, allow_assumption_violation=spec.override)
-    _write_json(spec.out_dir / "solution.json", record)
-    report = emit_report(spec.model, assumption_ok=spec.assumption_ok)
-    (spec.out_dir / "report.txt").write_text(report, encoding="utf-8")
-    sys.stdout.write(report)
+    sol = _solve(spec)
+    _write_json(spec.out_dir / "solution.json", sol.record())
+    _write_report(spec, sol)
 
 
 def _cmd_residual(spec: RunSpec) -> None:
-    value, _ = closed_form.exploratory_solution(
-        spec.model, allow_assumption_violation=spec.override)
-    classical = closed_form.classical_solution(
-        spec.model, allow_assumption_violation=spec.override)
+    sol = _solve(spec)
+    classical = sol.classical
     wvalue = closed_form.QuadraticValue(
         classical.alpha2, classical.alpha1, classical.alpha0)
     rows = [
         (float(x),
-         float(closed_form.hjb_residual(spec.model, value, x, "exploratory")),
+         float(closed_form.hjb_residual(spec.model, sol.value, x, "exploratory")),
          float(closed_form.hjb_residual(spec.model, wvalue, x, "classical")))
         for x in RESIDUAL_GRID
     ]
@@ -134,11 +136,9 @@ def _cmd_residual(spec: RunSpec) -> None:
 
 
 def _cmd_simulate(spec: RunSpec) -> None:
-    policy = _optimal_policy(spec)
-    grid = _grid(spec)
     batch = sde.simulate_exploratory(
-        spec.model, policy, spec.sim["x0"], grid, spec.sim["seed"],
-        spec.sim["n_paths"], parallelism=spec.parallelism)
+        spec.model, _solve(spec).policy, spec.sim["x0"], _grid(spec),
+        spec.sim["seed"], spec.sim["n_paths"])
     with open(spec.out_dir / "trajectories.csv", "w", encoding="utf-8") as fh:
         batch.write_csv(fh)
     _write_json(spec.out_dir / "summary.json", batch.summary())
@@ -155,14 +155,11 @@ def _mc_section(label: str, estimate: policy_eval.ValueEstimate,
 
 
 def _cmd_evaluate(spec: RunSpec) -> None:
-    value, policy = closed_form.exploratory_solution(
-        spec.model, allow_assumption_violation=spec.override)
-    grid = _grid(spec)
+    sol = _solve(spec)
     estimate = policy_eval.mc_value(
-        spec.model, policy, spec.sim["x0"], grid, spec.sim["seed"],
-        spec.sim["n_paths"], parallelism=spec.parallelism,
-        allow_assumption_violation=spec.override)
-    target = value(spec.sim["x0"])
+        spec.model, sol.policy, spec.sim["x0"], _grid(spec), spec.sim["seed"],
+        spec.sim["n_paths"], allow_assumption_violation=spec.override)
+    target = sol.value(spec.sim["x0"])
     err = abs(estimate.value - target)
     tol = 3.0 * estimate.std_error + estimate.truncation_bound
     _write_json(spec.out_dir / "evaluate.json", {
@@ -173,31 +170,21 @@ def _cmd_evaluate(spec: RunSpec) -> None:
         "within_tolerance": bool(err <= tol),
         "x0": spec.sim["x0"],
     })
-    report = emit_report(
-        spec.model, assumption_ok=spec.assumption_ok,
-        mc_sections=[_mc_section("mc value", estimate, target)])
-    (spec.out_dir / "report.txt").write_text(report, encoding="utf-8")
-    sys.stdout.write(report)
+    _write_report(spec, sol, [_mc_section("mc value", estimate, target)])
 
 
 def _cmd_cost(spec: RunSpec) -> None:
+    sol = _solve(spec)
     target = closed_form.exploration_cost(spec.model)
-    grid = _grid(spec)
     estimate = policy_eval.mc_exploration_cost(
-        spec.model, spec.sim["x0"], grid, spec.sim["seed"],
-        spec.sim["n_paths"], parallelism=spec.parallelism)
-    decomposition = closed_form.exploration_cost_decomposition(
-        spec.model, spec.sim["x0"])
+        spec.model, spec.sim["x0"], _grid(spec), spec.sim["seed"],
+        spec.sim["n_paths"])
     _write_json(spec.out_dir / "cost.json", {
         "closed_form": target,
-        "decomposition_check": decomposition,
+        "decomposition_check": sol.cost_decomposition(spec.sim["x0"]),
         "mc_estimate": estimate.as_dict(),
     })
-    report = emit_report(
-        spec.model, assumption_ok=spec.assumption_ok,
-        mc_sections=[_mc_section("mc exploration cost", estimate, target)])
-    (spec.out_dir / "report.txt").write_text(report, encoding="utf-8")
-    sys.stdout.write(report)
+    _write_report(spec, sol, [_mc_section("mc exploration cost", estimate, target)])
 
 
 def _cmd_sweep(spec: RunSpec) -> None:
@@ -214,25 +201,22 @@ def _cmd_sweep(spec: RunSpec) -> None:
 
 def _cmd_exact_vs_euler(spec: RunSpec) -> None:
     model = spec.model
-    if abs(model.d) <= 1e-12:
-        method = "d0"
-        policy = AffineGaussianPolicy(0.0, -model.q / model.n, model.lam / model.n)
-        value = None
-    elif abs(model.c) <= 1e-12:
-        method = "c0"
+    if abs(model.d) <= ABS_TOL or abs(model.c) <= ABS_TOL:
+        method = "d0" if abs(model.d) <= ABS_TOL else "c0"
+        # The state-independent process both exact constructions solve;
+        # it is the model's optimum only when m = r = p = 0.
         policy = AffineGaussianPolicy(0.0, -model.q / model.n, model.lam / model.n)
         value = None
     else:
         method = "doss_saussman"
-        value, policy = closed_form.exploratory_solution(
-            model, allow_assumption_violation=spec.override)
+        sol = _solve(spec)
+        value, policy = sol.value, sol.policy
     rows = []
     for dt in CONVERGENCE_DTS:
         grid = sde.PathGrid(dt=dt, n_steps=int(round(CONVERGENCE_HORIZON / dt)))
         euler = sde.simulate_exploratory(
             model, policy, spec.sim["x0"], grid, spec.sim["seed"],
-            spec.sim["n_paths"], record_paths=False,
-            parallelism=spec.parallelism)
+            spec.sim["n_paths"], record_paths=False)
         exact = sde.exact_batch(
             model, spec.sim["x0"], grid, spec.sim["seed"], spec.sim["n_paths"],
             method=method, value=value)
@@ -247,7 +231,7 @@ def _cmd_exact_vs_euler(spec: RunSpec) -> None:
 
 
 def _cmd_moments(spec: RunSpec) -> None:
-    policy = _optimal_policy(spec)
+    policy = _solve(spec).policy
     grid = _grid(spec)
     coeffs = derived_coeffs(spec.model, policy)
     curves = moments.moment_curves(coeffs, spec.sim["x0"])
@@ -255,8 +239,7 @@ def _cmd_moments(spec: RunSpec) -> None:
     nodes = np.unique(np.linspace(0, grid.n_steps, n_nodes).astype(int))
     batch = sde.simulate_exploratory(
         spec.model, policy, spec.sim["x0"], grid, spec.sim["seed"],
-        spec.sim["n_paths"], record_paths=False, checkpoints=tuple(nodes),
-        parallelism=spec.parallelism)
+        spec.sim["n_paths"], record_paths=False, checkpoints=tuple(nodes))
     rows = []
     for node in nodes:
         t = node * grid.dt
@@ -296,8 +279,6 @@ def build_spec(args, mapping: dict[str, str]) -> RunSpec:
     sim = config.sim_settings(mapping)
     if args.seed is not None:
         sim["seed"] = args.seed
-    if args.parallelism is not None:
-        sim["parallelism"] = args.parallelism
     if args.command in STOCHASTIC_COMMANDS and sim["seed"] is None:
         raise ConfigError(
             f"command {args.command!r} is stochastic: provide --seed or sim.seed "
@@ -320,7 +301,6 @@ def build_spec(args, mapping: dict[str, str]) -> RunSpec:
         fmt=config.output_format(mapping),
         sweep=sweep,
         override=args.override_assumptions,
-        parallelism=sim["parallelism"],
         assumption_ok=assumption_ok,
     )
 
@@ -338,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run despite a violated discount-rate bound; "
                              "results are marked UNVERIFIED")
     parser.add_argument("--parallelism", type=int, default=None,
-                        help="worker count for path simulation")
+                        help="accepted for compatibility; has no effect")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+    if args.seed is not None and not rng.valid_seed(args.seed):
         sys.stderr.write("error: --seed must fit in 64 bits\n")
         return 1
     try:

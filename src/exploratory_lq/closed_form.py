@@ -53,6 +53,16 @@ def log_2pi_e_ratio(lam: float, denom: float) -> float:
     return LOG_2PI + 1.0 + math.log(lam) - math.log(denom)
 
 
+def _positive_n2(model: LqModel, k2: float) -> float:
+    """n - k2 d^2, the curvature of the Boltzmann exponent in u; the
+    feedback density is integrable only when it is positive."""
+    n2 = model.n - k2 * model.d ** 2
+    if n2 <= 0:
+        raise NonIntegrableDensityError(
+            f"n - k2*d^2 must be positive, got {n2}")
+    return n2
+
+
 @dataclass(frozen=True)
 class QuadraticValue:
     """Value-function coefficients of v(x) = k2/2 x^2 + k1 x + k0."""
@@ -176,10 +186,7 @@ def k1_residual(model: LqModel, k2: float, k1: float) -> float:
 
 def solve_k0(model: LqModel, k2: float, k1: float) -> float:
     """Constant term: squared-drift annuity plus the entropy annuity."""
-    n2 = model.n - k2 * model.d ** 2
-    if n2 <= 0:
-        raise NonIntegrableDensityError(
-            f"n - k2*d^2 must be positive, got {n2}")
+    n2 = _positive_n2(model, k2)
     lin = k1 * model.b - model.q
     return (lin ** 2 / (2.0 * model.rho * n2)
             + model.lam / (2.0 * model.rho)
@@ -197,16 +204,75 @@ def k0_residual(model: LqModel, k2: float, k1: float, k0: float) -> float:
 
 def policy_from_value(model: LqModel, value: QuadraticValue) -> AffineGaussianPolicy:
     """Gaussian feedback maximizing the HJB right-hand side under v."""
-    n2 = model.n - value.k2 * model.d ** 2
-    if n2 <= 0:
-        raise NonIntegrableDensityError(
-            f"n - k2*d^2 must be positive, got {n2}")
+    n2 = _positive_n2(model, value.k2)
     beta = model.b + model.c * model.d
     return AffineGaussianPolicy(
         slope=(value.k2 * beta - model.r) / n2,
         intercept=(value.k1 * model.b - model.q) / n2,
         variance=model.lam / n2,
     )
+
+
+@dataclass(frozen=True)
+class Solution:
+    """The solved model: value coefficients (k2, k1, k0), the positive
+    curvature n2 = n - k2 d^2, the optimal Gaussian feedback
+    N(((k2 (b+cd) - r) x + k1 b - q)/n2, lam/n2) and the classical
+    solution, whose feedback is that policy's mean bit for bit."""
+
+    model: LqModel
+    value: QuadraticValue
+    n2: float
+    policy: AffineGaussianPolicy
+    classical: ClassicalSolution
+
+    def record(self) -> dict:
+        """JSON-ready record of the full closed-form solution."""
+        return {
+            "k2": self.value.k2,
+            "k1": self.value.k1,
+            "k0": self.value.k0,
+            "alpha0": self.classical.alpha0,
+            "policy": {
+                "slope": self.policy.slope,
+                "intercept": self.policy.intercept,
+                "variance": self.policy.variance,
+            },
+            "cost": exploration_cost(self.model),
+            "assumption_bound": assumption_bound(self.model),
+        }
+
+    def cost_decomposition(self, x) -> float:
+        """w(x) - v(x) + lam/(2 rho) ln(2 pi e lam/n2); see
+        :func:`exploration_cost_decomposition`."""
+        model = self.model
+        ent = log_2pi_e_ratio(model.lam, self.n2)
+        gap = self.classical.value(x) - self.value(x)
+        return gap + model.lam / (2.0 * model.rho) * ent
+
+
+def solve(model: LqModel, *, allow_assumption_violation: bool = False) -> Solution:
+    """Validate the model and solve it once: the concave root k2, then
+    k1 and k0, the optimal policy and the classical solution.
+
+    The classical problem shares (alpha2, alpha1) = (k2, k1); its
+    constant drops the entropy annuity.
+    """
+    validate(model, allow_assumption_violation=allow_assumption_violation)
+    k2 = solve_k2(model)
+    k1 = solve_k1(model, k2)
+    value = QuadraticValue(k2, k1, solve_k0(model, k2, k1))
+    policy = policy_from_value(model, value)
+    n2 = model.n - k2 * model.d ** 2
+    lin = k1 * model.b - model.q
+    classical = ClassicalSolution(
+        alpha2=k2,
+        alpha1=k1,
+        alpha0=lin ** 2 / (2.0 * model.rho * n2),
+        feedback_slope=policy.slope,
+        feedback_intercept=policy.intercept,
+    )
+    return Solution(model, value, n2, policy, classical)
 
 
 def exploratory_solution(
@@ -218,12 +284,8 @@ def exploratory_solution(
     the constant value q^2/(2 rho n) + lam/(2 rho)(ln(2 pi e lam/n) - 1)
     with policy N(-q/n, lam/n) at every state.
     """
-    validate(model, allow_assumption_violation=allow_assumption_violation)
-    k2 = solve_k2(model)
-    k1 = solve_k1(model, k2)
-    k0 = solve_k0(model, k2, k1)
-    value = QuadraticValue(k2, k1, k0)
-    return value, policy_from_value(model, value)
+    sol = solve(model, allow_assumption_violation=allow_assumption_violation)
+    return sol.value, sol.policy
 
 
 def classical_solution(
@@ -231,26 +293,10 @@ def classical_solution(
 ) -> ClassicalSolution:
     """Value and affine optimal feedback of the unregularized problem.
 
-    Shares (alpha2, alpha1) with the exploratory solution; the constant
-    drops the entropy annuity.  The feedback equals the exploratory
-    policy mean at every state.
+    The feedback equals the exploratory policy mean at every state.
     """
-    validate(model, allow_assumption_violation=allow_assumption_violation)
-    k2 = solve_k2(model)
-    k1 = solve_k1(model, k2)
-    n2 = model.n - k2 * model.d ** 2
-    if n2 <= 0:
-        raise NonIntegrableDensityError(
-            f"n - k2*d^2 must be positive, got {n2}")
-    lin = k1 * model.b - model.q
-    beta = model.b + model.c * model.d
-    return ClassicalSolution(
-        alpha2=k2,
-        alpha1=k1,
-        alpha0=lin ** 2 / (2.0 * model.rho * n2),
-        feedback_slope=(k2 * beta - model.r) / n2,
-        feedback_intercept=lin / n2,
-    )
+    return solve(
+        model, allow_assumption_violation=allow_assumption_violation).classical
 
 
 def hjb_residual(model: LqModel, value: QuadraticValue, x, kind: str):
@@ -265,10 +311,7 @@ def hjb_residual(model: LqModel, value: QuadraticValue, x, kind: str):
         raise ValueError(f"unknown HJB kind {kind!r}")
     x = np.asarray(x, dtype=float)
     k2 = value.k2
-    n2 = model.n - k2 * model.d ** 2
-    if n2 <= 0:
-        raise NonIntegrableDensityError(
-            f"n - k2*d^2 must be positive, got {n2}")
+    n2 = _positive_n2(model, k2)
     vp = value.derivative(x)
     quad = (model.c * model.d * x * k2 + model.b * vp
             - model.r * x - model.q)
@@ -292,10 +335,7 @@ def softmax_density(model: LqModel, value: QuadraticValue, x, u):
     lam/(n - d^2 v'').  Vectorized over broadcastable (x, u).
     """
     k2 = value.k2
-    n2 = model.n - model.d ** 2 * k2
-    if n2 <= 0:
-        raise NonIntegrableDensityError(
-            f"Boltzmann numerator not integrable: n - d^2 v'' = {n2}")
+    n2 = _positive_n2(model, k2)
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     vp = value.derivative(x)
@@ -325,12 +365,7 @@ def exploration_cost_decomposition(model: LqModel, x) -> float:
     the optimal policy from the value difference.  Returns lam/(2 rho)
     identically in x; exposed so tests can assert that independence.
     """
-    value, _ = exploratory_solution(model)
-    classical = classical_solution(model)
-    n2 = model.n - value.k2 * model.d ** 2
-    ent = log_2pi_e_ratio(model.lam, n2)
-    gap = classical.value(x) - value(x)
-    return gap + model.lam / (2.0 * model.rho) * ent
+    return solve(model).cost_decomposition(x)
 
 
 def value_gap(model: LqModel) -> float:
@@ -368,20 +403,5 @@ def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0) -> list[SweepPoi
 
 def solution_record(model: LqModel, *, allow_assumption_violation: bool = False) -> dict:
     """JSON-ready record of the full closed-form solution."""
-    value, policy = exploratory_solution(
-        model, allow_assumption_violation=allow_assumption_violation)
-    classical = classical_solution(
-        model, allow_assumption_violation=allow_assumption_violation)
-    return {
-        "k2": value.k2,
-        "k1": value.k1,
-        "k0": value.k0,
-        "alpha0": classical.alpha0,
-        "policy": {
-            "slope": policy.slope,
-            "intercept": policy.intercept,
-            "variance": policy.variance,
-        },
-        "cost": exploration_cost(model),
-        "assumption_bound": assumption_bound(model),
-    }
+    return solve(
+        model, allow_assumption_violation=allow_assumption_violation).record()

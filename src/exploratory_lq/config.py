@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .errors import ConfigError
 from .model import LqModel
+from .rng import valid_seed
 
 MODEL_KEYS = {
     "dynamics.a": "a",
@@ -110,7 +111,7 @@ def sim_settings(mapping: dict[str, str]) -> dict:
     }
     if "sim.seed" in mapping:
         seed = _int(mapping, "sim.seed", 0)
-        if seed < 0 or seed > 2 ** 64 - 1:
+        if not valid_seed(seed):
             raise ConfigError(f"sim.seed must fit in 64 bits, got {seed}")
         out["seed"] = seed
     if out["dt"] <= 0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import LOG_2PI, classical_solution, exploratory_solution, log_2pi_e_ratio
+from .closed_form import LOG_2PI, QuadraticValue, log_2pi_e_ratio, solve
 from .errors import SimulationDivergedError
 from .model import AffineGaussianPolicy, LqModel, derived_coeffs
 from .moments import second_moment_curve
@@ -96,8 +96,13 @@ def truncation_bound(model: LqModel, policy: AffineGaussianPolicy,
                      allow_assumption_violation: bool = False) -> float:
     """e^{-rho T} (|k2|/2 m(T) + |k1| sqrt(m(T)) + |k0|) with m(T) the
     exploratory second moment under the simulated policy."""
-    value, _ = exploratory_solution(
-        model, allow_assumption_violation=allow_assumption_violation)
+    value = solve(
+        model, allow_assumption_violation=allow_assumption_violation).value
+    return _tail_bound(model, value, policy, x0, horizon)
+
+
+def _tail_bound(model: LqModel, value: QuadraticValue,
+                policy: AffineGaussianPolicy, x0: float, horizon: float) -> float:
     coeffs = derived_coeffs(model, policy)
     m_t = second_moment_curve(coeffs, x0, horizon)
     return math.exp(-model.rho * horizon) * (
@@ -107,11 +112,11 @@ def truncation_bound(model: LqModel, policy: AffineGaussianPolicy,
 
 def _per_path_values(model: LqModel, policy: AffineGaussianPolicy, x0: float,
                      grid: PathGrid, seed: int, n_paths: int,
-                     sample_actions: bool, parallelism: int) -> np.ndarray:
+                     sample_actions: bool) -> np.ndarray:
     batch = simulate_exploratory(
         model, policy, x0, grid, seed, n_paths,
         record_paths=False, discount_rate=model.rho,
-        action_noise=sample_actions, parallelism=parallelism)
+        action_noise=sample_actions)
     if batch.n_diverged:
         first = int(batch.divergence_step[batch.diverged].min())
         raise SimulationDivergedError(
@@ -132,9 +137,18 @@ def _per_path_values(model: LqModel, policy: AffineGaussianPolicy, x0: float,
     return values
 
 
+def _estimate(values: np.ndarray, bound: float, grid: PathGrid,
+              seed: int) -> ValueEstimate:
+    n_paths = values.size
+    se = float(values.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    return ValueEstimate(
+        value=float(values.mean()), std_error=se, truncation_bound=bound,
+        n_paths=n_paths, dt=grid.dt, horizon=grid.horizon, seed=seed)
+
+
 def mc_value(model: LqModel, policy: AffineGaussianPolicy, x0: float,
              grid: PathGrid, seed: int, n_paths: int, *,
-             sample_actions: bool = False, parallelism: int = 1,
+             sample_actions: bool = False,
              tail_tol: float | None = None,
              allow_assumption_violation: bool = False) -> ValueEstimate:
     """Monte Carlo estimate of the discounted objective under ``policy``.
@@ -148,7 +162,7 @@ def mc_value(model: LqModel, policy: AffineGaussianPolicy, x0: float,
     if sample_actions and policy.variance <= 0:
         raise ValueError("sample_actions requires a randomized policy")
     values = _per_path_values(model, policy, x0, grid, seed, n_paths,
-                              sample_actions, parallelism)
+                              sample_actions)
     bound = truncation_bound(
         model, policy, x0, grid.horizon,
         allow_assumption_violation=allow_assumption_violation)
@@ -156,15 +170,11 @@ def mc_value(model: LqModel, policy: AffineGaussianPolicy, x0: float,
         warnings.warn(
             f"truncation bound {bound:.3g} exceeds requested tolerance "
             f"{tail_tol:.3g}; extend the horizon", stacklevel=2)
-    se = float(values.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return ValueEstimate(
-        value=float(values.mean()), std_error=se, truncation_bound=bound,
-        n_paths=n_paths, dt=grid.dt, horizon=grid.horizon, seed=seed)
+    return _estimate(values, bound, grid, seed)
 
 
 def mc_exploration_cost(model: LqModel, x0: float, grid: PathGrid, seed: int,
-                        n_paths: int, *, sample_actions: bool = True,
-                        parallelism: int = 1) -> ValueEstimate:
+                        n_paths: int, *, sample_actions: bool = True) -> ValueEstimate:
     """Monte Carlo estimate of the exploration cost (target lam/(2 rho)).
 
     Estimates w(x0) - v(x0) + lam/(2 rho) ln(2 pi e lam/(n - k2 d^2)):
@@ -175,20 +185,14 @@ def mc_exploration_cost(model: LqModel, x0: float, grid: PathGrid, seed: int,
     so that reference models with degenerate diffusion still carry a
     genuine statistical error bar.
     """
-    value, policy = exploratory_solution(model)
-    classical = classical_solution(model)
+    sol = solve(model)
     feedback = AffineGaussianPolicy(
-        classical.feedback_slope, classical.feedback_intercept, 0.0)
-    v_vals = _per_path_values(model, policy, x0, grid, seed, n_paths,
-                              sample_actions, parallelism)
-    w_vals = _per_path_values(model, feedback, x0, grid, seed, n_paths,
-                              False, parallelism)
-    n2 = model.n - value.k2 * model.d ** 2
-    ent = model.lam / (2.0 * model.rho) * log_2pi_e_ratio(model.lam, n2)
+        sol.classical.feedback_slope, sol.classical.feedback_intercept, 0.0)
+    v_vals = _per_path_values(model, sol.policy, x0, grid, seed, n_paths,
+                              sample_actions)
+    w_vals = _per_path_values(model, feedback, x0, grid, seed, n_paths, False)
+    ent = model.lam / (2.0 * model.rho) * log_2pi_e_ratio(model.lam, sol.n2)
     diffs = w_vals - v_vals + ent
-    bound = (truncation_bound(model, policy, x0, grid.horizon)
-             + truncation_bound(model, feedback, x0, grid.horizon))
-    se = float(diffs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return ValueEstimate(
-        value=float(diffs.mean()), std_error=se, truncation_bound=bound,
-        n_paths=n_paths, dt=grid.dt, horizon=grid.horizon, seed=seed)
+    bound = (_tail_bound(model, sol.value, sol.policy, x0, grid.horizon)
+             + _tail_bound(model, sol.value, feedback, x0, grid.horizon))
+    return _estimate(diffs, bound, grid, seed)

@@ -28,7 +28,14 @@ _U64 = np.uint64
 _INV_2_53 = 2.0 ** -53
 
 
+def valid_seed(seed: int) -> bool:
+    """Seeds are unsigned 64-bit integers: they fill one Philox key word."""
+    return 0 <= seed < 2 ** 64
+
+
 def _philox(seed: int, path_index: int, stream: int) -> np.random.Philox:
+    if not valid_seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     key = np.array([_U64(seed) ^ _U64(stream), _U64(path_index)], dtype=np.uint64)
     return np.random.Philox(key=key)
 

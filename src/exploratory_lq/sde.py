@@ -14,25 +14,27 @@ transitions driven by the same standardized increments), and the
 Doss-Saussmann transform X = F(W, Y) for the general state-dependent
 optimum, with Y solved per path by a fixed-step RK4 integrator.
 
-Randomness is counter-based per path (see :mod:`exploratory_lq.rng`);
-batches chunk over paths with fixed boundaries, so results are
-invariant under the parallelism degree.
+Randomness is counter-based per path (see :mod:`exploratory_lq.rng`),
+so a path's values depend only on (seed, path_index), never on the
+batch size or the chunk it was stepped in.  Chunks run serially: the
+per-step work is short NumPy calls that hold the interpreter lock, so
+threads do not speed it up.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
+from .closed_form import policy_from_value
 from .constants import ABS_TOL, DIVERGENCE_THRESHOLD
 from .errors import (
     GridMismatchError,
-    NonIntegrableDensityError,
     NumericalError,
+    SimulationDivergedError,
     UnsupportedRegimeError,
 )
 from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
@@ -123,7 +125,8 @@ class TrajectoryBatch:
     sums: DiscountedSums | None = None
 
     def __post_init__(self):
-        # Batches are shared across threads; freeze the payload.
+        # A batch records one seeded run; read-only arrays keep every
+        # statistic, comparison and CSV taken from it consistent.
         for arr in (self.endpoints, self.diverged, self.divergence_step,
                     self.states, *self.checkpoint_states.values()):
             if arr is not None:
@@ -134,7 +137,11 @@ class TrajectoryBatch:
         return int(self.diverged.sum())
 
     def _ok(self) -> np.ndarray:
-        return ~self.diverged
+        ok = ~self.diverged
+        if not ok.any():
+            raise SimulationDivergedError(
+                f"all {self.n_paths} paths diverged; no statistic is defined")
+        return ok
 
     def endpoint_mean(self) -> float:
         return float(self.endpoints[self._ok()].mean())
@@ -190,7 +197,10 @@ def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
                      discount_rate: float | None = None,
                      action_noise: bool = False,
                      parallelism: int = 1) -> TrajectoryBatch:
-    """Euler-Maruyama batch for dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW."""
+    """Euler-Maruyama batch for dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW.
+
+    ``parallelism`` is accepted for compatibility and has no effect.
+    """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if coeffs.c1 < 0:
@@ -255,13 +265,10 @@ def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
         diverged[lo:hi] = ~alive
         div_step[lo:hi] = dstep
 
-    ranges = _chunk_ranges(n_paths)
-    if parallelism > 1 and len(ranges) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as ex:
-            list(ex.map(lambda r: run_chunk(*r), ranges))
-    else:
-        for lo, hi in ranges:
-            run_chunk(lo, hi)
+    # One call per chunk, so a chunk's noise block is freed before the
+    # next one is drawn.
+    for lo, hi in _chunk_ranges(n_paths):
+        run_chunk(lo, hi)
 
     sums = None
     if weights is not None:
@@ -413,7 +420,9 @@ class DossSaussmanTransform:
 
     F(z, y) = (sqrt(dt_var)/|c1t|) sinh(|c1t| z + asinh((|c1t|/sqrt(dt_var)) (y + c2t/c1t))) - c2t/c1t
     satisfies dF/dz = sqrt((c1t F + c2t)^2 + dt_var) with F(0, y) = y,
-    and Y follows the per-path ODE dY/dt = G(W_t, Y_t).
+    and Y follows the per-path ODE dY/dt = G(W_t, Y_t).  The five fields
+    are the Euler kernel's coefficients (a1, a2, b1, b2, c1) of
+    :func:`~exploratory_lq.model.derived_coeffs` under the policy.
     """
 
     at: float
@@ -424,20 +433,19 @@ class DossSaussmanTransform:
 
     @classmethod
     def from_solution(cls, model: LqModel, value) -> "DossSaussmanTransform":
-        n2 = model.n - value.k2 * model.d ** 2
-        if n2 <= 0:
-            raise NonIntegrableDensityError(
-                f"n - k2*d^2 must be positive, got {n2}")
-        beta = model.b + model.c * model.d
-        slope = (value.k2 * beta - model.r) / n2
-        lin = (value.k1 * model.b - model.q) / n2
-        return cls(
-            at=model.a + model.b * slope,
-            bt=model.b * lin,
-            c1t=model.c + model.d * slope,
-            c2t=model.d * lin,
-            dt_var=model.lam * model.d ** 2 / n2,
-        )
+        """Transform of the process driven by the optimal policy under v.
+
+        Requires d != 0, a positive noise injection c1 and a
+        nonvanishing effective volatility slope b1; callers must fall
+        back to the other exact constructions otherwise.
+        """
+        coeffs = derived_coeffs(model, policy_from_value(model, value))
+        if abs(model.d) <= ABS_TOL or coeffs.c1 <= 0:
+            raise ValueError("Doss-Saussmann path requires d != 0")
+        if abs(coeffs.b1) <= ABS_TOL:
+            raise ValueError(
+                "effective volatility slope vanishes; use the c = 0 exact path")
+        return cls(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1)
 
     def _arg(self, z, y):
         root = math.sqrt(self.dt_var)
@@ -515,15 +523,10 @@ def doss_saussman_path(model: LqModel, value, x0: float, path: BrownianPath,
     """Exact-transform node values for the state-dependent optimal SDE.
 
     Requires d != 0 and a nonvanishing effective volatility slope
-    c + d*(k2(b+cd)-r)/(n-k2 d^2); callers must fall back to the other
-    exact constructions otherwise.
+    c + d*(k2(b+cd)-r)/(n-k2 d^2); see
+    :meth:`DossSaussmanTransform.from_solution`.
     """
     transform = DossSaussmanTransform.from_solution(model, value)
-    if abs(model.d) <= ABS_TOL or transform.dt_var <= 0:
-        raise ValueError("Doss-Saussmann path requires d != 0")
-    if abs(transform.c1t) <= ABS_TOL:
-        raise ValueError(
-            "effective volatility slope vanishes; use the c = 0 exact path")
     return _doss_saussman_matrix(transform, x0, path.grid,
                                  path.values[None, :], ode_substeps)[0]
 
@@ -542,11 +545,6 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
         if value is None:
             raise ValueError("doss_saussman batch needs the value function")
         transform = DossSaussmanTransform.from_solution(model, value)
-        if abs(model.d) <= ABS_TOL or transform.dt_var <= 0:
-            raise ValueError("Doss-Saussmann path requires d != 0")
-        if abs(transform.c1t) <= ABS_TOL:
-            raise ValueError(
-                "effective volatility slope vanishes; use the c = 0 exact path")
     for lo, hi in _chunk_ranges(n_paths):
         z = rng.normal_block(seed, lo, hi - lo, k_steps)
         if method == "c0":

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from exploratory_lq import cli, config
+from exploratory_lq import cli, closed_form, config
 from exploratory_lq.errors import ConfigError
 
 S1_CONFIG = """\
@@ -257,3 +257,31 @@ class TestStochasticCommands:
         assert len(lines) == 4
         errs = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert errs[0] > errs[1] > errs[2]
+
+
+class TestSolveOncePerCommand:
+    # One solve in the CLI; evaluate and cost add the one inside
+    # mc_value / mc_exploration_cost that bounds the truncated tail.
+    @pytest.mark.parametrize("command,validations", [
+        ("solve", 1), ("residual", 1), ("simulate", 1), ("evaluate", 2),
+        ("cost", 2), ("exact-vs-euler", 1), ("moments", 1)])
+    def test_model_validated_once(self, tmp_path, monkeypatch, command,
+                                  validations):
+        calls = []
+        real = closed_form.validate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(closed_form, "validate", counting)
+        monkeypatch.setattr(cli, "CONVERGENCE_DTS", (0.1,))
+        # c, d != 0 sends exact-vs-euler down the Doss-Saussmann branch.
+        text = S1_CONFIG.replace("dynamics.c = 0", "dynamics.c = 0.5")
+        text = text.replace("dynamics.d = 0", "dynamics.d = 1")
+        cfg = write_config(tmp_path, text + "sim.dt = 0.01\n"
+                           "sim.n_steps = 20\nsim.n_paths = 4\n")
+        rc = cli.main(["--config", cfg, "--command", command,
+                       "--seed", "3", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert len(calls) == validations

@@ -11,9 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import exploratory_lq as xlq
+from exploratory_lq.constants import ABS_TOL
 from conftest import DS_MODEL, S1, random_valid_model
 
 GOLDEN = 0.5 * (1.0 - math.sqrt(5.0))  # k2 of S1
@@ -173,6 +176,28 @@ class TestExploratorySolution:
         with pytest.raises(xlq.ModelValidationError):
             xlq.exploratory_solution(
                 S1.__class__(**{**S1.__dict__, "r": 1.5}))
+
+
+class TestSolution:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), state_dependent=st.booleans())
+    def test_one_solve_is_consistent(self, seed, state_dependent):
+        model = random_valid_model(np.random.default_rng(seed),
+                                   state_dependent=state_dependent)
+        sol = xlq.solve(model)
+        k2, k1, k0 = sol.value.k2, sol.value.k1, sol.value.k0
+        assert abs(xlq.k2_residual(model, k2)) < 1e-10 * max(1.0, abs(k2))
+        assert abs(xlq.k1_residual(model, k2, k1)) < 1e-10 * max(1.0, abs(k1))
+        assert abs(xlq.k0_residual(model, k2, k1, k0)) < 1e-10 * max(1.0, abs(k0))
+        assert sol.n2 == model.n - k2 * model.d ** 2 > 0
+        assert sol.policy.variance * sol.n2 == pytest.approx(model.lam, rel=1e-15)
+        for x in (-10.0, 0.0, 10.0):
+            assert sol.classical.control(x) == sol.policy.mean(x)  # same floats
+        coeffs = xlq.derived_coeffs(model, sol.policy)
+        if abs(model.d) > ABS_TOL and abs(coeffs.b1) > ABS_TOL:
+            tr = xlq.DossSaussmanTransform.from_solution(model, sol.value)
+            assert (tr.at, tr.bt, tr.c1t, tr.c2t, tr.dt_var) == (
+                coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1)
 
 
 class TestClassicalSolution:

@@ -113,10 +113,28 @@ class TestEulerMaruyama:
         model = xlq.LqModel(a=40.0, b=0, c=0, d=0, m=0, n=1, r=0, p=0, q=0,
                             rho=1, lam=0.1)
         grid = xlq.PathGrid(dt=0.5, n_steps=120)
-        batch = xlq.simulate_classical(model, 0.0, 0.0, 1.0, grid, 2, 3)
+        batch = xlq.simulate_classical(model, 0.0, 0.0, 1.0, grid, 2, 3,
+                                       checkpoints=(120,))
         assert batch.n_diverged == 3
         assert np.all(batch.divergence_step > 0)
         assert np.all(np.isfinite(batch.states))
+        for stat in (batch.endpoint_mean, batch.endpoint_second_moment,
+                     batch.summary, lambda: batch.checkpoint_stats(120)):
+            with pytest.raises(xlq.SimulationDivergedError):
+                stat()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_out_of_range_seed_rejected(self, seed):
+        grid = xlq.PathGrid(dt=0.1, n_steps=2)
+        policy = state_independent_policy(C0_MODEL)
+        calls = (
+            lambda: xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, seed, 2),
+            lambda: xlq.exact_batch(C0_MODEL, 1.0, grid, seed, 2, method="c0"),
+            lambda: xlq.mc_value(C0_MODEL, policy, 1.0, grid, seed, 2),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=str(seed)):
+                call()
 
     def test_checkpoints_and_discounted_sums(self):
         _, policy = xlq.exploratory_solution(S1)
