@@ -113,16 +113,17 @@ def _closed_second_moment(coeffs: DerivedCoeffs, x0: float, t: np.ndarray,
             + forced * t * _phi1(alpha * t))
 
 
-def integrate_moment_ode(a1, a2, b1, b2, c1, x0, t: float,
+def integrate_moment_ode(a1, a2, b1, b2, c1, x0, t,
                          steps: int = RK_STEPS) -> tuple[np.ndarray, np.ndarray]:
     """RK4 integration of the (n, m) system to time t.
 
-    Coefficient arguments may be scalars or broadcastable arrays, so a
-    whole batch of coefficient sets integrates in one pass.  Returns
-    (n(t), m(t)).
+    The coefficients and t may be scalars or broadcastable arrays, so a
+    batch of coefficient sets, of end times, or of both integrates in
+    one pass; every element takes ``steps`` steps of size t/steps.
+    Returns (n(t), m(t)) in the broadcast shape.
     """
-    a1, a2, b1, b2, c1 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a1, a2, b1, b2, c1)))
+    a1, a2, b1, b2, c1, t = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a1, a2, b1, b2, c1, t)))
     alpha = 2.0 * a1 + b1 * b1
     beta = a2 + b1 * b2
     gamma = b2 * b2 + c1
@@ -159,16 +160,9 @@ def second_moment_curve(coeffs: DerivedCoeffs, x0: float, t,
     t_arr = np.asarray(t, dtype=float)
     tag, near = classify_case(coeffs)
     if near:
-        flat = np.atleast_1d(t_arr)
-        out = np.empty_like(flat)
-        for i, ti in enumerate(flat):
-            if ti == 0.0:
-                out[i] = x0 * x0
-            else:
-                _, out[i] = integrate_moment_ode(
-                    coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, noise, x0,
-                    float(ti))
-        out = out.reshape(t_arr.shape)
+        _, m = integrate_moment_ode(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2,
+                                    noise, x0, t_arr)
+        out = np.where(t_arr == 0.0, x0 * x0, m)
     else:
         out = _closed_second_moment(coeffs, x0, t_arr, noise, tag)
     return out if out.shape else float(out)

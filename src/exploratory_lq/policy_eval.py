@@ -174,7 +174,8 @@ def mc_value(model: LqModel, policy: AffineGaussianPolicy, x0: float,
 
 
 def mc_exploration_cost(model: LqModel, x0: float, grid: PathGrid, seed: int,
-                        n_paths: int, *, sample_actions: bool = True) -> ValueEstimate:
+                        n_paths: int, *, sample_actions: bool = True,
+                        allow_assumption_violation: bool = False) -> ValueEstimate:
     """Monte Carlo estimate of the exploration cost (target lam/(2 rho)).
 
     Estimates w(x0) - v(x0) + lam/(2 rho) ln(2 pi e lam/(n - k2 d^2)):
@@ -185,7 +186,7 @@ def mc_exploration_cost(model: LqModel, x0: float, grid: PathGrid, seed: int,
     so that reference models with degenerate diffusion still carry a
     genuine statistical error bar.
     """
-    sol = solve(model)
+    sol = solve(model, allow_assumption_violation=allow_assumption_violation)
     feedback = AffineGaussianPolicy(
         sol.classical.feedback_slope, sol.classical.feedback_intercept, 0.0)
     v_vals = _per_path_values(model, sol.policy, x0, grid, seed, n_paths,

@@ -447,36 +447,38 @@ class DossSaussmanTransform:
                 "effective volatility slope vanishes; use the c = 0 exact path")
         return cls(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1)
 
-    def _arg(self, z, y):
-        root = math.sqrt(self.dt_var)
-        ac = abs(self.c1t)
-        shift = self.c2t / self.c1t
-        return ac * z + np.arcsinh(ac / root * (y + shift))
-
-    def f(self, z, y):
-        root = math.sqrt(self.dt_var)
-        shift = self.c2t / self.c1t
-        return root / abs(self.c1t) * np.sinh(self._arg(z, y)) - shift
-
-    def df_dz(self, z, y):
-        return math.sqrt(self.dt_var) * np.cosh(self._arg(z, y))
-
-    def df_dy(self, z, y):
+    def _terms(self, z, y):
+        """(F, dF/dz, dF/dy) at (z, y) from one arcsinh, sinh and cosh."""
         root = math.sqrt(self.dt_var)
         ac = abs(self.c1t)
         shift = self.c2t / self.c1t
         w = ac / root * (y + shift)
-        return np.cosh(self._arg(z, y)) / np.sqrt(1.0 + w * w)
+        arg = ac * z + np.arcsinh(w)
+        cosh = np.cosh(arg)
+        return (root / ac * np.sinh(arg) - shift, root * cosh,
+                cosh / np.sqrt(1.0 + w * w))
+
+    def _defect(self, fv, dfz):
+        return dfz - np.sqrt((self.c1t * fv + self.c2t) ** 2 + self.dt_var)
+
+    def f(self, z, y):
+        return self._terms(z, y)[0]
+
+    def df_dz(self, z, y):
+        return self._terms(z, y)[1]
+
+    def df_dy(self, z, y):
+        return self._terms(z, y)[2]
 
     def g(self, z, y):
-        fv = self.f(z, y)
+        fv, _, dfy = self._terms(z, y)
         num = self.at * fv + self.bt - self.c1t / 2.0 * (self.c1t * fv + self.c2t)
-        return num / self.df_dy(z, y)
+        return num / dfy
 
     def diffusion_defect(self, z, y):
         """dF/dz minus sqrt((c1t F + c2t)^2 + dt_var); zero in exact math."""
-        fv = self.f(z, y)
-        return self.df_dz(z, y) - np.sqrt((self.c1t * fv + self.c2t) ** 2 + self.dt_var)
+        fv, dfz, _ = self._terms(z, y)
+        return self._defect(fv, dfz)
 
 
 def _doss_saussman_matrix(transform: DossSaussmanTransform, x0: float,
@@ -507,9 +509,9 @@ def _doss_saussman_matrix(transform: DossSaussmanTransform, x0: float,
             k3 = transform.g(zh, y + 0.5 * h * k2)
             k4 = transform.g(z1, y + h * k3)
             y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = transform.f(w[:, k + 1], y)
-        defect = np.abs(transform.diffusion_defect(w[:, k + 1], y))
-        scale = np.maximum(1.0, np.abs(transform.df_dz(w[:, k + 1], y)))
+        x, dfz, _ = transform._terms(w[:, k + 1], y)
+        defect = np.abs(transform._defect(x, dfz))
+        scale = np.maximum(1.0, np.abs(dfz))
         worst = max(worst, float((defect / scale).max()))
         out[:, k + 1] = x
     if worst > 1e-8:

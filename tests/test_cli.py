@@ -128,6 +128,29 @@ explore.lambda = 0.2
         report = (tmp_path / "report.txt").read_text()
         assert "UNVERIFIED (assumption violated)" in report
 
+    def test_override_assumptions_cost(self, tmp_path, capsys):
+        # The Monte Carlo leg of cost solves the model again; the
+        # override must reach it too.
+        text = S1_CONFIG.replace("dynamics.a = 0", "dynamics.a = 1")
+        cfg = write_config(tmp_path, text + SIM_BLOCK)
+        assert cli.main(["--config", cfg, "--command", "cost", "--seed", "5",
+                         "--out", str(tmp_path), "--override-assumptions"]) == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert "UNVERIFIED (assumption violated)" in report
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallelism_below_one_exit_1(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, S1_CONFIG + SIM_BLOCK)
+        rc = cli.main(["--config", cfg, "--command", "simulate", "--seed", "1",
+                       "--out", str(tmp_path), "--parallelism", value])
+        assert rc == 1
+        assert "--parallelism" in capsys.readouterr().err
+        # The config route rejects the same value with the same status.
+        cfg = write_config(tmp_path, S1_CONFIG + SIM_BLOCK
+                           + f"sim.parallelism = {value}\n", "par.cfg")
+        assert cli.main(["--config", cfg, "--command", "simulate",
+                         "--seed", "1", "--out", str(tmp_path)]) == 1
+
 
 class TestSolveCommand:
     def test_solution_json(self, tmp_path, capsys):

@@ -87,13 +87,18 @@ class TestSecondMomentClosedForms:
                         f"case {tag} {kind} t={t}"
 
     def test_randomized_vs_integrator(self, rng):
+        draws = []
         for _ in range(200):
             coeffs = random_coeffs(rng)
-            t = rng.uniform(0.1, 5.0)
+            draws.append((coeffs, rng.uniform(0.1, 5.0)))
+        # One batched RK4 pass over every (coeffs, t) draw.
+        _, m_rk = xlq.integrate_moment_ode(
+            *(np.array([getattr(c, f) for c, _ in draws])
+              for f in ("a1", "a2", "b1", "b2", "c1")),
+            1.0, np.array([t for _, t in draws]))
+        for (coeffs, t), m in zip(draws, m_rk):
             closed = xlq.second_moment_curve(coeffs, 1.0, t)
-            _, m_rk = xlq.integrate_moment_ode(
-                coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1, 1.0, t)
-            assert closed == pytest.approx(float(m_rk), rel=1e-8, abs=1e-10)
+            assert closed == pytest.approx(float(m), rel=1e-8, abs=1e-10)
 
     def test_case_b_converges_to_case_a(self):
         """Pointwise continuity of the closed forms as B1 -> 0.
@@ -123,11 +128,34 @@ class TestSecondMomentClosedForms:
         ref = xlq.second_moment_curve(replace(coeffs, a1=0.0), 1.0, 2.0)
         assert got == pytest.approx(ref, rel=1e-7)
 
+    @pytest.mark.parametrize("kind", ["exploratory", "classical"])
+    def test_near_boundary_array_equals_scalar_calls(self, kind):
+        coeffs = DerivedCoeffs(1e-8, 0.5, 1e-7, 0.3, 0.2)
+        assert xlq.classify_case(coeffs)[1]
+        ts = np.array([0.0, 0.05, 0.5, 1.0, 2.0])
+        got = xlq.second_moment_curve(coeffs, 1.3, ts, kind)
+        assert got[0] == 1.3 * 1.3
+        for ti, gi in zip(ts, got):
+            assert gi == xlq.second_moment_curve(coeffs, 1.3, float(ti), kind)
+
     def test_exact_zero_below_tolerance_uses_closed_form(self):
         # Below the dispatch tolerance the value is treated as zero.
         coeffs = DerivedCoeffs(1e-12, 0.5, 0.0, 0.3, 0.2)
         tag, near = xlq.classify_case(coeffs)
         assert tag == "a" and not near
+
+
+class TestIntegrator:
+    def test_time_broadcasts_against_coefficients(self):
+        a1 = np.array([[-0.5], [0.2], [-1.0]])
+        ts = np.array([0.0, 0.3, 1.0, 4.0])
+        n, m = xlq.integrate_moment_ode(a1, 0.4, 0.6, -0.2, 0.3, 1.1, ts)
+        assert n.shape == m.shape == (3, 4)
+        for i, a in enumerate(a1[:, 0]):
+            for j, t in enumerate(ts):
+                n_ij, m_ij = xlq.integrate_moment_ode(a, 0.4, 0.6, -0.2, 0.3,
+                                                      1.1, t)
+                assert n[i, j] == n_ij and m[i, j] == m_ij
 
 
 class TestMomentInvariants:
