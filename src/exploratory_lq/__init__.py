@@ -76,11 +76,8 @@ from .sde import (
     DossSaussmanTransform,
     PathGrid,
     TrajectoryBatch,
-    doss_saussman_path,
     endpoint_rms_error,
     exact_batch,
-    exact_path_c0,
-    exact_path_d0,
     simulate_classical,
     simulate_exploratory,
     strong_error,

@@ -145,10 +145,16 @@ def _cmd_simulate(spec: RunSpec) -> None:
     sys.stdout.write(f"wrote {spec.out_dir / 'trajectories.csv'}\n")
 
 
+def _mc_check(estimate: policy_eval.ValueEstimate,
+              target: float) -> tuple[float, float]:
+    """(|estimate - target|, tolerance 3 se + tail) of a Monte Carlo check."""
+    return (abs(estimate.value - target),
+            3.0 * estimate.std_error + estimate.truncation_bound)
+
+
 def _mc_section(label: str, estimate: policy_eval.ValueEstimate,
                 target: float) -> str:
-    err = abs(estimate.value - target)
-    tol = 3.0 * estimate.std_error + estimate.truncation_bound
+    err, tol = _mc_check(estimate, target)
     verdict = "PASS" if err <= tol else "FAIL"
     return (f"{label}: estimate={_fmt(estimate.value)} target={_fmt(target)} "
             f"|err|={_fmt(err)} tol(3se+tail)={_fmt(tol)} {verdict}")
@@ -160,8 +166,7 @@ def _cmd_evaluate(spec: RunSpec) -> None:
         spec.model, sol.policy, spec.sim["x0"], _grid(spec), spec.sim["seed"],
         spec.sim["n_paths"], allow_assumption_violation=spec.override)
     target = sol.value(spec.sim["x0"])
-    err = abs(estimate.value - target)
-    tol = 3.0 * estimate.std_error + estimate.truncation_bound
+    err, tol = _mc_check(estimate, target)
     _write_json(spec.out_dir / "evaluate.json", {
         "estimate": estimate.as_dict(),
         "closed_form_value": target,
@@ -189,7 +194,8 @@ def _cmd_cost(spec: RunSpec) -> None:
 
 def _cmd_sweep(spec: RunSpec) -> None:
     points = closed_form.lambda_sweep(spec.model, spec.sweep,
-                                      probe_x=spec.sim["x0"])
+                                      probe_x=spec.sim["x0"],
+                                      allow_assumption_violation=spec.override)
     rows = [(p.lam, p.variance, p.value_gap, p.cost, p.mean_at_probe, p.probe_x)
             for p in points]
     path = _write_table(

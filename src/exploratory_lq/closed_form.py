@@ -188,8 +188,13 @@ def solve_k0(model: LqModel, k2: float, k1: float) -> float:
     """Constant term: squared-drift annuity plus the entropy annuity."""
     n2 = _positive_n2(model, k2)
     lin = k1 * model.b - model.q
-    return (lin ** 2 / (2.0 * model.rho * n2)
-            + model.lam / (2.0 * model.rho)
+    return lin ** 2 / (2.0 * model.rho * n2) + _entropy_annuity(model, n2)
+
+
+def _entropy_annuity(model: LqModel, n2: float) -> float:
+    """lam/(2 rho) (ln(2 pi e lam/n2) - 1): the discounted entropy bonus
+    of the optimal policy net of its expected quadratic cost."""
+    return (model.lam / (2.0 * model.rho)
             * (log_2pi_e_ratio(model.lam, n2) - 1.0))
 
 
@@ -371,14 +376,12 @@ def exploration_cost_decomposition(model: LqModel, x) -> float:
 def value_gap(model: LqModel) -> float:
     """v(x) - w(x): the (state-independent) entropy annuity
     lam/(2 rho) (ln(2 pi e lam/(n - k2 d^2)) - 1)."""
-    k2 = solve_k2(model)
-    n2 = model.n - k2 * model.d ** 2
-    return (model.lam / (2.0 * model.rho)
-            * (log_2pi_e_ratio(model.lam, n2) - 1.0))
+    return _entropy_annuity(model, model.n - solve_k2(model) * model.d ** 2)
 
 
-def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0) -> list[SweepPoint]:
-    """Resolve the model at each temperature.
+def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0, *,
+                 allow_assumption_violation: bool = False) -> list[SweepPoint]:
+    """Resolve the model once at each temperature.
 
     The policy mean is temperature-free (its coefficients never touch
     lam), the variance is exactly linear in lam, and the value gap
@@ -389,13 +392,13 @@ def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0) -> list[SweepPoi
         if lam <= 0:
             raise ValueError(f"sweep temperatures must be positive, got {lam}")
         m = model.with_lambda(float(lam))
-        value, policy = exploratory_solution(m)
+        sol = solve(m, allow_assumption_violation=allow_assumption_violation)
         out.append(SweepPoint(
             lam=float(lam),
-            variance=policy.variance,
-            value_gap=value_gap(m),
+            variance=sol.policy.variance,
+            value_gap=_entropy_annuity(m, sol.n2),
             cost=exploration_cost(m),
-            mean_at_probe=policy.mean(probe_x),
+            mean_at_probe=sol.policy.mean(probe_x),
             probe_x=probe_x,
         ))
     return out

@@ -23,3 +23,10 @@ DIVERGENCE_THRESHOLD = 1e12
 
 # Fixed-step count of the 4th-order moment-ODE integrator.
 RK_STEPS = 2048
+
+# RK4 steps per grid step of the per-path Doss-Saussmann ODE for Y.
+ODE_SUBSTEPS = 4
+
+# Largest relative defect of the Doss-Saussmann diffusion ODE
+# dF/dz = sqrt((c1t F + c2t)^2 + dt_var) accepted at an evaluated node.
+DS_DEFECT_TOL = 1e-8

@@ -185,14 +185,6 @@ class MomentCurves:
     def second_classical(self, t):
         return second_moment_curve(self.coeffs, self.x0, t, "classical")
 
-    def rows(self, times) -> list[tuple]:
-        """(t, n, m, m_hat, case_tag) rows for CSV export."""
-        mean = np.atleast_1d(self.mean(times))
-        m = np.atleast_1d(self.second(times))
-        mh = np.atleast_1d(self.second_classical(times))
-        return [(float(t), float(nv), float(mv), float(hv), self.case_tag)
-                for t, nv, mv, hv in zip(np.atleast_1d(times), mean, m, mh)]
-
 
 def moment_curves(coeffs: DerivedCoeffs, x0: float) -> MomentCurves:
     tag, _ = classify_case(coeffs)

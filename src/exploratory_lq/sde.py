@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .closed_form import policy_from_value
-from .constants import ABS_TOL, DIVERGENCE_THRESHOLD
+from .constants import ABS_TOL, DIVERGENCE_THRESHOLD, DS_DEFECT_TOL, ODE_SUBSTEPS
 from .errors import (
     GridMismatchError,
     NumericalError,
@@ -115,7 +115,6 @@ class TrajectoryBatch:
     grid: PathGrid
     n_paths: int
     seed: int
-    kind: str
     x0: float
     endpoints: np.ndarray
     diverged: np.ndarray
@@ -186,12 +185,17 @@ def _discount_weights(rho: float, grid: PathGrid) -> np.ndarray:
     return np.exp(-rho * t) * grid.dt
 
 
+def _check_n_paths(n_paths: int) -> None:
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+
+
 def _chunk_ranges(n_paths: int):
     return [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
 
 
 def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
-                     seed: int, n_paths: int, *, kind: str,
+                     seed: int, n_paths: int, *,
                      record_paths: bool = True,
                      checkpoints: tuple = (),
                      discount_rate: float | None = None,
@@ -201,8 +205,7 @@ def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
 
     ``parallelism`` is accepted for compatibility and has no effect.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _check_n_paths(n_paths)
     if coeffs.c1 < 0:
         raise ValueError("noise injection c1 must be >= 0")
     k_steps = grid.n_steps
@@ -276,7 +279,7 @@ def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
             rho=float(discount_rate), weight_total=float(weights.sum()),
             x=sum_x, x2=sum_x2, zx=sum_zx, z=sum_z, z2m1=sum_z2)
     return TrajectoryBatch(
-        grid=grid, n_paths=n_paths, seed=seed, kind=kind, x0=float(x0),
+        grid=grid, n_paths=n_paths, seed=seed, x0=float(x0),
         endpoints=endpoints, diverged=diverged, divergence_step=div_step,
         states=states, checkpoint_states=cp_states, sums=sums)
 
@@ -291,8 +294,7 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
     grid: both run the identical kernel with c1 = 0.
     """
     coeffs = derived_coeffs(model, policy)
-    return _simulate_coeffs(coeffs, x0, grid, seed, n_paths,
-                            kind="exploratory", **kwargs)
+    return _simulate_coeffs(coeffs, x0, grid, seed, n_paths, **kwargs)
 
 
 def simulate_classical(model: LqModel, feedback_slope: float,
@@ -302,40 +304,34 @@ def simulate_classical(model: LqModel, feedback_slope: float,
     under the deterministic feedback u(x) = slope*x + intercept."""
     policy = AffineGaussianPolicy(feedback_slope, feedback_intercept, 0.0)
     coeffs = derived_coeffs(model, policy)
-    return _simulate_coeffs(coeffs, x0, grid, seed, n_paths,
-                            kind="classical", **kwargs)
+    return _simulate_coeffs(coeffs, x0, grid, seed, n_paths, **kwargs)
 
 
 # ---------------------------------------------------------------------------
-# Exact reference paths for the state-independent optimal process
-#     dX = (a X - b q / n) dt + sqrt((c X - d q / n)^2 + lam d^2 / n) dW
+# Exact reference paths.  d0 and c0 solve the state-independent process
+#     dX = (a X - b q / n) dt + sqrt((c X - d q / n)^2 + lam d^2 / n) dW;
+# Doss-Saussmann solves the state-dependent optimum.  Each builder checks
+# its regime once and returns the map from a chunk's standard normals
+# (rows = paths) to its node values.
 # ---------------------------------------------------------------------------
 
-def _refine_linear(values: np.ndarray, substeps: int) -> np.ndarray:
-    """Linear interpolation of node values onto a grid refined by
-    ``substeps``; rows are paths, columns nodes."""
-    if substeps == 1:
-        return values
-    left = values[:, :-1, None]
-    right = values[:, 1:, None]
-    frac = np.arange(substeps) / substeps
-    fine = left * (1.0 - frac) + right * frac
-    fine = fine.reshape(values.shape[0], -1)
-    return np.concatenate([fine, values[:, -1:]], axis=1)
+def _brownian_nodes(z: np.ndarray, dt: float) -> np.ndarray:
+    """Node values W_0 = 0, ..., W_n from standardized increments."""
+    return np.concatenate(
+        [np.zeros((z.shape[0], 1)), np.cumsum(z * math.sqrt(dt), axis=1)], axis=1)
 
 
-def _exact_d0_matrix(model: LqModel, x0: float, grid: PathGrid,
-                     w: np.ndarray, substeps: int) -> np.ndarray:
-    """Exact solution on given Brownian node values (rows = paths).
+def _d0_builder(model: LqModel, x0: float, grid: PathGrid):
+    """Exact solution on the Brownian node values,
 
     X_t = x0 e^{theta t + s|c| W_t}
           - (bq/n) int_0^t e^{theta (t-u) + s|c|(W_t - W_u)} du,
     theta = a - c^2/2, s = +1 on the {x0 >= 0, bq <= 0} branch and
     s = -1 on the mirror branch; the time integral uses the trapezoid
-    rule on the (optionally refined) grid.
+    rule on the grid nodes.
     """
     if abs(model.d) > ABS_TOL:
-        raise ValueError("exact_path_d0 requires d = 0")
+        raise ValueError("the d0 exact path requires d = 0")
     bq = model.b * model.q
     if x0 >= 0 and bq <= ABS_TOL:
         sgn = 1.0
@@ -345,54 +341,36 @@ def _exact_d0_matrix(model: LqModel, x0: float, grid: PathGrid,
         raise UnsupportedRegimeError(
             f"no explicit solution for x0={x0!r} with b*q={bq!r}; "
             "supported regimes are (x0 >= 0, b*q <= 0) and (x0 <= 0, b*q >= 0)")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     theta = model.a - model.c ** 2 / 2.0
     cc = abs(model.c)
     a2 = -bq / model.n
+    t = grid.times()
+    dt = grid.dt
 
-    t_coarse = grid.times()
-    w_fine = _refine_linear(w, substeps)
-    t_fine = np.arange(w_fine.shape[1]) * (grid.dt / substeps)
-    g = np.exp(-theta * t_fine - sgn * cc * w_fine)
-    h = grid.dt / substeps
-    cum = np.zeros_like(g)
-    np.cumsum((g[:, :-1] + g[:, 1:]) * (h / 2.0), axis=1, out=cum[:, 1:])
-    j_coarse = cum[:, ::substeps]
-    growth = np.exp(theta * t_coarse + sgn * cc * w)
-    return growth * (x0 + a2 * j_coarse)
+    def build(z: np.ndarray) -> np.ndarray:
+        w = _brownian_nodes(z, dt)
+        g = np.exp(-theta * t - sgn * cc * w)
+        cum = np.zeros_like(g)
+        np.cumsum((g[:, :-1] + g[:, 1:]) * (dt / 2.0), axis=1, out=cum[:, 1:])
+        growth = np.exp(theta * t + sgn * cc * w)
+        return growth * (x0 + a2 * cum)
 
-
-def exact_path_d0(model: LqModel, x0: float, path: BrownianPath,
-                  substeps: int = 1) -> np.ndarray:
-    """Exact node values of the d = 0 optimal process on one path."""
-    return _exact_d0_matrix(model, x0, path.grid,
-                            path.values[None, :], substeps)[0]
+    return build
 
 
-def _c0_constants(model: LqModel) -> tuple[float, float]:
-    if abs(model.c) > ABS_TOL:
-        raise ValueError("exact_path_c0 requires c = 0")
-    sigma = abs(model.d) / model.n * math.sqrt(model.q ** 2 + model.lam * model.n)
-    a2 = -model.b * model.q / model.n
-    return a2, sigma
-
-
-def _exact_c0_matrix(model: LqModel, x0: float, grid: PathGrid,
-                     z: np.ndarray) -> np.ndarray:
+def _c0_builder(model: LqModel, x0: float, grid: PathGrid):
     """Ornstein-Uhlenbeck recursion with exact Gaussian transitions.
 
     The per-step update scales the standardized Brownian increment by
     the exact transition standard deviation, so marginals are exact at
     every node while the noise stays coupled to the Euler scheme.
     """
-    a2, sigma = _c0_constants(model)
+    if abs(model.c) > ABS_TOL:
+        raise ValueError("the c0 exact path requires c = 0")
+    sigma = abs(model.d) / model.n * math.sqrt(model.q ** 2 + model.lam * model.n)
+    a2 = -model.b * model.q / model.n
     a = model.a
     dt = grid.dt
-    m, k_steps = z.shape
-    x = np.full(m, float(x0))
-    out = np.empty((m, k_steps + 1))
-    out[:, 0] = x
     if abs(a) > ABS_TOL:
         eah = math.exp(a * dt)
         shift = a2 * math.expm1(a * dt) / a
@@ -401,16 +379,18 @@ def _exact_c0_matrix(model: LqModel, x0: float, grid: PathGrid,
         eah = 1.0
         shift = a2 * dt
         sdh = sigma * math.sqrt(dt)
-    for k in range(k_steps):
-        x = eah * x + shift + sdh * z[:, k]
-        out[:, k + 1] = x
-    return out
 
+    def build(z: np.ndarray) -> np.ndarray:
+        m, k_steps = z.shape
+        x = np.full(m, float(x0))
+        out = np.empty((m, k_steps + 1))
+        out[:, 0] = x
+        for k in range(k_steps):
+            x = eah * x + shift + sdh * z[:, k]
+            out[:, k + 1] = x
+        return out
 
-def exact_path_c0(model: LqModel, x0: float, path: BrownianPath) -> np.ndarray:
-    """Exact node values of the c = 0 optimal process on one path."""
-    z = path.increments / math.sqrt(path.grid.dt)
-    return _exact_c0_matrix(model, x0, path.grid, z[None, :])[0]
+    return build
 
 
 @dataclass(frozen=True)
@@ -458,9 +438,6 @@ class DossSaussmanTransform:
         return (root / ac * np.sinh(arg) - shift, root * cosh,
                 cosh / np.sqrt(1.0 + w * w))
 
-    def _defect(self, fv, dfz):
-        return dfz - np.sqrt((self.c1t * fv + self.c2t) ** 2 + self.dt_var)
-
     def f(self, z, y):
         return self._terms(z, y)[0]
 
@@ -475,95 +452,75 @@ class DossSaussmanTransform:
         num = self.at * fv + self.bt - self.c1t / 2.0 * (self.c1t * fv + self.c2t)
         return num / dfy
 
-    def diffusion_defect(self, z, y):
-        """dF/dz minus sqrt((c1t F + c2t)^2 + dt_var); zero in exact math."""
-        fv, dfz, _ = self._terms(z, y)
-        return self._defect(fv, dfz)
 
-
-def _doss_saussman_matrix(transform: DossSaussmanTransform, x0: float,
-                          grid: PathGrid, w: np.ndarray,
-                          ode_substeps: int) -> np.ndarray:
-    """Integrate Y per path (RK4, W linearly interpolated inside steps)
-    and map nodes through F.  Verifies the defining diffusion ODE of F
-    at every evaluated node to 1e-8."""
-    if ode_substeps < 1:
-        raise ValueError("ode_substeps must be >= 1")
-    m, nodes = w.shape
-    k_steps = nodes - 1
-    dt = grid.dt
-    h = dt / ode_substeps
-    y = np.full(m, float(x0))
-    out = np.empty((m, nodes))
-    out[:, 0] = x0
-    worst = 0.0
-    for k in range(k_steps):
-        w0 = w[:, k]
-        dw = w[:, k + 1] - w0
-        for j in range(ode_substeps):
-            z0 = w0 + dw * (j / ode_substeps)
-            zh = w0 + dw * ((j + 0.5) / ode_substeps)
-            z1 = w0 + dw * ((j + 1.0) / ode_substeps)
-            k1 = transform.g(z0, y)
-            k2 = transform.g(zh, y + 0.5 * h * k1)
-            k3 = transform.g(zh, y + 0.5 * h * k2)
-            k4 = transform.g(z1, y + h * k3)
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x, dfz, _ = transform._terms(w[:, k + 1], y)
-        defect = np.abs(transform._defect(x, dfz))
-        scale = np.maximum(1.0, np.abs(dfz))
-        worst = max(worst, float((defect / scale).max()))
-        out[:, k + 1] = x
-    if worst > 1e-8:
-        raise NumericalError(
-            f"Doss-Saussmann transform violated its defining ODE ({worst:.3g})")
-    return out
-
-
-def doss_saussman_path(model: LqModel, value, x0: float, path: BrownianPath,
-                       ode_substeps: int = 4) -> np.ndarray:
-    """Exact-transform node values for the state-dependent optimal SDE.
-
-    Requires d != 0 and a nonvanishing effective volatility slope
-    c + d*(k2(b+cd)-r)/(n-k2 d^2); see
-    :meth:`DossSaussmanTransform.from_solution`.
-    """
+def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
+    """Integrate Y per path (RK4, ODE_SUBSTEPS steps per grid step, W
+    linearly interpolated inside steps) and map nodes through F.
+    Verifies the defining diffusion ODE of F at every evaluated node to
+    DS_DEFECT_TOL."""
+    if value is None:
+        raise ValueError("doss_saussman batch needs the value function")
     transform = DossSaussmanTransform.from_solution(model, value)
-    return _doss_saussman_matrix(transform, x0, path.grid,
-                                 path.values[None, :], ode_substeps)[0]
+    dt = grid.dt
+    h = dt / ODE_SUBSTEPS
+
+    def build(z: np.ndarray) -> np.ndarray:
+        w = _brownian_nodes(z, dt)
+        m, nodes = w.shape
+        y = np.full(m, float(x0))
+        out = np.empty((m, nodes))
+        out[:, 0] = x0
+        worst = 0.0
+        for k in range(nodes - 1):
+            w0 = w[:, k]
+            dw = w[:, k + 1] - w0
+            for j in range(ODE_SUBSTEPS):
+                z0 = w0 + dw * (j / ODE_SUBSTEPS)
+                zh = w0 + dw * ((j + 0.5) / ODE_SUBSTEPS)
+                z1 = w0 + dw * ((j + 1.0) / ODE_SUBSTEPS)
+                k1 = transform.g(z0, y)
+                k2 = transform.g(zh, y + 0.5 * h * k1)
+                k3 = transform.g(zh, y + 0.5 * h * k2)
+                k4 = transform.g(z1, y + h * k3)
+                y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x, dfz, _ = transform._terms(w[:, k + 1], y)
+            defect = np.abs(dfz - np.sqrt(
+                (transform.c1t * x + transform.c2t) ** 2 + transform.dt_var))
+            scale = np.maximum(1.0, np.abs(dfz))
+            worst = max(worst, float((defect / scale).max()))
+            out[:, k + 1] = x
+        if worst > DS_DEFECT_TOL:
+            raise NumericalError(
+                f"Doss-Saussmann transform violated its defining ODE ({worst:.3g})")
+        return out
+
+    return build
 
 
 def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
-                n_paths: int, method: str, value=None, substeps: int = 1,
-                ode_substeps: int = 4) -> TrajectoryBatch:
+                n_paths: int, method: str, value=None) -> TrajectoryBatch:
     """TrajectoryBatch of exact reference paths on the shared
     per-path Brownian streams; method one of 'd0', 'c0',
-    'doss_saussman'."""
-    k_steps = grid.n_steps
-    sq_dt = math.sqrt(grid.dt)
-    states = np.empty((n_paths, k_steps + 1))
-    transform = None
-    if method == "doss_saussman":
-        if value is None:
-            raise ValueError("doss_saussman batch needs the value function")
-        transform = DossSaussmanTransform.from_solution(model, value)
+    'doss_saussman' ('doss_saussman' needs the value function).
+
+    The path count, the method and its regime are checked before any
+    noise is drawn.
+    """
+    _check_n_paths(n_paths)
+    if method == "d0":
+        build = _d0_builder(model, x0, grid)
+    elif method == "c0":
+        build = _c0_builder(model, x0, grid)
+    elif method == "doss_saussman":
+        build = _doss_saussman_builder(model, x0, grid, value)
+    else:
+        raise ValueError(f"unknown exact-path method {method!r}")
+    states = np.empty((n_paths, grid.n_steps + 1))
     for lo, hi in _chunk_ranges(n_paths):
-        z = rng.normal_block(seed, lo, hi - lo, k_steps)
-        if method == "c0":
-            states[lo:hi] = _exact_c0_matrix(model, x0, grid, z)
-            continue
-        w = np.concatenate(
-            [np.zeros((hi - lo, 1)), np.cumsum(z * sq_dt, axis=1)], axis=1)
-        if method == "d0":
-            states[lo:hi] = _exact_d0_matrix(model, x0, grid, w, substeps)
-        elif method == "doss_saussman":
-            states[lo:hi] = _doss_saussman_matrix(
-                transform, x0, grid, w, ode_substeps)
-        else:
-            raise ValueError(f"unknown exact-path method {method!r}")
+        states[lo:hi] = build(rng.normal_block(seed, lo, hi - lo, grid.n_steps))
     endpoints = states[:, -1].copy()
     return TrajectoryBatch(
-        grid=grid, n_paths=n_paths, seed=seed, kind="exact", x0=float(x0),
+        grid=grid, n_paths=n_paths, seed=seed, x0=float(x0),
         endpoints=endpoints, diverged=np.zeros(n_paths, dtype=bool),
         divergence_step=np.full(n_paths, -1, dtype=np.int64), states=states)
 

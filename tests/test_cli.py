@@ -138,6 +138,19 @@ explore.lambda = 0.2
         report = (tmp_path / "report.txt").read_text()
         assert "UNVERIFIED (assumption violated)" in report
 
+    def test_override_assumptions_sweep(self, tmp_path, capsys):
+        # The sweep solves the model once per temperature; the override
+        # must reach every one of those solves.
+        text = S1_CONFIG.replace("dynamics.a = 0", "dynamics.a = 1")
+        cfg = write_config(tmp_path, text + "sweep.lambdas = 0.1,0.2\n")
+        assert cli.main(["--config", cfg, "--command", "sweep",
+                         "--out", str(tmp_path)]) == 2
+        assert cli.main(["--config", cfg, "--command", "sweep",
+                         "--out", str(tmp_path), "--override-assumptions"]) == 0
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.1, 0.2]
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_parallelism_below_one_exit_1(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, S1_CONFIG + SIM_BLOCK)

@@ -255,12 +255,12 @@ class TestAdmissibilityDecay:
 
 
 class TestMomentCurvesContainer:
-    def test_rows_and_tags(self):
+    def test_values_and_tags(self):
         value, policy = xlq.exploratory_solution(DS_MODEL)
         coeffs = xlq.derived_coeffs(DS_MODEL, policy)
         curves = xlq.moment_curves(coeffs, 1.0)
-        rows = curves.rows(np.array([0.0, 0.5, 1.0]))
-        assert len(rows) == 3
-        t0 = rows[0]
-        assert t0[0] == 0.0 and t0[1] == 1.0 and t0[2] == 1.0 and t0[3] == 1.0
-        assert all(row[4] == curves.case_tag for row in rows)
+        times = np.array([0.0, 0.5, 1.0])
+        for curve in (curves.mean, curves.second, curves.second_classical):
+            values = curve(times)
+            assert values.shape == (3,) and values[0] == 1.0
+        assert curves.case_tag == xlq.classify_case(coeffs)[0]

@@ -21,6 +21,12 @@ def state_independent_policy(model):
                                     model.lam / model.n)
 
 
+def exact_row(model, x0, grid, seed, p, method, value=None):
+    """The exact path of (seed, p): row p of a (p + 1)-path batch."""
+    return xlq.exact_batch(model, x0, grid, seed, p + 1, method,
+                           value).states[p]
+
+
 class TestGridAndBrownian:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -169,7 +175,7 @@ class TestExactPathD0:
                             rho=1, lam=0.2)
         grid = xlq.PathGrid(dt=1e-3, n_steps=1000)
         path = xlq.BrownianPath.generate(grid, 7, 0)
-        exact = xlq.exact_path_d0(model, 1.0, path)
+        exact = exact_row(model, 1.0, grid, 7, 0, "d0")
         gbm = np.exp(-0.5 * grid.times() + path.values)
         assert np.allclose(exact, gbm, atol=1e-12)
 
@@ -177,25 +183,22 @@ class TestExactPathD0:
         model = xlq.LqModel(a=0.7, b=1, c=0, d=0, m=0, n=1, r=0, p=0, q=0,
                             rho=1, lam=0.2)
         grid = xlq.PathGrid(dt=0.01, n_steps=100)
-        path = xlq.BrownianPath.generate(grid, 7, 0)
-        exact = xlq.exact_path_d0(model, 2.0, path)
+        exact = exact_row(model, 2.0, grid, 7, 0, "d0")
         assert np.allclose(exact, 2.0 * np.exp(0.7 * grid.times()), rtol=1e-12)
 
     def test_unsolved_regime_rejected(self):
         model = xlq.LqModel(a=0, b=1, c=0.5, d=0, m=0, n=1, r=0, p=0, q=1.0,
                             rho=1, lam=0.2)  # b*q > 0
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
-        path = xlq.BrownianPath.generate(grid, 7, 0)
         with pytest.raises(xlq.UnsupportedRegimeError):
-            xlq.exact_path_d0(model, 1.0, path)
+            exact_row(model, 1.0, grid, 7, 0, "d0")
         # Mirror regime x0 <= 0, b*q >= 0 is solved.
-        xlq.exact_path_d0(model, -1.0, path)
+        assert np.all(np.isfinite(exact_row(model, -1.0, grid, 7, 0, "d0")))
 
     def test_requires_d_zero(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
-        path = xlq.BrownianPath.generate(grid, 7, 0)
         with pytest.raises(ValueError):
-            xlq.exact_path_d0(DS_MODEL, 1.0, path)
+            exact_row(DS_MODEL, 1.0, grid, 7, 0, "d0")
 
     def test_strong_convergence_under_dt_refinement(self):
         policy = state_independent_policy(D0_MODEL)
@@ -217,7 +220,7 @@ class TestExactPathC0:
                             rho=0.5, lam=1.0)  # b*q = 0
         grid = xlq.PathGrid(dt=0.01, n_steps=200)
         path = xlq.BrownianPath.generate(grid, 3, 1)
-        exact = xlq.exact_path_c0(model, 0.5, path)
+        exact = exact_row(model, 0.5, grid, 3, 1, "c0")
         sigma = abs(model.d) / model.n * math.sqrt(model.lam * model.n)
         assert np.allclose(exact, 0.5 + sigma * path.values, atol=1e-12)
 
@@ -247,9 +250,8 @@ class TestExactPathC0:
 
     def test_requires_c_zero(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
-        path = xlq.BrownianPath.generate(grid, 7, 0)
         with pytest.raises(ValueError):
-            xlq.exact_path_c0(DS_MODEL, 1.0, path)
+            exact_row(DS_MODEL, 1.0, grid, 7, 0, "c0")
 
     def test_strong_convergence(self):
         policy = state_independent_policy(C0_MODEL)
@@ -310,16 +312,59 @@ class TestDossSaussman:
     def test_rejects_vanishing_volatility_slope(self):
         value, _ = xlq.exploratory_solution(C0_MODEL)
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
-        path = xlq.BrownianPath.generate(grid, 7, 0)
         with pytest.raises(ValueError):
-            xlq.doss_saussman_path(C0_MODEL, value, 1.0, path)
+            exact_row(C0_MODEL, 1.0, grid, 7, 0, "doss_saussman", value)
 
     def test_rejects_d_zero(self):
         value, _ = xlq.exploratory_solution(S1)
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
-        path = xlq.BrownianPath.generate(grid, 7, 0)
         with pytest.raises(ValueError):
-            xlq.doss_saussman_path(S1, value, 1.0, path)
+            exact_row(S1, 1.0, grid, 7, 0, "doss_saussman", value)
+
+
+class TestExactBatch:
+    @pytest.mark.parametrize("method, model, n_steps", [
+        ("d0", D0_MODEL, 100), ("c0", C0_MODEL, 100),
+        ("doss_saussman", DS_MODEL, 10)])
+    def test_rows_independent_of_chunking(self, method, model, n_steps):
+        # 1300 paths span three chunks, 700 paths two; shared rows agree.
+        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
+        big = xlq.exact_batch(model, 1.0, grid, 9, 1300, method, value)
+        small = xlq.exact_batch(model, 1.0, grid, 9, 700, method, value)
+        assert np.array_equal(big.states[:700], small.states)
+
+    def test_inputs_checked_before_noise_is_drawn(self, monkeypatch):
+        calls = []
+        real = xlq.rng.normal_block
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(xlq.rng, "normal_block", counting)
+        grid = xlq.PathGrid(dt=0.01, n_steps=10)
+        mirror = xlq.LqModel(a=0, b=1, c=0.5, d=0, m=0, n=1, r=0, p=0, q=1.0,
+                             rho=1, lam=0.2)  # b*q > 0 needs x0 <= 0
+        c0_value = xlq.exploratory_solution(C0_MODEL)[0]
+        bad = [
+            (ValueError, (C0_MODEL, 1.0, grid, 7, 4, "bogus")),
+            (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "d0")),
+            (xlq.UnsupportedRegimeError, (mirror, 1.0, grid, 7, 4, "d0")),
+            (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "c0")),
+            (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "doss_saussman")),
+            (ValueError, (C0_MODEL, 1.0, grid, 7, 4, "doss_saussman", c0_value)),
+            (ValueError, (C0_MODEL, 1.0, grid, 7, 0, "c0")),
+            (ValueError, (C0_MODEL, 1.0, grid, 7, -1, "c0")),
+        ]
+        for error, args in bad:
+            with pytest.raises(error):
+                xlq.exact_batch(*args)
+        assert calls == []
+        with pytest.raises(ValueError, match="n_paths must be >= 1, got -1"):
+            xlq.exact_batch(C0_MODEL, 1.0, grid, 7, -1, "c0")
+        xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 4, "c0")
+        assert len(calls) == 1
 
 
 class TestStrongError:
