@@ -132,6 +132,7 @@ def _cmd_residual(spec: RunSpec) -> None:
     ]
     path = _write_table(spec.out_dir / "residual", spec.fmt,
                         ["x", "exploratory_residual", "classical_residual"], rows)
+    _write_report(spec, sol)
     sys.stdout.write(f"wrote {path}\n")
 
 
@@ -202,6 +203,7 @@ def _cmd_sweep(spec: RunSpec) -> None:
         spec.out_dir / "sweep", spec.fmt,
         ["lambda", "variance", "value_gap", "cost", "mean_at_probe", "probe_x"],
         rows)
+    _write_report(spec, _solve(spec))
     sys.stdout.write(f"wrote {path}\n")
 
 

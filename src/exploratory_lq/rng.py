@@ -5,6 +5,12 @@ Each sample path owns a counter-based Philox stream keyed by
 Scheduling therefore cannot change results: any partition of a batch
 across workers draws bitwise-identical numbers for a given path.
 
+One path can own several streams (state noise vs. sampled actions).
+The stream label sits in the top word of the Philox counter, which the
+step counter never reaches and the seed does not touch, so streams are
+distinct for every seed.  The state stream (label 0) starts at the zero
+counter and draws the same bits as an unlabelled Philox(key=(seed, path)).
+
 Normal variates use one fixed, documented transform so independent
 implementations can reproduce them exactly:
 
@@ -19,12 +25,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-# Stream labels mixed into the key so that one path can own several
-# independent streams (state noise vs. sampled actions).
+# Stream labels: word 3 of the Philox counter.
 STATE_STREAM = 0
 ACTION_STREAM = 0x9E3779B97F4A7C15  # fixed odd salt, splitmix64 constant
 
-_U64 = np.uint64
 _INV_2_53 = 2.0 ** -53
 
 
@@ -33,19 +37,10 @@ def valid_seed(seed: int) -> bool:
     return 0 <= seed < 2 ** 64
 
 
-def _philox(seed: int, path_index: int, stream: int) -> np.random.Philox:
-    if not valid_seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    key = np.array([_U64(seed) ^ _U64(stream), _U64(path_index)], dtype=np.uint64)
-    return np.random.Philox(key=key)
-
-
 def standard_normals(seed: int, path_index: int, n: int,
                      stream: int = STATE_STREAM) -> np.ndarray:
     """n standard normals for one path, reproducible from (seed, path)."""
-    raw = _philox(seed, path_index, stream).random_raw(n)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-    return ndtri(u)
+    return normal_block(seed, path_index, 1, n, stream)[0]
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
@@ -53,7 +48,12 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
     """(n_paths, n_steps) matrix of standard normals, row p belonging to
     path ``first_path + p``.  Rows are independent streams, so any
     chunking of paths reproduces the same matrix rows."""
+    if not valid_seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    counter = np.array([0, 0, 0, stream], dtype=np.uint64)
     out = np.empty((n_paths, n_steps))
     for i in range(n_paths):
-        out[i] = standard_normals(seed, first_path + i, n_steps, stream)
+        key = np.array([seed, first_path + i], dtype=np.uint64)
+        raw = np.random.Philox(key=key, counter=counter).random_raw(n_steps)
+        out[i] = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53)
     return out

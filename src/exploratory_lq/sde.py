@@ -41,6 +41,10 @@ from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 
 _CHUNK = 512
 
+# The text NumPy wraps around a float64's Python repr: ("np.float64(", ")")
+# on NumPy 2, ("", "") on 1.x.
+_F64_OPEN, _F64_CLOSE = repr(np.float64(0.5)).split("0.5")
+
 
 @dataclass(frozen=True)
 class PathGrid:
@@ -169,15 +173,20 @@ class TrajectoryBatch:
 
     def write_csv(self, fh) -> None:
         """Trajectory table with columns t, path_id, x, ordered by
-        (path_id, t).  Requires recorded paths."""
+        (path_id, t).  Requires recorded paths.
+
+        t and x are written as NumPy's scalar repr, ``np.float64(0.5)``
+        on NumPy 2 and ``0.5`` on 1.x; the text is kept because the
+        benchmark pins it.  One ``fh.write`` per path.
+        """
         if self.states is None:
             raise ValueError("paths were not recorded in this batch")
-        times = self.grid.times()
+        heads = [f"{_F64_OPEN}{t!r}{_F64_CLOSE}," for t in self.grid.times().tolist()]
         fh.write("t,path_id,x\n")
         for p in range(self.n_paths):
-            row = self.states[p]
-            for k in range(self.grid.n_steps + 1):
-                fh.write(f"{times[k]!r},{p},{row[k]!r}\n")
+            mid = f"{p},{_F64_OPEN}"
+            fh.write("".join([f"{h}{mid}{x!r}{_F64_CLOSE}\n"
+                              for h, x in zip(heads, self.states[p].tolist())]))
 
 
 def _discount_weights(rho: float, grid: PathGrid) -> np.ndarray:

@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import exploratory_lq as xlq
 from exploratory_lq.model import DerivedCoeffs
@@ -96,6 +97,7 @@ def test_03_solvability_equivalence():
             f"max |V - w - gap| {worst:.2e}, mean mismatches {mean_mismatch}")
 
 
+@pytest.mark.slow
 def test_04_exploration_cost():
     """Closed-form decomposition == lam/(2 rho) to 1e-12 across 100
     models sharing (lam, rho); Monte Carlo estimate on S1 (1e4 paths,
@@ -168,6 +170,7 @@ def _forced_case_coeffs(rng, tag: str) -> DerivedCoeffs:
     return coeffs
 
 
+@pytest.mark.slow
 def test_06_moment_oracle():
     """Closed-form cases (a)-(e) vs RK4 to 1e-8 relative on 500
     randomized coefficient sets; Monte Carlo moments within 4 se at
@@ -307,6 +310,7 @@ def test_09_admissibility_decay():
             f"mc {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_10_suboptimality_sweep():
     """50 policies jittered +-20% from optimal never beat the value
     function beyond 3 se + truncation bound."""

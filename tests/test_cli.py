@@ -150,6 +150,19 @@ explore.lambda = 0.2
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert [float(line.split(",")[0]) for line in lines[1:]] == [0.1, 0.2]
+        report = (tmp_path / "report.txt").read_text()
+        assert report.endswith("UNVERIFIED (assumption violated)\n")
+
+    def test_override_assumptions_residual(self, tmp_path, capsys):
+        text = S1_CONFIG.replace("dynamics.a = 0", "dynamics.a = 1")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["--config", cfg, "--command", "residual",
+                         "--out", str(tmp_path)]) == 2
+        assert cli.main(["--config", cfg, "--command", "residual",
+                         "--out", str(tmp_path), "--override-assumptions"]) == 0
+        assert (tmp_path / "residual.csv").exists()
+        report = (tmp_path / "report.txt").read_text()
+        assert report.endswith("UNVERIFIED (assumption violated)\n")
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_parallelism_below_one_exit_1(self, tmp_path, capsys, value):

@@ -5,12 +5,13 @@ reduction for d = 0, the stationary Ornstein-Uhlenbeck moments for
 c = 0, and finite differences for the Doss-Saussmann transform.
 """
 
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import exploratory_lq as xlq
 from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1
@@ -55,6 +56,29 @@ class TestGridAndBrownian:
         assert abs(z.std() - 1.0) < 0.02
         ks = stats.kstest(z, "norm")
         assert ks.statistic < 1.628 / math.sqrt(z.size)  # 1% critical value
+
+
+class TestRandomStreams:
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+    def test_action_stream_not_reachable_through_seed(self, seed):
+        rng = xlq.rng
+        action = rng.normal_block(seed, 0, 3, 16, stream=rng.ACTION_STREAM)
+        state = rng.normal_block(seed, 0, 3, 16)
+        aliased = rng.normal_block(seed ^ rng.ACTION_STREAM, 0, 3, 16)
+        assert not np.any(action == state)
+        assert not np.any(action == aliased)
+
+    def test_state_stream_is_unlabelled_philox(self):
+        # Stream 0 draws what Philox keyed by (seed, path) draws from its
+        # default counter, so outputs recorded before streams were
+        # labelled in the counter are unchanged.
+        seed, path, n = 12345, 6, 40
+        raw = np.random.Philox(
+            key=np.array([seed, path], dtype=np.uint64)).random_raw(n)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        expected = special.ndtri(u)
+        assert np.array_equal(xlq.rng.standard_normals(seed, path, n), expected)
+        assert np.array_equal(xlq.rng.normal_block(seed, path, 1, n)[0], expected)
 
 
 class TestEulerMaruyama:
@@ -129,6 +153,29 @@ class TestEulerMaruyama:
             with pytest.raises(xlq.SimulationDivergedError):
                 stat()
 
+    @pytest.mark.parametrize("model, policy, n_steps", [
+        (DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 10),
+        # Explosive multiplicative noise: about 14% of paths diverge, at
+        # steps 26-30, so the divergence bookkeeping is exercised.
+        (xlq.LqModel(a=30.0, b=0, c=4.0, d=0, m=0, n=1, r=0, p=0, q=0,
+                     rho=1, lam=0.1), xlq.AffineGaussianPolicy(0.0, 0.0, 0.1), 30)])
+    def test_rows_independent_of_chunking(self, model, policy, n_steps):
+        # 1300 paths span three chunks, 700 paths two; shared rows agree.
+        grid = xlq.PathGrid(dt=0.05, n_steps=n_steps)
+        kw = dict(checkpoints=(0, 10, n_steps), discount_rate=model.rho,
+                  action_noise=True)
+        big = xlq.simulate_exploratory(model, policy, 1.0, grid, 9, 1300, **kw)
+        small = xlq.simulate_exploratory(model, policy, 1.0, grid, 9, 700, **kw)
+        assert np.array_equal(big.states[:700], small.states)
+        for name in ("endpoints", "diverged", "divergence_step"):
+            assert np.array_equal(getattr(big, name)[:700], getattr(small, name))
+        for node in (0, 10, n_steps):
+            assert np.array_equal(big.checkpoint_states[node][:700],
+                                  small.checkpoint_states[node])
+        for name in ("x", "x2", "zx", "z", "z2m1"):
+            assert np.array_equal(getattr(big.sums, name)[:700],
+                                  getattr(small.sums, name))
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):
         grid = xlq.PathGrid(dt=0.1, n_steps=2)
@@ -167,6 +214,71 @@ class TestEulerMaruyama:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,path_id,x"
         assert len(lines) == 1 + 2 * 4
+
+
+def per_row_csv(batch):
+    """Reference writer: the trajectory CSV built one row at a time."""
+    times = batch.grid.times()
+    out = ["t,path_id,x\n"]
+    for p in range(batch.n_paths):
+        row = batch.states[p]
+        for k in range(batch.grid.n_steps + 1):
+            out.append(f"{times[k]!r},{p},{row[k]!r}\n")
+    return "".join(out)
+
+
+class CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+class TestWriteCsv:
+    # sha256 of the CSV of the seeded batch below, keyed by NumPy's
+    # scalar repr.  The NumPy 2 digest was recorded from the per-row
+    # writer; the 1.x one is of the same bytes without the wrapper.
+    PINNED = {
+        "np.float64(0.5)":
+            "cbbbbbb0ea98601d34a9d3c50f1b0b83544d79dc789a428a26bee0f964c82029",
+        "0.5": "331db04e6d84ee67057784e997dc141564444b7208bd0f81f108d02181555413",
+    }
+
+    def test_bytes_equal_per_row_writer(self):
+        grid = xlq.PathGrid(dt=0.1, n_steps=3)  # t_3 = 0.30000000000000004
+        states = np.array([
+            [0.0, -0.0, 5e-324, 1e-5],
+            [1e16, 1.0 / 3.0, math.nan, math.inf],
+            [-math.inf, 1e-4, 9999999999999998.0, -2.5],
+        ])
+        batch = xlq.TrajectoryBatch(
+            grid=grid, n_paths=3, seed=0, x0=0.0, endpoints=states[:, -1].copy(),
+            diverged=np.zeros(3, dtype=bool),
+            divergence_step=np.full(3, -1, dtype=np.int64), states=states)
+        buf = CountingWriter()
+        batch.write_csv(buf)
+        assert buf.getvalue() == per_row_csv(batch)
+        assert buf.calls == 1 + batch.n_paths  # header, then one per path
+
+    def test_seeded_batch_digest(self):
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        grid = xlq.PathGrid(dt=0.01, n_steps=50)
+        batch = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 11, 5)
+        buf = io.StringIO()
+        batch.write_csv(buf)
+        assert buf.getvalue() == per_row_csv(batch)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == self.PINNED[repr(np.float64(0.5))]
+
+    def test_unrecorded_batch_rejected(self):
+        grid = xlq.PathGrid(dt=0.1, n_steps=3)
+        batch = xlq.simulate_exploratory(S1, xlq.AffineGaussianPolicy(0.0, 0.0, 0.1),
+                                         1.0, grid, 3, 2, record_paths=False)
+        with pytest.raises(ValueError, match="not recorded"):
+            batch.write_csv(io.StringIO())
 
 
 class TestExactPathD0:
