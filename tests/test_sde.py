@@ -11,15 +11,51 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 import exploratory_lq as xlq
+from exploratory_lq import sde
 from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1
+
+# Explosive multiplicative noise: the Euler state grows by a random
+# factor of about 2.5 per step at dt = 0.05, so paths cross the
+# divergence threshold after a few dozen steps (fewer at larger dt).
+EXPLOSIVE = xlq.LqModel(a=30.0, b=0, c=4.0, d=0, m=0, n=1, r=0, p=0, q=0,
+                        rho=1, lam=0.1)
+EXPLOSIVE_POLICY = xlq.AffineGaussianPolicy(0.0, 0.0, 0.1)
 
 
 def state_independent_policy(model):
     return xlq.AffineGaussianPolicy(0.0, -model.q / model.n,
                                     model.lam / model.n)
+
+
+def euler_with_sums(model, policy, grid, n_paths, nodes):
+    """Seed-9 Euler batch from x0 = 1 with checkpoints at ``nodes`` and
+    all five discounted sums (action noise drawn)."""
+    return xlq.simulate_exploratory(
+        model, policy, 1.0, grid, 9, n_paths, checkpoints=nodes,
+        discount_rate=model.rho, action_noise=True)
+
+
+def assert_leading_rows_equal(big, small):
+    """Every per-path output of ``small`` equals, bit for bit, the same
+    rows of ``big``: states, endpoints, divergence bookkeeping,
+    checkpoint states and the five discounted sums."""
+    n = small.n_paths
+    if small.states is not None:
+        assert np.array_equal(big.states[:n], small.states)
+    for name in ("endpoints", "diverged", "divergence_step"):
+        assert np.array_equal(getattr(big, name)[:n], getattr(small, name))
+    assert big.checkpoint_states.keys() == small.checkpoint_states.keys()
+    for node, x in small.checkpoint_states.items():
+        assert np.array_equal(big.checkpoint_states[node][:n], x)
+    if small.sums is not None:
+        for name in ("x", "x2", "zx", "z", "z2m1"):
+            assert np.array_equal(getattr(big.sums, name)[:n],
+                                  getattr(small.sums, name))
 
 
 def exact_row(model, x0, grid, seed, p, method, value=None):
@@ -155,26 +191,16 @@ class TestEulerMaruyama:
 
     @pytest.mark.parametrize("model, policy, n_steps", [
         (DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 10),
-        # Explosive multiplicative noise: about 14% of paths diverge, at
-        # steps 26-30, so the divergence bookkeeping is exercised.
-        (xlq.LqModel(a=30.0, b=0, c=4.0, d=0, m=0, n=1, r=0, p=0, q=0,
-                     rho=1, lam=0.1), xlq.AffineGaussianPolicy(0.0, 0.0, 0.1), 30)])
+        # About 14% of paths diverge, at steps 26-30, so the divergence
+        # bookkeeping is exercised.
+        (EXPLOSIVE, EXPLOSIVE_POLICY, 30)])
     def test_rows_independent_of_chunking(self, model, policy, n_steps):
         # 1300 paths span three chunks, 700 paths two; shared rows agree.
         grid = xlq.PathGrid(dt=0.05, n_steps=n_steps)
-        kw = dict(checkpoints=(0, 10, n_steps), discount_rate=model.rho,
-                  action_noise=True)
-        big = xlq.simulate_exploratory(model, policy, 1.0, grid, 9, 1300, **kw)
-        small = xlq.simulate_exploratory(model, policy, 1.0, grid, 9, 700, **kw)
-        assert np.array_equal(big.states[:700], small.states)
-        for name in ("endpoints", "diverged", "divergence_step"):
-            assert np.array_equal(getattr(big, name)[:700], getattr(small, name))
-        for node in (0, 10, n_steps):
-            assert np.array_equal(big.checkpoint_states[node][:700],
-                                  small.checkpoint_states[node])
-        for name in ("x", "x2", "zx", "z", "z2m1"):
-            assert np.array_equal(getattr(big.sums, name)[:700],
-                                  getattr(small.sums, name))
+        nodes = (0, 10, n_steps)
+        big = euler_with_sums(model, policy, grid, 1300, nodes)
+        small = euler_with_sums(model, policy, grid, 700, nodes)
+        assert_leading_rows_equal(big, small)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):
@@ -477,6 +503,44 @@ class TestExactBatch:
             xlq.exact_batch(C0_MODEL, 1.0, grid, 7, -1, "c0")
         xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 4, "c0")
         assert len(calls) == 1
+
+
+class TestChunkWidths:
+    """Chunk widths are a scheduling choice: any width gives the bits
+    of the default."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(["ds", "explosive"]),
+           n_paths=st.integers(1, 40), n_steps=st.integers(1, 40),
+           chunk=st.integers(1, 16))
+    def test_euler_bits_independent_of_widths(self, case, n_paths, n_steps,
+                                              chunk):
+        if case == "ds":
+            model, policy, dt = DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 0.05
+        else:  # most paths diverge, at steps 14-17
+            model, policy, dt = EXPLOSIVE, EXPLOSIVE_POLICY, 0.2
+        grid = xlq.PathGrid(dt=dt, n_steps=n_steps)
+        nodes = (0, n_steps // 3, n_steps)
+        default = euler_with_sums(model, policy, grid, n_paths, nodes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sde, "_CHUNK", chunk)
+            narrow = euler_with_sums(model, policy, grid, n_paths, nodes)
+        assert_leading_rows_equal(default, narrow)
+
+    @settings(max_examples=20, deadline=None)
+    @given(method=st.sampled_from(["d0", "c0", "doss_saussman"]),
+           n_paths=st.integers(1, 30), n_steps=st.integers(1, 20),
+           chunk=st.integers(1, 16))
+    def test_exact_bits_independent_of_chunk_width(self, method, n_paths,
+                                                   n_steps, chunk):
+        model = {"d0": D0_MODEL, "c0": C0_MODEL, "doss_saussman": DS_MODEL}[method]
+        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
+        default = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sde, "_CHUNK", chunk)
+            narrow = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
+        assert_leading_rows_equal(default, narrow)
 
 
 class TestStrongError:
