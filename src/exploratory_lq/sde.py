@@ -16,7 +16,12 @@ optimum, with Y solved per path by a fixed-step RK4 integrator.
 
 Randomness is counter-based per path (see :mod:`exploratory_lq.rng`),
 so a path's values depend only on (seed, path_index), never on the
-batch size or the chunk it was stepped in.  Chunks run serially: the
+batch size or the chunk it was stepped in.  The Euler kernel steps
+2048 paths at a time, wide enough that NumPy's per-call overhead is
+small against each step's work, and draws their noise in blocks of 512
+steps: at most about 8 MB of normals per stream per chunk.  Exact paths
+go 512 at a time with the whole horizon in one block, because their
+builders need the whole Brownian path.  Chunks run serially: the
 per-step work is short NumPy calls that hold the interpreter lock, so
 threads do not speed it up.
 """
@@ -39,7 +44,13 @@ from .errors import (
 )
 from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 
-_CHUNK = 512
+# Euler paths per chunk, and steps per noise block within a chunk: a
+# block holds at most 2048 x 512 normals (8 MB) per stream.
+_CHUNK = 2048
+_STEP_BLOCK = 512
+# Exact-path paths per chunk.  The builders need a path's whole Brownian
+# motion, so each chunk draws its whole horizon in one block.
+_EXACT_CHUNK = 512
 
 # The text NumPy wraps around a float64's Python repr: ("np.float64(", ")")
 # on NumPy 2, ("", "") on 1.x.
@@ -199,8 +210,8 @@ def _check_n_paths(n_paths: int) -> None:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
 
 
-def _chunk_ranges(n_paths: int):
-    return [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+def _chunk_ranges(n_paths: int, width: int):
+    return [(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
 
 
 def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
@@ -238,48 +249,67 @@ def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
     dt = grid.dt
     sq_dt = math.sqrt(dt)
     cp_set = set(cp)
+    a1, a2, b1, b2, c1 = coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1
+    width = min(_STEP_BLOCK, k_steps)
 
     def run_chunk(lo: int, hi: int) -> None:
         m = hi - lo
-        z = rng.normal_block(seed, lo, m, k_steps)
-        za = (rng.normal_block(seed, lo, m, k_steps, stream=rng.ACTION_STREAM)
-              if (weights is not None and action_noise) else None)
+        # Noise buffers, refilled one step block at a time.  A block of
+        # n < width steps uses the first m * n entries, so it stays
+        # contiguous.
+        z_buf = np.empty(m * width)
+        za_buf = np.empty(m * width) if (weights is not None and action_noise) else None
         x = np.full(m, float(x0))
         alive = np.ones(m, dtype=bool)
         dstep = np.full(m, -1, dtype=np.int64)
+        if weights is not None:
+            s_x, s_x2 = sum_x[lo:hi], sum_x2[lo:hi]
+            if za_buf is not None:
+                s_zx, s_z, s_z2 = sum_zx[lo:hi], sum_z[lo:hi], sum_z2[lo:hi]
         if record_paths:
             states[lo:hi, 0] = x
-        for k in range(k_steps):
-            if k in cp_set:
-                cp_states[k][lo:hi] = x
-            if weights is not None:
-                w = weights[k]
-                sum_x[lo:hi] += w * x
-                sum_x2[lo:hi] += w * x * x
-                if za is not None:
-                    zk = za[:, k]
-                    sum_zx[lo:hi] += w * zk * x
-                    sum_z[lo:hi] += w * zk
-                    sum_z2[lo:hi] += w * (zk * zk - 1.0)
-            drift = coeffs.a1 * x + coeffs.a2
-            vol = np.sqrt((coeffs.b1 * x + coeffs.b2) ** 2 + coeffs.c1)
-            xn = x + drift * dt + vol * (z[:, k] * sq_dt)
-            bad = alive & (~np.isfinite(xn) | (np.abs(xn) > DIVERGENCE_THRESHOLD))
-            if bad.any():
-                dstep[bad] = k + 1
-                alive &= ~bad
-            x = np.where(alive, xn, x)
-            if record_paths:
-                states[lo:hi, k + 1] = x
+        for k0 in range(0, k_steps, width):
+            n = min(width, k_steps - k0)
+            z = rng.normal_block(seed, lo, m, n, first_step=k0,
+                                 out=z_buf[:m * n].reshape(m, n))
+            if za_buf is not None:
+                za = rng.normal_block(seed, lo, m, n, stream=rng.ACTION_STREAM,
+                                      first_step=k0,
+                                      out=za_buf[:m * n].reshape(m, n))
+            for j in range(n):
+                k = k0 + j
+                if k in cp_set:
+                    cp_states[k][lo:hi] = x
+                if weights is not None:
+                    w = weights[k]
+                    wx = w * x
+                    s_x += wx
+                    s_x2 += wx * x
+                    if za_buf is not None:
+                        zk = za[:, j]
+                        wz = w * zk
+                        s_zx += wz * x
+                        s_z += wz
+                        s_z2 += w * (zk * zk - 1.0)
+                drift = a1 * x + a2
+                vol = np.sqrt((b1 * x + b2) ** 2 + c1)
+                xn = x + drift * dt + vol * (z[:, j] * sq_dt)
+                bad = alive & ~(np.abs(xn) <= DIVERGENCE_THRESHOLD)
+                if bad.any():
+                    dstep[bad] = k + 1
+                    alive &= ~bad
+                x = np.where(alive, xn, x)
+                if record_paths:
+                    states[lo:hi, k + 1] = x
         if k_steps in cp_set:
             cp_states[k_steps][lo:hi] = x
         endpoints[lo:hi] = x
         diverged[lo:hi] = ~alive
         div_step[lo:hi] = dstep
 
-    # One call per chunk, so a chunk's noise block is freed before the
-    # next one is drawn.
-    for lo, hi in _chunk_ranges(n_paths):
+    # One call per chunk, so a chunk's noise buffers are freed before
+    # the next chunk's are allocated.
+    for lo, hi in _chunk_ranges(n_paths, _CHUNK):
         run_chunk(lo, hi)
 
     sums = None
@@ -525,7 +555,7 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     else:
         raise ValueError(f"unknown exact-path method {method!r}")
     states = np.empty((n_paths, grid.n_steps + 1))
-    for lo, hi in _chunk_ranges(n_paths):
+    for lo, hi in _chunk_ranges(n_paths, _EXACT_CHUNK):
         states[lo:hi] = build(rng.normal_block(seed, lo, hi - lo, grid.n_steps))
     endpoints = states[:, -1].copy()
     return TrajectoryBatch(

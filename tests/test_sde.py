@@ -27,6 +27,19 @@ EXPLOSIVE = xlq.LqModel(a=30.0, b=0, c=4.0, d=0, m=0, n=1, r=0, p=0, q=0,
 EXPLOSIVE_POLICY = xlq.AffineGaussianPolicy(0.0, 0.0, 0.1)
 
 
+def chunking_sizes(chunk):
+    """(big, small) path counts: big spans three chunks of width
+    ``chunk`` and small two, neither a multiple of the width."""
+    return 2 * chunk + 276, chunk + 188
+
+
+EULER_BIG, EULER_SMALL = chunking_sizes(sde._CHUNK)
+EXACT_BIG, EXACT_SMALL = chunking_sizes(sde._EXACT_CHUNK)
+# Two Euler noise blocks, the second 30 steps long (not a multiple of
+# the 4 steps one Philox block yields).
+EULER_STEPS = sde._STEP_BLOCK + 30
+
+
 def state_independent_policy(model):
     return xlq.AffineGaussianPolicy(0.0, -model.q / model.n,
                                     model.lam / model.n)
@@ -117,6 +130,47 @@ class TestRandomStreams:
         assert np.array_equal(xlq.rng.normal_block(seed, path, 1, n)[0], expected)
 
 
+    @pytest.mark.parametrize("stream", [xlq.rng.STATE_STREAM,
+                                        xlq.rng.ACTION_STREAM])
+    def test_block_at_any_step_is_a_slice_of_the_whole(self, stream):
+        rng = xlq.rng
+        whole = rng.normal_block(11, 0, 9, 40, stream=stream)
+        for first_path in (0, 3):
+            for first_step in range(8):  # every residue of a Philox block
+                block = rng.normal_block(11, first_path, 4, 25, stream=stream,
+                                         first_step=first_step)
+                rows = whole[first_path:first_path + 4]
+                assert (block.tobytes()
+                        == rows[:, first_step:first_step + 25].tobytes())
+
+    def test_out_gives_the_same_bits(self):
+        rng = xlq.rng
+        fresh = rng.normal_block(11, 2, 5, 30, first_step=6)
+        buf = np.full((5, 30), np.nan)
+        assert rng.normal_block(11, 2, 5, 30, first_step=6, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        view = np.full((5, 32), np.nan)[:, :30]  # rows not adjacent
+        rng.normal_block(11, 2, 5, 30, first_step=6, out=view)
+        assert np.array_equal(view, fresh)
+
+    @pytest.mark.parametrize("bad, name", [
+        (dict(first_path=-1), "first_path"),
+        (dict(first_step=-1), "first_step"),
+        (dict(n_paths=-1), "n_paths"),
+        (dict(n_steps=-1), "n_steps"),
+        (dict(out=np.empty((2, 4))), "out"),
+        (dict(out=np.empty((5, 2))), "out"),
+        (dict(out=np.empty((2, 5), dtype=np.float32)), "out")])
+    def test_bad_block_rejected_before_any_philox(self, monkeypatch, bad, name):
+        def no_philox(*args, **kwargs):
+            raise AssertionError("a Philox was built")
+
+        monkeypatch.setattr(np.random, "Philox", no_philox)
+        args = {**dict(seed=1, first_path=0, n_paths=2, n_steps=5), **bad}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            xlq.rng.normal_block(**args)
+
+
 class TestEulerMaruyama:
     def test_degenerate_dynamics_is_constant(self):
         model = xlq.LqModel(a=0, b=0, c=0, d=0, m=0, n=1, r=0, p=0, q=0,
@@ -165,14 +219,15 @@ class TestEulerMaruyama:
         assert np.array_equal(exp_batch.states, cls_batch.states)
 
     def test_determinism_under_partitioning_and_parallelism(self):
-        grid = xlq.PathGrid(dt=0.01, n_steps=100)
+        grid = xlq.PathGrid(dt=0.01, n_steps=EULER_STEPS)
         _, policy = xlq.exploratory_solution(DS_MODEL)
-        big = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, 1300)
-        par = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, 1300,
+        big = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, EULER_BIG)
+        par = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, EULER_BIG,
                                        parallelism=4)
-        small = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, 700)
+        small = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9,
+                                         EULER_SMALL)
         assert np.array_equal(big.states, par.states)
-        assert np.array_equal(big.states[:700], small.states)
+        assert np.array_equal(big.states[:EULER_SMALL], small.states)
 
     def test_divergence_flagged_not_propagated(self):
         # Explosive drift: dX = 40 X dt, X doubles every ~0.017.
@@ -189,17 +244,19 @@ class TestEulerMaruyama:
             with pytest.raises(xlq.SimulationDivergedError):
                 stat()
 
-    @pytest.mark.parametrize("model, policy, n_steps", [
-        (DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 10),
-        # About 14% of paths diverge, at steps 26-30, so the divergence
-        # bookkeeping is exercised.
-        (EXPLOSIVE, EXPLOSIVE_POLICY, 30)])
-    def test_rows_independent_of_chunking(self, model, policy, n_steps):
-        # 1300 paths span three chunks, 700 paths two; shared rows agree.
-        grid = xlq.PathGrid(dt=0.05, n_steps=n_steps)
-        nodes = (0, 10, n_steps)
-        big = euler_with_sums(model, policy, grid, 1300, nodes)
-        small = euler_with_sums(model, policy, grid, 700, nodes)
+    @pytest.mark.parametrize("model, policy, dt", [
+        (DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 0.01),
+        # About 17% of paths diverge, at steps 358-542, about 7% of them
+        # in the second noise block, so the divergence bookkeeping is
+        # exercised on both sides of a block boundary.
+        (EXPLOSIVE, EXPLOSIVE_POLICY, 0.002)])
+    def test_rows_independent_of_chunking(self, model, policy, dt):
+        # EULER_BIG paths span three chunks, EULER_SMALL two, and both
+        # step through two noise blocks; shared rows agree.
+        grid = xlq.PathGrid(dt=dt, n_steps=EULER_STEPS)
+        nodes = (0, 10, sde._STEP_BLOCK, EULER_STEPS)
+        big = euler_with_sums(model, policy, grid, EULER_BIG, nodes)
+        small = euler_with_sums(model, policy, grid, EULER_SMALL, nodes)
         assert_leading_rows_equal(big, small)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -465,12 +522,13 @@ class TestExactBatch:
         ("d0", D0_MODEL, 100), ("c0", C0_MODEL, 100),
         ("doss_saussman", DS_MODEL, 10)])
     def test_rows_independent_of_chunking(self, method, model, n_steps):
-        # 1300 paths span three chunks, 700 paths two; shared rows agree.
+        # EXACT_BIG paths span three chunks, EXACT_SMALL two; shared rows
+        # agree.
         value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
-        big = xlq.exact_batch(model, 1.0, grid, 9, 1300, method, value)
-        small = xlq.exact_batch(model, 1.0, grid, 9, 700, method, value)
-        assert np.array_equal(big.states[:700], small.states)
+        big = xlq.exact_batch(model, 1.0, grid, 9, EXACT_BIG, method, value)
+        small = xlq.exact_batch(model, 1.0, grid, 9, EXACT_SMALL, method, value)
+        assert np.array_equal(big.states[:EXACT_SMALL], small.states)
 
     def test_inputs_checked_before_noise_is_drawn(self, monkeypatch):
         calls = []
@@ -512,9 +570,9 @@ class TestChunkWidths:
     @settings(max_examples=40, deadline=None)
     @given(case=st.sampled_from(["ds", "explosive"]),
            n_paths=st.integers(1, 40), n_steps=st.integers(1, 40),
-           chunk=st.integers(1, 16))
+           chunk=st.integers(1, 16), step_block=st.integers(1, 16))
     def test_euler_bits_independent_of_widths(self, case, n_paths, n_steps,
-                                              chunk):
+                                              chunk, step_block):
         if case == "ds":
             model, policy, dt = DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 0.05
         else:  # most paths diverge, at steps 14-17
@@ -524,6 +582,7 @@ class TestChunkWidths:
         default = euler_with_sums(model, policy, grid, n_paths, nodes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sde, "_CHUNK", chunk)
+            mp.setattr(sde, "_STEP_BLOCK", step_block)
             narrow = euler_with_sums(model, policy, grid, n_paths, nodes)
         assert_leading_rows_equal(default, narrow)
 
@@ -538,7 +597,7 @@ class TestChunkWidths:
         grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
         default = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sde, "_CHUNK", chunk)
+            mp.setattr(sde, "_EXACT_CHUNK", chunk)
             narrow = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
         assert_leading_rows_equal(default, narrow)
 
