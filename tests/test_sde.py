@@ -129,7 +129,6 @@ class TestRandomStreams:
         assert np.array_equal(xlq.rng.standard_normals(seed, path, n), expected)
         assert np.array_equal(xlq.rng.normal_block(seed, path, 1, n)[0], expected)
 
-
     @pytest.mark.parametrize("stream", [xlq.rng.STATE_STREAM,
                                         xlq.rng.ACTION_STREAM])
     def test_block_at_any_step_is_a_slice_of_the_whole(self, stream):
