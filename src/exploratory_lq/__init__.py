@@ -53,14 +53,12 @@ from .model import (
     validate,
 )
 from .moments import (
-    MomentCurves,
     admissibility_decay,
     classify_case,
     decay_exponent_from_riccati,
     discounted_second_moment,
     integrate_moment_ode,
     mean_curve,
-    moment_curves,
     second_moment_curve,
 )
 from .policy_eval import (

@@ -5,8 +5,10 @@ tables / JSON summaries plus a plain-text report.  Exit codes: 0 on
 success, 1 for configuration errors, 2 for model-validation failures,
 3 for numerical failures; every error names the violated condition on
 standard error.  Outputs are byte-identical across repeated runs with
-the same inputs.  ``--parallelism`` and ``sim.parallelism`` must be >= 1
-and have no effect: paths are simulated serially.
+the same inputs.  ``--seed`` and ``--parallelism`` override ``sim.seed``
+and ``sim.parallelism`` and meet the same checks in
+:func:`config.sim_settings`; the parallelism must be >= 1 and has no
+effect: paths are simulated serially.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form, config, moments, policy_eval, rng, sde
+from . import closed_form, config, moments, policy_eval, sde
 from .constants import ABS_TOL
 from .errors import ConfigError, ExploratoryLqError, ModelValidationError, NumericalError
-from .model import AffineGaussianPolicy, LqModel, check_model, derived_coeffs
+from .model import (ASSUMPTION_BOUND, AffineGaussianPolicy, LqModel, check_model,
+                    derived_coeffs, validate)
 
 COMMANDS = ("solve", "residual", "simulate", "evaluate", "cost", "sweep",
             "exact-vs-euler", "moments")
@@ -109,10 +112,6 @@ def _write_report(spec: RunSpec, solution: closed_form.Solution,
     sys.stdout.write(report)
 
 
-def _grid(spec: RunSpec) -> sde.PathGrid:
-    return sde.PathGrid(dt=spec.sim["dt"], n_steps=spec.sim["n_steps"])
-
-
 def _cmd_solve(spec: RunSpec) -> None:
     sol = _solve(spec)
     _write_json(spec.out_dir / "solution.json", sol.record())
@@ -138,7 +137,7 @@ def _cmd_residual(spec: RunSpec) -> None:
 
 def _cmd_simulate(spec: RunSpec) -> None:
     batch = sde.simulate_exploratory(
-        spec.model, _solve(spec).policy, spec.sim["x0"], _grid(spec),
+        spec.model, _solve(spec).policy, spec.sim["x0"], spec.sim["grid"],
         spec.sim["seed"], spec.sim["n_paths"])
     with open(spec.out_dir / "trajectories.csv", "w", encoding="utf-8") as fh:
         batch.write_csv(fh)
@@ -164,7 +163,7 @@ def _mc_section(label: str, estimate: policy_eval.ValueEstimate,
 def _cmd_evaluate(spec: RunSpec) -> None:
     sol = _solve(spec)
     estimate = policy_eval.mc_value(
-        spec.model, sol.policy, spec.sim["x0"], _grid(spec), spec.sim["seed"],
+        spec.model, sol.policy, spec.sim["x0"], spec.sim["grid"], spec.sim["seed"],
         spec.sim["n_paths"], allow_assumption_violation=spec.override)
     target = sol.value(spec.sim["x0"])
     err, tol = _mc_check(estimate, target)
@@ -183,7 +182,7 @@ def _cmd_cost(spec: RunSpec) -> None:
     sol = _solve(spec)
     target = closed_form.exploration_cost(spec.model)
     estimate = policy_eval.mc_exploration_cost(
-        spec.model, spec.sim["x0"], _grid(spec), spec.sim["seed"],
+        spec.model, spec.sim["x0"], spec.sim["grid"], spec.sim["seed"],
         spec.sim["n_paths"], allow_assumption_violation=spec.override)
     _write_json(spec.out_dir / "cost.json", {
         "closed_form": target,
@@ -240,21 +239,22 @@ def _cmd_exact_vs_euler(spec: RunSpec) -> None:
 
 def _cmd_moments(spec: RunSpec) -> None:
     policy = _solve(spec).policy
-    grid = _grid(spec)
+    grid, x0 = spec.sim["grid"], spec.sim["x0"]
     coeffs = derived_coeffs(spec.model, policy)
-    curves = moments.moment_curves(coeffs, spec.sim["x0"])
-    n_nodes = 41 if grid.n_steps >= 40 else grid.n_steps + 1
+    case_tag = moments.classify_case(coeffs)[0]
+    n_nodes = min(41, grid.n_steps + 1)
     nodes = np.unique(np.linspace(0, grid.n_steps, n_nodes).astype(int))
     batch = sde.simulate_exploratory(
-        spec.model, policy, spec.sim["x0"], grid, spec.sim["seed"],
+        spec.model, policy, x0, grid, spec.sim["seed"],
         spec.sim["n_paths"], record_paths=False, checkpoints=tuple(nodes))
     times = nodes * grid.dt
     # One call per curve, so a near-band curve is a single RK4 pass.
-    rows = [(t, float(n), float(m), float(m_hat), curves.case_tag,
+    rows = [(t, float(n), float(m), float(m_hat), case_tag,
              *batch.checkpoint_stats(int(node)))
             for node, t, n, m, m_hat in zip(
-                nodes, times, curves.mean(times), curves.second(times),
-                curves.second_classical(times))]
+                nodes, times, moments.mean_curve(coeffs, x0, times),
+                moments.second_moment_curve(coeffs, x0, times, "exploratory"),
+                moments.second_moment_curve(coeffs, x0, times, "classical"))]
     path = _write_table(
         spec.out_dir / "moments", spec.fmt,
         ["t", "n", "m", "m_hat", "case_tag",
@@ -283,23 +283,16 @@ def run(spec: RunSpec) -> int:
 
 def build_spec(args, mapping: dict[str, str]) -> RunSpec:
     model = config.model_from_mapping(mapping)
-    sim = config.sim_settings(mapping)
-    if args.seed is not None:
-        sim["seed"] = args.seed
+    flags = {f"sim.{name}": str(value)
+             for name, value in (("seed", args.seed), ("parallelism", args.parallelism))
+             if value is not None}
+    sim = config.sim_settings({**mapping, **flags})
     if args.command in STOCHASTIC_COMMANDS and sim["seed"] is None:
         raise ConfigError(
             f"command {args.command!r} is stochastic: provide --seed or sim.seed "
             "(no wall-clock default)")
     sweep = config.sweep_lambdas(mapping) if args.command == "sweep" else []
-    violations = check_model(model)
-    assumption_ok = not any(v.condition == "rho>assumption_bound" for v in violations)
-    if args.override_assumptions:
-        # The override forgives only the discount-rate bound.
-        hard = [v for v in violations if v.condition != "rho>assumption_bound"]
-        if hard:
-            raise ModelValidationError(hard)
-    elif violations:
-        raise ModelValidationError(violations)
+    validate(model, allow_assumption_violation=args.override_assumptions)
     return RunSpec(
         command=args.command,
         model=model,
@@ -308,7 +301,7 @@ def build_spec(args, mapping: dict[str, str]) -> RunSpec:
         fmt=config.output_format(mapping),
         sweep=sweep,
         override=args.override_assumptions,
-        assumption_ok=assumption_ok,
+        assumption_ok=all(v.condition != ASSUMPTION_BOUND for v in check_model(model)),
     )
 
 
@@ -331,12 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None and not rng.valid_seed(args.seed):
-        sys.stderr.write("error: --seed must fit in 64 bits\n")
-        return 1
-    if args.parallelism is not None and args.parallelism < 1:
-        sys.stderr.write("error: --parallelism must be >= 1\n")
-        return 1
     try:
         mapping = config.load_config(args.config)
         spec = build_spec(args, mapping)

@@ -12,13 +12,23 @@ Simulation and sweep blocks (consumed by the CLI):
     sim.dt, sim.n_steps, sim.n_paths, sim.x0, sim.seed, sim.parallelism
     sweep.lambdas   (comma-separated temperatures)
     output.format   (csv | json, tables only)
+
+Each input rule has one owner.  :func:`sim_settings` checks every sim
+key; the CLI's ``--seed`` and ``--parallelism`` arrive as ``sim.seed``
+and ``sim.parallelism``, so a flag meets the same check as its key.
+:class:`~exploratory_lq.sde.PathGrid` owns the grid rules (0 < dt < inf,
+n_steps >= 1) and :func:`~exploratory_lq.model.check_model` the model's,
+finiteness included.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 from .model import LqModel
 from .rng import valid_seed
+from .sde import PathGrid
 
 MODEL_KEYS = {
     "dynamics.a": "a",
@@ -90,7 +100,7 @@ def model_from_mapping(mapping: dict[str, str]) -> LqModel:
     return LqModel(**fields)
 
 
-def _int(mapping: dict[str, str], key: str, default: int) -> int:
+def _int(mapping: dict[str, str], key: str, default: int | None) -> int | None:
     if key not in mapping:
         return default
     try:
@@ -100,25 +110,28 @@ def _int(mapping: dict[str, str], key: str, default: int) -> int:
 
 
 def sim_settings(mapping: dict[str, str]) -> dict:
-    """Simulation block with documented defaults; seed has none."""
-    out = {
-        "dt": _float(mapping, "sim.dt") if "sim.dt" in mapping else 1e-2,
-        "n_steps": _int(mapping, "sim.n_steps", 1000),
-        "n_paths": _int(mapping, "sim.n_paths", 1000),
-        "x0": _float(mapping, "sim.x0") if "sim.x0" in mapping else 1.0,
-        "parallelism": _int(mapping, "sim.parallelism", 1),
-        "seed": None,
-    }
-    if "sim.seed" in mapping:
-        seed = _int(mapping, "sim.seed", 0)
-        if not valid_seed(seed):
-            raise ConfigError(f"sim.seed must fit in 64 bits, got {seed}")
-        out["seed"] = seed
-    if out["dt"] <= 0:
-        raise ConfigError(f"sim.dt must be positive, got {out['dt']}")
-    if out["n_steps"] < 1 or out["n_paths"] < 1 or out["parallelism"] < 1:
-        raise ConfigError("sim.n_steps, sim.n_paths and sim.parallelism must be >= 1")
-    return out
+    """Simulation block with documented defaults; seed has none.  A bad
+    value raises ConfigError naming its key, and its CLI flag if any."""
+    seed = _int(mapping, "sim.seed", None)
+    parallelism = _int(mapping, "sim.parallelism", 1)
+    n_paths = _int(mapping, "sim.n_paths", 1000)
+    x0 = _float(mapping, "sim.x0") if "sim.x0" in mapping else 1.0
+    if seed is not None and not valid_seed(seed):
+        raise ConfigError(f"sim.seed (--seed) must fit in 64 bits, got {seed}")
+    if parallelism < 1:
+        raise ConfigError(
+            f"sim.parallelism (--parallelism) must be >= 1, got {parallelism}")
+    if n_paths < 1:
+        raise ConfigError(f"sim.n_paths must be >= 1, got {n_paths}")
+    if not math.isfinite(x0):
+        raise ConfigError(f"sim.x0 must be finite, got {x0}")
+    try:
+        grid = PathGrid(dt=_float(mapping, "sim.dt") if "sim.dt" in mapping else 1e-2,
+                        n_steps=_int(mapping, "sim.n_steps", 1000))
+    except ValueError as exc:
+        # PathGrid's messages start with the field name.
+        raise ConfigError(f"sim.{exc}") from exc
+    return {"grid": grid, "n_paths": n_paths, "x0": x0, "seed": seed}
 
 
 def sweep_lambdas(mapping: dict[str, str]) -> list[float]:

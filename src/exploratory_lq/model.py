@@ -58,12 +58,6 @@ class LqModel:
         return -(self.m / 2 * x * x + self.r * x * u + self.n / 2 * u * u
                  + self.p * x + self.q * u)
 
-    @property
-    def state_independent_reward(self) -> bool:
-        """True when the reward ignores the state (m = r = p = 0)."""
-        return (abs(self.m) <= ABS_TOL and abs(self.r) <= ABS_TOL
-                and abs(self.p) <= ABS_TOL)
-
 
 @dataclass(frozen=True)
 class AffineGaussianPolicy:
@@ -87,10 +81,6 @@ class AffineGaussianPolicy:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return self.variance == 0.0
 
     def density(self, x, u):
         """Gaussian pdf of the action u at state x."""
@@ -125,6 +115,10 @@ class DerivedCoeffs:
     c1: float
 
 
+# The one condition ``allow_assumption_violation`` forgives.
+ASSUMPTION_BOUND = "rho>assumption_bound"
+
+
 @dataclass(frozen=True)
 class Violation:
     """A named model-invariant violation with the offending values."""
@@ -151,10 +145,16 @@ def assumption_bound(model: LqModel) -> float:
 def check_model(model: LqModel) -> list[Violation]:
     """Collect every violated invariant; empty list means valid.
 
-    The discount-rate bound is only required when m > 0; the boundary
+    A non-finite constant is reported alone, naming every such constant:
+    the other invariants mean nothing on NaN or infinity.  The
+    discount-rate bound is only required when m > 0; the boundary
     configuration m = r = 0 (state-independent-type reward) is admitted
     without it.
     """
+    bad = [f"{name}={value!r}" for name, value in vars(model).items()
+           if not math.isfinite(value)]
+    if bad:
+        return [Violation("finite", " ".join(bad))]
     out = []
     if not model.n > ABS_TOL:
         out.append(Violation("n>0", f"n={model.n!r}"))
@@ -176,8 +176,7 @@ def check_model(model: LqModel) -> list[Violation]:
         bound = assumption_bound(model)
         if not model.rho - bound > ABS_TOL:
             out.append(Violation(
-                "rho>assumption_bound",
-                f"rho={model.rho!r} vs bound={bound!r}"))
+                ASSUMPTION_BOUND, f"rho={model.rho!r} vs bound={bound!r}"))
     return out
 
 
@@ -190,7 +189,7 @@ def validate(model: LqModel, *, allow_assumption_violation: bool = False) -> LqM
     """
     violations = check_model(model)
     if allow_assumption_violation:
-        violations = [v for v in violations if v.condition != "rho>assumption_bound"]
+        violations = [v for v in violations if v.condition != ASSUMPTION_BOUND]
     if violations:
         raise ModelValidationError(violations)
     return model
@@ -198,8 +197,6 @@ def validate(model: LqModel, *, allow_assumption_violation: bool = False) -> LqM
 
 def derived_coeffs(model: LqModel, policy: AffineGaussianPolicy) -> DerivedCoeffs:
     """Effective diffusion coefficients of the policy-averaged dynamics."""
-    if policy.variance < 0:
-        raise ValueError("policy variance must be >= 0")
     return DerivedCoeffs(
         a1=model.a + model.b * policy.slope,
         a2=model.b * policy.intercept,

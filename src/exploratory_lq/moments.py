@@ -16,8 +16,6 @@ forms lose digits to cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import CASE_TOL, NEAR_BAND, RK_STEPS
@@ -166,29 +164,6 @@ def second_moment_curve(coeffs: DerivedCoeffs, x0: float, t,
     else:
         out = _closed_second_moment(coeffs, x0, t_arr, noise, tag)
     return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
-class MomentCurves:
-    """Evaluated moment functions of one policy/model pair."""
-
-    coeffs: DerivedCoeffs
-    x0: float
-    case_tag: str
-
-    def mean(self, t):
-        return mean_curve(self.coeffs, self.x0, t)
-
-    def second(self, t):
-        return second_moment_curve(self.coeffs, self.x0, t, "exploratory")
-
-    def second_classical(self, t):
-        return second_moment_curve(self.coeffs, self.x0, t, "classical")
-
-
-def moment_curves(coeffs: DerivedCoeffs, x0: float) -> MomentCurves:
-    tag, _ = classify_case(coeffs)
-    return MomentCurves(coeffs=coeffs, x0=float(x0), case_tag=tag)
 
 
 def admissibility_decay(model: LqModel, coeffs: DerivedCoeffs) -> tuple[float, bool]:

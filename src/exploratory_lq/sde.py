@@ -65,8 +65,8 @@ class PathGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -454,15 +454,16 @@ class DossSaussmanTransform:
     def from_solution(cls, model: LqModel, value) -> "DossSaussmanTransform":
         """Transform of the process driven by the optimal policy under v.
 
-        Requires d != 0, a positive noise injection c1 and a
-        nonvanishing effective volatility slope b1; callers must fall
-        back to the other exact constructions otherwise.
+        Requires d != 0 and a positive noise injection c1 (else
+        ValueError) and a nonvanishing effective volatility slope b1
+        (else UnsupportedRegimeError); callers must fall back to the
+        other exact constructions otherwise.
         """
         coeffs = derived_coeffs(model, policy_from_value(model, value))
         if abs(model.d) <= ABS_TOL or coeffs.c1 <= 0:
             raise ValueError("Doss-Saussmann path requires d != 0")
         if abs(coeffs.b1) <= ABS_TOL:
-            raise ValueError(
+            raise UnsupportedRegimeError(
                 "effective volatility slope vanishes; use the c = 0 exact path")
         return cls(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1)
 

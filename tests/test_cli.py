@@ -178,6 +178,66 @@ explore.lambda = 0.2
                          "--seed", "1", "--out", str(tmp_path)]) == 1
 
 
+class TestInputChecks:
+    """Each input rule has one owner outside the CLI (config, PathGrid,
+    check_model, the exact-path regimes); cli.main only maps its error
+    to an exit status and never lets an exception out."""
+
+    SIM = {"sim.dt": "0.005", "sim.n_steps": "20", "sim.n_paths": "4",
+           "sim.x0": "1.0", "sim.seed": "1"}
+
+    def run(self, tmp_path, model_text, command, keys=None, flags=()):
+        sim = {**self.SIM, **(keys or {})}
+        text = model_text + "".join(f"{k} = {v}\n" for k, v in sim.items())
+        return cli.main(["--config", write_config(tmp_path, text),
+                         "--command", command, "--out", str(tmp_path / "out"),
+                         *flags])
+
+    @pytest.mark.parametrize("setting", [
+        "sim.dt=0", "sim.dt=nan", "sim.dt=inf", "sim.n_steps=0",
+        "sim.n_paths=0", "sim.x0=nan", "sim.seed=-1", f"--seed={2 ** 64}",
+        "sim.parallelism=0", "--parallelism=-3"])
+    def test_bad_sim_input_exit_1(self, tmp_path, capsys, setting):
+        name, value = setting.split("=")
+        if name.startswith("--"):
+            rc = self.run(tmp_path, S1_CONFIG, "simulate", flags=(name, value))
+        else:
+            rc = self.run(tmp_path, S1_CONFIG, "simulate", keys={name: value})
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err
+        assert not (tmp_path / "out").exists()  # nothing written first
+
+    @pytest.mark.parametrize("line,bad,named", [
+        ("reward.p = 0", "reward.p = nan", "finite: p=nan"),
+        ("discount.rho = 1", "discount.rho = inf", "finite: rho=inf"),
+    ], ids=["p=nan", "rho=inf"])
+    def test_non_finite_model_constant_exit_2(self, tmp_path, capsys, line, bad,
+                                              named):
+        assert self.run(tmp_path, S1_CONFIG.replace(line, bad), "solve") == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_vanishing_volatility_slope_exit_3(self, tmp_path, capsys):
+        # A valid model whose optimal slope is exactly -1, so
+        # b1 = c + d * slope = 0: no Doss-Saussmann path exists.
+        text = """\
+dynamics.a = 0
+dynamics.b = 0
+dynamics.c = 1
+dynamics.d = 1
+reward.m = 2
+reward.n = 1
+reward.r = 1
+reward.p = 0
+reward.q = 0
+discount.rho = 2
+explore.lambda = 0.2
+"""
+        assert self.run(tmp_path, text, "exact-vs-euler") == 3
+        assert "volatility slope vanishes" in capsys.readouterr().err
+
+
 class TestSolveCommand:
     def test_solution_json(self, tmp_path, capsys):
         rc = cli.main(["--config", write_config(tmp_path, S1_CONFIG),

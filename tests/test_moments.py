@@ -254,13 +254,13 @@ class TestAdmissibilityDecay:
             assert tail < 1e-6 * 1.0  # below 1e-6 * m(0)
 
 
-class TestMomentCurvesContainer:
+class TestMomentCurvesOnTimeArrays:
     def test_values_and_tags(self):
         value, policy = xlq.exploratory_solution(DS_MODEL)
         coeffs = xlq.derived_coeffs(DS_MODEL, policy)
-        curves = xlq.moment_curves(coeffs, 1.0)
         times = np.array([0.0, 0.5, 1.0])
-        for curve in (curves.mean, curves.second, curves.second_classical):
-            values = curve(times)
+        for values in (xlq.mean_curve(coeffs, 1.0, times),
+                       xlq.second_moment_curve(coeffs, 1.0, times, "exploratory"),
+                       xlq.second_moment_curve(coeffs, 1.0, times, "classical")):
             assert values.shape == (3,) and values[0] == 1.0
-        assert curves.case_tag == xlq.classify_case(coeffs)[0]
+        assert xlq.classify_case(coeffs)[0] == "e"

@@ -506,7 +506,7 @@ class TestDossSaussman:
     def test_rejects_vanishing_volatility_slope(self):
         value, _ = xlq.exploratory_solution(C0_MODEL)
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(xlq.UnsupportedRegimeError):
             exact_row(C0_MODEL, 1.0, grid, 7, 0, "doss_saussman", value)
 
     def test_rejects_d_zero(self):
@@ -548,7 +548,8 @@ class TestExactBatch:
             (xlq.UnsupportedRegimeError, (mirror, 1.0, grid, 7, 4, "d0")),
             (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "c0")),
             (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "doss_saussman")),
-            (ValueError, (C0_MODEL, 1.0, grid, 7, 4, "doss_saussman", c0_value)),
+            (xlq.UnsupportedRegimeError,
+             (C0_MODEL, 1.0, grid, 7, 4, "doss_saussman", c0_value)),
             (ValueError, (C0_MODEL, 1.0, grid, 7, 0, "c0")),
             (ValueError, (C0_MODEL, 1.0, grid, 7, -1, "c0")),
         ]
