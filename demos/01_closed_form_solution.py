@@ -15,7 +15,7 @@ model = xlq.LqModel(a=0, b=1, c=0, d=0, m=1, n=1, r=0, p=0, q=0,
 print("model:", model)
 print("assumption bound:", xlq.assumption_bound(model), "vs rho =", model.rho)
 
-# One solve: value coefficients, optimal policy and classical solution.
+# One solve: value and optimal policy, plus the classical pair.
 sol = xlq.solve(model)
 value, policy = sol.value, sol.policy
 print(f"\nvalue function   v(x) = {value.k2 / 2:+.6f} x^2 {value.k1:+.6f} x "
@@ -31,12 +31,11 @@ xs = np.linspace(-10, 10, 41)
 res = xlq.hjb_residual(model, value, xs, "exploratory")
 print("max |HJB residual| on [-10, 10]:", np.max(np.abs(res)))
 
-# The classical problem shares (k2, k1); its feedback is the policy mean.
-classical = sol.classical
-print("\nclassical value  w(x) = v(x) - entropy annuity; alpha0 =",
-      classical.alpha0)
-print("u*(1) =", classical.control(1.0), "== policy mean(1) =",
-      policy.mean(1.0))
+# The classical problem shares (k2, k1); its feedback is the policy
+# with variance zero.
+wvalue, feedback = sol.classical_value, sol.classical_policy
+print("\nclassical value  w(x) = v(x) - entropy annuity; alpha0 =", wvalue.k0)
+print("u*(1) =", feedback.mean(1.0), "== policy mean(1) =", policy.mean(1.0))
 
 # Softmax density == Gaussian density, pointwise.
 u = np.linspace(-2, 1, 7)

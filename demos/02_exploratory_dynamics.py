@@ -3,9 +3,9 @@
 The policy-averaged state follows
     dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW,
 where c1 = d^2 * variance is the extra noise injected by exploration.
-Shows the Euler-Maruyama batch API, the bitwise coincidence of a
-zero-variance exploratory run with the classical simulation, and the
-determinism of the counter-based per-path random streams.
+Shows the Euler-Maruyama batch API, the classical optimum simulated as
+the same policy with variance zero, and the determinism of the
+counter-based per-path random streams.
 """
 
 import numpy as np
@@ -26,13 +26,16 @@ print("moment oracle mean at T:", float(xlq.mean_curve(coeffs, 1.0,
                                                        grid.horizon)))
 print("sample mean at T:       ", batch.endpoint_mean())
 
-# Zero exploration variance reproduces the classical SDE bit for bit.
-dirac = xlq.AffineGaussianPolicy(policy.slope, policy.intercept, 0.0)
-a = xlq.simulate_exploratory(model, dirac, 1.0, grid, seed=7, n_paths=64)
-b = xlq.simulate_classical(model, policy.slope, policy.intercept, 1.0,
-                           grid, seed=7, n_paths=64)
-print("zero-variance run equals classical bitwise:",
-      np.array_equal(a.states, b.states))
+# The classical optimum is the same feedback with variance zero: its
+# state shares the mean curve and has the classical second moment.
+_, feedback = xlq.classical_solution(model)
+classical = xlq.simulate_exploratory(model, feedback, 1.0, grid, seed=2024,
+                                     n_paths=2000)
+print("classical sample mean at T:          ", classical.endpoint_mean())
+print("classical second moment oracle at T: ", float(xlq.second_moment_curve(
+    xlq.derived_coeffs(model, policy), 1.0, grid.horizon, "classical")))
+print("classical sample second moment at T: ",
+      classical.endpoint_second_moment())
 
 # Per-path streams: results do not depend on the batch size.
 big = xlq.simulate_exploratory(model, policy, 1.0, grid, seed=7, n_paths=256)

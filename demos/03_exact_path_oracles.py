@@ -26,8 +26,7 @@ def ladder(model, method):
         value, policy = xlq.exploratory_solution(model)
     else:
         value = None
-        policy = xlq.AffineGaussianPolicy(0.0, -model.q / model.n,
-                                          model.lam / model.n)
+        policy = xlq.state_independent_policy(model)
     errs = []
     for dt in (1e-2, 1e-3, 1e-4):
         grid = xlq.PathGrid(dt=dt, n_steps=int(round(1.0 / dt)))

@@ -14,9 +14,9 @@ model = xlq.LqModel(a=0, b=1, c=0, d=0, m=1, n=1, r=0, p=0, q=0,
                     rho=1, lam=0.2)
 
 print("closed-form cost lam/(2 rho):", xlq.exploration_cost(model))
+sol = xlq.solve(model)
 for x in (-3.0, 0.0, 7.0):
-    print(f"  decomposition at x = {x:+.0f}:",
-          xlq.exploration_cost_decomposition(model, x))
+    print(f"  decomposition at x = {x:+.0f}:", sol.cost_decomposition(x))
 
 grid = xlq.PathGrid(dt=1e-3, n_steps=8000)
 est = xlq.mc_exploration_cost(model, 1.0, grid, seed=23, n_paths=4000)

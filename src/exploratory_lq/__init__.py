@@ -7,13 +7,11 @@ every closed form.
 """
 
 from .closed_form import (
-    ClassicalSolution,
     QuadraticValue,
     Solution,
     SweepPoint,
     classical_solution,
     exploration_cost,
-    exploration_cost_decomposition,
     exploratory_solution,
     hjb_residual,
     k0_residual,
@@ -76,8 +74,8 @@ from .sde import (
     TrajectoryBatch,
     endpoint_rms_error,
     exact_batch,
-    simulate_classical,
     simulate_exploratory,
+    state_independent_policy,
     strong_error,
 )
 

@@ -24,8 +24,7 @@ import numpy as np
 from . import closed_form, config, moments, policy_eval, sde
 from .constants import ABS_TOL
 from .errors import ConfigError, ExploratoryLqError, ModelValidationError, NumericalError
-from .model import (ASSUMPTION_BOUND, AffineGaussianPolicy, LqModel, check_model,
-                    derived_coeffs, validate)
+from .model import ASSUMPTION_BOUND, LqModel, check_model, derived_coeffs, validate
 
 COMMANDS = ("solve", "residual", "simulate", "evaluate", "cost", "sweep",
             "exact-vs-euler", "moments")
@@ -120,13 +119,11 @@ def _cmd_solve(spec: RunSpec) -> None:
 
 def _cmd_residual(spec: RunSpec) -> None:
     sol = _solve(spec)
-    classical = sol.classical
-    wvalue = closed_form.QuadraticValue(
-        classical.alpha2, classical.alpha1, classical.alpha0)
     rows = [
         (float(x),
          float(closed_form.hjb_residual(spec.model, sol.value, x, "exploratory")),
-         float(closed_form.hjb_residual(spec.model, wvalue, x, "classical")))
+         float(closed_form.hjb_residual(spec.model, sol.classical_value, x,
+                                        "classical")))
         for x in RESIDUAL_GRID
     ]
     path = _write_table(spec.out_dir / "residual", spec.fmt,
@@ -210,9 +207,7 @@ def _cmd_exact_vs_euler(spec: RunSpec) -> None:
     model = spec.model
     if abs(model.d) <= ABS_TOL or abs(model.c) <= ABS_TOL:
         method = "d0" if abs(model.d) <= ABS_TOL else "c0"
-        # The state-independent process both exact constructions solve;
-        # it is the model's optimum only when m = r = p = 0.
-        policy = AffineGaussianPolicy(0.0, -model.q / model.n, model.lam / model.n)
+        policy = sde.state_independent_policy(model)
         value = None
     else:
         method = "doss_saussman"

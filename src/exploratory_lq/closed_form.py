@@ -16,9 +16,12 @@ feedback density is the Gaussian
           lam / (n - k2 d^2)),
 
 whose mean equals the optimal feedback of the classical (unregularized)
-problem and whose variance is linear in the temperature.  Each solver
-exposes a matching ``*_residual`` entry point so tests never compare two
-independently rounded floats without a stated tolerance.
+problem and whose variance is linear in the temperature.  The classical
+optimum is therefore the same two types: a ``QuadraticValue`` sharing
+(k2, k1), whose k0 drops the entropy annuity, and the same policy with
+variance zero.  Each solver exposes a matching ``*_residual`` entry
+point so tests never compare two independently rounded floats without
+a stated tolerance.
 """
 
 from __future__ import annotations
@@ -76,24 +79,6 @@ class QuadraticValue:
 
     def derivative(self, x):
         return self.k2 * x + self.k1
-
-
-@dataclass(frozen=True)
-class ClassicalSolution:
-    """Classical value w(x) = alpha2/2 x^2 + alpha1 x + alpha0 and its
-    affine optimal feedback u*(x) = feedback_slope*x + feedback_intercept."""
-
-    alpha2: float
-    alpha1: float
-    alpha0: float
-    feedback_slope: float
-    feedback_intercept: float
-
-    def value(self, x):
-        return 0.5 * self.alpha2 * x * x + self.alpha1 * x + self.alpha0
-
-    def control(self, x):
-        return self.feedback_slope * x + self.feedback_intercept
 
 
 @dataclass(frozen=True)
@@ -222,14 +207,18 @@ def policy_from_value(model: LqModel, value: QuadraticValue) -> AffineGaussianPo
 class Solution:
     """The solved model: value coefficients (k2, k1, k0), the positive
     curvature n2 = n - k2 d^2, the optimal Gaussian feedback
-    N(((k2 (b+cd) - r) x + k1 b - q)/n2, lam/n2) and the classical
-    solution, whose feedback is that policy's mean bit for bit."""
+    N(((k2 (b+cd) - r) x + k1 b - q)/n2, lam/n2), and the classical
+    optimum as the same two types.  The classical value shares k2 and
+    k1 and drops the entropy annuity from k0; the classical policy is
+    the optimal policy with variance zero, so its feedback is that
+    policy's mean bit for bit."""
 
     model: LqModel
     value: QuadraticValue
     n2: float
     policy: AffineGaussianPolicy
-    classical: ClassicalSolution
+    classical_value: QuadraticValue
+    classical_policy: AffineGaussianPolicy
 
     def record(self) -> dict:
         """JSON-ready record of the full closed-form solution."""
@@ -237,7 +226,7 @@ class Solution:
             "k2": self.value.k2,
             "k1": self.value.k1,
             "k0": self.value.k0,
-            "alpha0": self.classical.alpha0,
+            "alpha0": self.classical_value.k0,
             "policy": {
                 "slope": self.policy.slope,
                 "intercept": self.policy.intercept,
@@ -248,21 +237,24 @@ class Solution:
         }
 
     def cost_decomposition(self, x) -> float:
-        """w(x) - v(x) + lam/(2 rho) ln(2 pi e lam/n2); see
-        :func:`exploration_cost_decomposition`."""
+        """Assemble the exploration cost from its definition,
+
+            w(x) - v(x) + lam/(2 rho) * ln(2 pi e lam/n2),
+
+        where the last term removes the discounted entropy contribution
+        of the optimal policy from the value difference.  Returns
+        lam/(2 rho) identically in x, so tests can assert that
+        independence.
+        """
         model = self.model
         ent = log_2pi_e_ratio(model.lam, self.n2)
-        gap = self.classical.value(x) - self.value(x)
+        gap = self.classical_value(x) - self.value(x)
         return gap + model.lam / (2.0 * model.rho) * ent
 
 
 def solve(model: LqModel, *, allow_assumption_violation: bool = False) -> Solution:
     """Validate the model and solve it once: the concave root k2, then
-    k1 and k0, the optimal policy and the classical solution.
-
-    The classical problem shares (alpha2, alpha1) = (k2, k1); its
-    constant drops the entropy annuity.
-    """
+    k1 and k0, the optimal policy and the classical pair."""
     validate(model, allow_assumption_violation=allow_assumption_violation)
     k2 = solve_k2(model)
     k1 = solve_k1(model, k2)
@@ -270,14 +262,10 @@ def solve(model: LqModel, *, allow_assumption_violation: bool = False) -> Soluti
     policy = policy_from_value(model, value)
     n2 = model.n - k2 * model.d ** 2
     lin = k1 * model.b - model.q
-    classical = ClassicalSolution(
-        alpha2=k2,
-        alpha1=k1,
-        alpha0=lin ** 2 / (2.0 * model.rho * n2),
-        feedback_slope=policy.slope,
-        feedback_intercept=policy.intercept,
-    )
-    return Solution(model, value, n2, policy, classical)
+    return Solution(
+        model, value, n2, policy,
+        classical_value=QuadraticValue(k2, k1, lin ** 2 / (2.0 * model.rho * n2)),
+        classical_policy=AffineGaussianPolicy(policy.slope, policy.intercept, 0.0))
 
 
 def exploratory_solution(
@@ -295,13 +283,14 @@ def exploratory_solution(
 
 def classical_solution(
     model: LqModel, *, allow_assumption_violation: bool = False,
-) -> ClassicalSolution:
-    """Value and affine optimal feedback of the unregularized problem.
+) -> tuple[QuadraticValue, AffineGaussianPolicy]:
+    """Value function and zero-variance optimal feedback of the
+    unregularized problem.
 
     The feedback equals the exploratory policy mean at every state.
     """
-    return solve(
-        model, allow_assumption_violation=allow_assumption_violation).classical
+    sol = solve(model, allow_assumption_violation=allow_assumption_violation)
+    return sol.classical_value, sol.classical_policy
 
 
 def hjb_residual(model: LqModel, value: QuadraticValue, x, kind: str):
@@ -359,18 +348,6 @@ def exploration_cost(model: LqModel) -> float:
     state and of the dynamics/reward constants.
     """
     return model.lam / (2.0 * model.rho)
-
-
-def exploration_cost_decomposition(model: LqModel, x) -> float:
-    """Assemble the cost from its definition,
-
-        w(x) - v(x) + lam/(2 rho) * ln(2 pi e lam/(n - k2 d^2)),
-
-    where the last term removes the discounted entropy contribution of
-    the optimal policy from the value difference.  Returns lam/(2 rho)
-    identically in x; exposed so tests can assert that independence.
-    """
-    return solve(model).cost_decomposition(x)
 
 
 def value_gap(model: LqModel) -> float:

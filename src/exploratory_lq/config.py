@@ -17,8 +17,10 @@ Each input rule has one owner.  :func:`sim_settings` checks every sim
 key; the CLI's ``--seed`` and ``--parallelism`` arrive as ``sim.seed``
 and ``sim.parallelism``, so a flag meets the same check as its key.
 :class:`~exploratory_lq.sde.PathGrid` owns the grid rules (0 < dt < inf,
-n_steps >= 1) and :func:`~exploratory_lq.model.check_model` the model's,
-finiteness included.
+n_steps >= 1, a finite horizon dt * n_steps) and
+:func:`~exploratory_lq.model.check_model` the model's, finiteness
+included.  :func:`sweep_lambdas` requires each temperature to be
+positive and finite.
 """
 
 from __future__ import annotations
@@ -144,8 +146,9 @@ def sweep_lambdas(mapping: dict[str, str]) -> list[float]:
         raise ConfigError(f"sweep.lambdas is not a comma-separated list: {raw!r}") from exc
     if not values:
         raise ConfigError("sweep.lambdas is empty")
-    if any(v <= 0 for v in values):
-        raise ConfigError("sweep.lambdas entries must be positive")
+    if not all(0 < v < math.inf for v in values):
+        raise ConfigError(
+            f"sweep.lambdas entries must be positive and finite, got {raw!r}")
     return values
 
 

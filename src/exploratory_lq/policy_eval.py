@@ -95,7 +95,13 @@ def truncation_bound(model: LqModel, policy: AffineGaussianPolicy,
                      x0: float, horizon: float, *,
                      allow_assumption_violation: bool = False) -> float:
     """e^{-rho T} (|k2|/2 m(T) + |k1| sqrt(m(T)) + |k0|) with m(T) the
-    exploratory second moment under the simulated policy."""
+    exploratory second moment under the simulated policy.
+
+    (k2, k1, k0) are the coefficients of the optimal value
+    ``solve(model).value`` whatever ``policy`` is, so this bounds the
+    tail of the optimal policy only.  For any other policy the tail is
+    e^{-rho T} E[V^pi(X_T)], and this bound can be far too small.
+    """
     value = solve(
         model, allow_assumption_violation=allow_assumption_violation).value
     return _tail_bound(model, value, policy, x0, horizon)
@@ -155,9 +161,11 @@ def mc_value(model: LqModel, policy: AffineGaussianPolicy, x0: float,
 
     Left-endpoint Riemann sum of the running integrand along
     Euler-Maruyama paths; the tail beyond the horizon is bounded via
-    the moment oracle and returned, never silently dropped.  With
-    ``sample_actions`` the action integral is sampled instead of
-    analytic (variance > 0 required).
+    the moment oracle and returned, never silently dropped.  The bound
+    is :func:`truncation_bound`, which holds for the optimal policy
+    only: for any other ``policy`` it can be far smaller than the true
+    tail.  With ``sample_actions`` the action integral is sampled
+    instead of analytic (variance > 0 required).
     """
     if sample_actions and policy.variance <= 0:
         raise ValueError("sample_actions requires a randomized policy")
@@ -187,8 +195,7 @@ def mc_exploration_cost(model: LqModel, x0: float, grid: PathGrid, seed: int,
     genuine statistical error bar.
     """
     sol = solve(model, allow_assumption_violation=allow_assumption_violation)
-    feedback = AffineGaussianPolicy(
-        sol.classical.feedback_slope, sol.classical.feedback_intercept, 0.0)
+    feedback = sol.classical_policy
     v_vals = _per_path_values(model, sol.policy, x0, grid, seed, n_paths,
                               sample_actions)
     w_vals = _per_path_values(model, feedback, x0, grid, seed, n_paths, False)

@@ -5,14 +5,15 @@ follows
 
     dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW,
 
-which Euler-Maruyama discretizes on a uniform grid.  Setting the policy
-variance to zero recovers the classical controlled SDE bit for bit, so
-one stepping kernel serves both.  Three exact constructions provide
-oracles on shared Brownian increments: the lognormal-type solution for
-d = 0, the Ornstein-Uhlenbeck recursion for c = 0 (exact Gaussian
-transitions driven by the same standardized increments), and the
-Doss-Saussmann transform X = F(W, Y) for the general state-dependent
-optimum, with Y solved per path by a fixed-step RK4 integrator.
+which Euler-Maruyama discretizes on a uniform grid.  A policy with
+variance zero is a deterministic feedback, so the classical controlled
+SDE is the same call: pass ``Solution.classical_policy``.  Three exact
+constructions provide oracles on shared Brownian increments: the
+lognormal-type solution for d = 0, the Ornstein-Uhlenbeck recursion for
+c = 0 (exact Gaussian transitions driven by the same standardized
+increments), and the Doss-Saussmann transform X = F(W, Y) for the
+general state-dependent optimum, with Y solved per path by a fixed-step
+RK4 integrator.
 
 Randomness is counter-based per path (see :mod:`exploratory_lq.rng`),
 so a path's values depend only on (seed, path_index), never on the
@@ -69,6 +70,9 @@ class PathGrid:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(
+                f"dt * n_steps must be finite, got {self.dt} * {self.n_steps}")
 
     @property
     def horizon(self) -> float:
@@ -223,11 +227,13 @@ def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
                      parallelism: int = 1) -> TrajectoryBatch:
     """Euler-Maruyama batch for dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW.
 
-    ``parallelism`` is accepted for compatibility and has no effect.
+    ``action_noise`` feeds the discounted sums, so it needs
+    ``discount_rate``.  ``parallelism`` is accepted for compatibility
+    and has no effect.
     """
     _check_n_paths(n_paths)
-    if coeffs.c1 < 0:
-        raise ValueError("noise injection c1 must be >= 0")
+    if action_noise and discount_rate is None:
+        raise ValueError("action_noise=True requires discount_rate")
     k_steps = grid.n_steps
     cp = sorted(set(int(c) for c in checkpoints))
     if cp and (cp[0] < 0 or cp[-1] > k_steps):
@@ -328,20 +334,10 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
                          **kwargs) -> TrajectoryBatch:
     """Euler-Maruyama batch of the policy-averaged (exploratory) dynamics.
 
-    With policy variance zero this coincides bitwise with
-    :func:`simulate_classical` under the same affine feedback, seed and
-    grid: both run the identical kernel with c1 = 0.
+    A policy with variance zero gives c1 = 0: the classical SDE
+    dx = (ax + bu(x)) dt + (cx + du(x)) dW under the feedback
+    u(x) = slope*x + intercept.
     """
-    coeffs = derived_coeffs(model, policy)
-    return _simulate_coeffs(coeffs, x0, grid, seed, n_paths, **kwargs)
-
-
-def simulate_classical(model: LqModel, feedback_slope: float,
-                       feedback_intercept: float, x0: float, grid: PathGrid,
-                       seed: int, n_paths: int, **kwargs) -> TrajectoryBatch:
-    """Euler-Maruyama batch of dx = (ax + bu(x)) dt + (cx + du(x)) dW
-    under the deterministic feedback u(x) = slope*x + intercept."""
-    policy = AffineGaussianPolicy(feedback_slope, feedback_intercept, 0.0)
     coeffs = derived_coeffs(model, policy)
     return _simulate_coeffs(coeffs, x0, grid, seed, n_paths, **kwargs)
 
@@ -353,6 +349,13 @@ def simulate_classical(model: LqModel, feedback_slope: float,
 # its regime once and returns the map from a chunk's standard normals
 # (rows = paths) to its node values.
 # ---------------------------------------------------------------------------
+
+def state_independent_policy(model: LqModel) -> AffineGaussianPolicy:
+    """N(-q/n, lam/n) at every state: the policy whose process the d0 and
+    c0 exact paths solve.  It is the model's optimum only when
+    m = r = p = 0."""
+    return AffineGaussianPolicy(0.0, -model.q / model.n, model.lam / model.n)
+
 
 def _brownian_nodes(z: np.ndarray, dt: float) -> np.ndarray:
     """Node values W_0 = 0, ..., W_n from standardized increments."""

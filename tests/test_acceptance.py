@@ -46,8 +46,7 @@ def test_01_riccati_and_hjb_residuals():
         value = xlq.QuadraticValue(k2, k1, k0)
         worst_hjb = max(worst_hjb, float(np.max(np.abs(
             xlq.hjb_residual(model, value, xs, "exploratory")))))
-        sol = xlq.classical_solution(model)
-        wval = xlq.QuadraticValue(sol.alpha2, sol.alpha1, sol.alpha0)
+        wval, _ = xlq.classical_solution(model)
         worst_hjb = max(worst_hjb, float(np.max(np.abs(
             xlq.hjb_residual(model, wval, xs, "classical")))))
     elapsed = time.time() - t0
@@ -86,11 +85,11 @@ def test_03_solvability_equivalence():
     mean_mismatch = 0
     for _ in range(100):
         model = random_valid_model(rng)
-        value, policy = xlq.exploratory_solution(model)
-        sol = xlq.classical_solution(model)
+        sol = xlq.solve(model)
         gap = xlq.value_gap(model)
-        worst = max(worst, float(np.max(np.abs(value(xs) - sol.value(xs) - gap))))
-        if not np.array_equal(policy.mean(xs), sol.control(xs)):
+        worst = max(worst, float(np.max(np.abs(
+            sol.value(xs) - sol.classical_value(xs) - gap))))
+        if not np.array_equal(sol.policy.mean(xs), sol.classical_policy.mean(xs)):
             mean_mismatch += 1
     ok = worst < 1e-12 and mean_mismatch == 0
     _report(3, "exploratory/classical equivalence", ok,
@@ -110,7 +109,7 @@ def test_04_exploration_cost():
         if xlq.check_model(model):
             continue  # fixed rho fell below this draw's bound
         worst = max(worst, abs(
-            xlq.exploration_cost_decomposition(model, rng.uniform(-3, 3))
+            xlq.solve(model).cost_decomposition(rng.uniform(-3, 3))
             - lam / (2 * rho)))
     t0 = time.time()
     est = xlq.mc_exploration_cost(
@@ -222,10 +221,9 @@ def test_07_exact_path_oracles():
     ODE to 1e-6 under finite differences."""
     t0 = time.time()
     setups = []
-    si_policy = lambda m: xlq.AffineGaussianPolicy(0.0, -m.q / m.n, m.lam / m.n)
     value_ds, policy_ds = xlq.exploratory_solution(DS_MODEL)
-    setups.append(("d0", D0_MODEL, si_policy(D0_MODEL), None))
-    setups.append(("c0", C0_MODEL, si_policy(C0_MODEL), None))
+    setups.append(("d0", D0_MODEL, xlq.state_independent_policy(D0_MODEL), None))
+    setups.append(("c0", C0_MODEL, xlq.state_independent_policy(C0_MODEL), None))
     setups.append(("doss_saussman", DS_MODEL, policy_ds, value_ds))
     all_ok = True
     details = []

@@ -194,7 +194,7 @@ class TestInputChecks:
                          *flags])
 
     @pytest.mark.parametrize("setting", [
-        "sim.dt=0", "sim.dt=nan", "sim.dt=inf", "sim.n_steps=0",
+        "sim.dt=0", "sim.dt=nan", "sim.dt=inf", "sim.dt=1e308", "sim.n_steps=0",
         "sim.n_paths=0", "sim.x0=nan", "sim.seed=-1", f"--seed={2 ** 64}",
         "sim.parallelism=0", "--parallelism=-3"])
     def test_bad_sim_input_exit_1(self, tmp_path, capsys, setting):
@@ -207,6 +207,14 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and name in err
         assert not (tmp_path / "out").exists()  # nothing written first
+
+    @pytest.mark.parametrize("lambdas", ["0.1,inf", "0.1,nan"])
+    def test_non_finite_sweep_temperature_exit_1(self, tmp_path, capsys, lambdas):
+        rc = self.run(tmp_path, S1_CONFIG, "sweep", keys={"sweep.lambdas": lambdas})
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sweep.lambdas" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line,bad,named", [
         ("reward.p = 0", "reward.p = nan", "finite: p=nan"),

@@ -191,8 +191,10 @@ class TestSolution:
         assert abs(xlq.k0_residual(model, k2, k1, k0)) < 1e-10 * max(1.0, abs(k0))
         assert sol.n2 == model.n - k2 * model.d ** 2 > 0
         assert sol.policy.variance * sol.n2 == pytest.approx(model.lam, rel=1e-15)
+        assert sol.classical_policy.variance == 0.0
+        assert (sol.classical_value.k2, sol.classical_value.k1) == (k2, k1)
         for x in (-10.0, 0.0, 10.0):
-            assert sol.classical.control(x) == sol.policy.mean(x)  # same floats
+            assert sol.classical_policy.mean(x) == sol.policy.mean(x)  # same floats
         coeffs = xlq.derived_coeffs(model, sol.policy)
         if abs(model.d) > ABS_TOL and abs(coeffs.b1) > ABS_TOL:
             tr = xlq.DossSaussmanTransform.from_solution(model, sol.value)
@@ -202,25 +204,26 @@ class TestSolution:
 
 class TestClassicalSolution:
     def test_s1(self):
-        sol = xlq.classical_solution(S1)
-        assert sol.alpha0 == 0.0
-        assert sol.feedback_slope == pytest.approx(GOLDEN, abs=1e-14)
-        assert sol.feedback_intercept == 0.0
+        wvalue, feedback = xlq.classical_solution(S1)
+        assert wvalue.k0 == 0.0
+        assert feedback.slope == pytest.approx(GOLDEN, abs=1e-14)
+        assert feedback.intercept == 0.0
+        assert feedback.variance == 0.0
 
     def test_state_independent(self):
-        sol = xlq.classical_solution(
+        wvalue, feedback = xlq.classical_solution(
             xlq.LqModel(a=0, b=1, c=0, d=0, m=0, n=2, r=0, p=0, q=1,
                         rho=0.5, lam=1.0))
-        assert sol.alpha0 == pytest.approx(0.5, abs=1e-15)
-        assert sol.control(123.0) == pytest.approx(-0.5, abs=1e-15)
+        assert wvalue.k0 == pytest.approx(0.5, abs=1e-15)
+        assert feedback.mean(123.0) == pytest.approx(-0.5, abs=1e-15)
 
     def test_feedback_equals_policy_mean(self, rng):
         for _ in range(50):
             model = random_valid_model(rng)
             _, policy = xlq.exploratory_solution(model)
-            sol = xlq.classical_solution(model)
+            _, feedback = xlq.classical_solution(model)
             for x in (-10.0, 0.0, 10.0):
-                assert sol.control(x) == policy.mean(x)  # same floats
+                assert feedback.mean(x) == policy.mean(x)  # same floats
 
 
 class TestHjbResidual:
@@ -235,8 +238,7 @@ class TestHjbResidual:
         assert res == pytest.approx(S1.rho * 1.0, abs=1e-10)
 
     def test_classical_grid_sweep(self):
-        sol = xlq.classical_solution(S1)
-        wval = xlq.QuadraticValue(sol.alpha2, sol.alpha1, sol.alpha0)
+        wval, _ = xlq.classical_solution(S1)
         grid = np.arange(-5.0, 5.5, 1.0)
         res = xlq.hjb_residual(S1, wval, grid, "classical")
         assert np.max(np.abs(res)) < 1e-9
@@ -245,9 +247,8 @@ class TestHjbResidual:
         grid = np.linspace(-10, 10, 41)
         for _ in range(100):
             model = random_valid_model(rng)
-            value, _ = xlq.exploratory_solution(model)
-            sol = xlq.classical_solution(model)
-            wval = xlq.QuadraticValue(sol.alpha2, sol.alpha1, sol.alpha0)
+            sol = xlq.solve(model)
+            value, wval = sol.value, sol.classical_value
             assert np.max(np.abs(xlq.hjb_residual(model, value, grid,
                                                   "exploratory"))) < 1e-9
             assert np.max(np.abs(xlq.hjb_residual(model, wval, grid,
@@ -321,10 +322,9 @@ class TestEquivalenceAndCost:
         xs = np.linspace(-8, 8, 11)
         for _ in range(100):
             model = random_valid_model(rng)
-            value, policy = xlq.exploratory_solution(model)
-            sol = xlq.classical_solution(model)
+            sol = xlq.solve(model)
             gap = xlq.value_gap(model)
-            diffs = value(xs) - sol.value(xs)
+            diffs = sol.value(xs) - sol.classical_value(xs)
             assert np.max(np.abs(diffs - gap)) < 1e-12
             assert np.max(np.abs(diffs - diffs[0])) < 1e-12  # constant in x
 
@@ -335,7 +335,7 @@ class TestEquivalenceAndCost:
 
     def test_decomposition_independent_of_state(self):
         for x in (-3.0, 0.0, 7.0):
-            assert xlq.exploration_cost_decomposition(S1, x) == pytest.approx(
+            assert xlq.solve(S1).cost_decomposition(x) == pytest.approx(
                 0.1, abs=1e-12)
 
     def test_cost_universality(self, rng):

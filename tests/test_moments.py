@@ -193,14 +193,12 @@ class TestMomentInvariants:
         """The unregularized process under the optimal feedback has the
         same first moment n(t) and the classical second moment m_hat(t);
         checked by Monte Carlo rather than re-derivation."""
-        sol = xlq.classical_solution(DS_MODEL)
-        _, policy = xlq.exploratory_solution(DS_MODEL)
-        coeffs = xlq.derived_coeffs(DS_MODEL, policy)
+        sol = xlq.solve(DS_MODEL)
+        coeffs = xlq.derived_coeffs(DS_MODEL, sol.policy)
         grid = xlq.PathGrid(dt=5e-4, n_steps=2000)
-        batch = xlq.simulate_classical(DS_MODEL, sol.feedback_slope,
-                                       sol.feedback_intercept, 1.0, grid, 23,
-                                       8000, record_paths=False,
-                                       checkpoints=(2000,))
+        batch = xlq.simulate_exploratory(DS_MODEL, sol.classical_policy, 1.0,
+                                         grid, 23, 8000, record_paths=False,
+                                         checkpoints=(2000,))
         mc_mean, mc_m2, se_mean, se_m2 = batch.checkpoint_stats(2000)
         assert abs(mc_mean - float(xlq.mean_curve(coeffs, 1.0, 1.0))) < \
             4 * se_mean + 1e-3

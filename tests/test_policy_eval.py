@@ -93,12 +93,10 @@ class TestMcValue:
         assert abs(est.value - target) <= 3 * est.std_error + est.truncation_bound
 
     def test_classical_route_reproduces_classical_value(self):
-        sol = xlq.classical_solution(DS_MODEL)
-        policy = xlq.AffineGaussianPolicy(sol.feedback_slope,
-                                          sol.feedback_intercept, 0.0)
+        wvalue, feedback = xlq.classical_solution(DS_MODEL)
         grid = xlq.PathGrid(dt=1e-3, n_steps=4000)
-        est = xlq.mc_value(DS_MODEL, policy, 1.0, grid, seed=5, n_paths=4000)
-        target = sol.value(1.0)
+        est = xlq.mc_value(DS_MODEL, feedback, 1.0, grid, seed=5, n_paths=4000)
+        target = wvalue(1.0)
         assert abs(est.value - target) <= 3 * est.std_error + \
             est.truncation_bound + 2e-3
 
@@ -192,7 +190,7 @@ class TestMcExplorationCost:
 
     def test_closed_form_route_is_exact(self):
         for x in (-3.0, 0.0, 7.0):
-            assert xlq.exploration_cost_decomposition(S1, x) == pytest.approx(
+            assert xlq.solve(S1).cost_decomposition(x) == pytest.approx(
                 xlq.exploration_cost(S1), abs=1e-12)
 
 

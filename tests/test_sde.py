@@ -40,11 +40,6 @@ EXACT_BIG, EXACT_SMALL = chunking_sizes(sde._EXACT_CHUNK)
 EULER_STEPS = sde._STEP_BLOCK + 30
 
 
-def state_independent_policy(model):
-    return xlq.AffineGaussianPolicy(0.0, -model.q / model.n,
-                                    model.lam / model.n)
-
-
 def euler_with_sums(model, policy, grid, n_paths, nodes):
     """Seed-9 Euler batch from x0 = 1 with checkpoints at ``nodes`` and
     all five discounted sums (action noise drawn)."""
@@ -83,6 +78,8 @@ class TestGridAndBrownian:
             xlq.PathGrid(dt=0.0, n_steps=10)
         with pytest.raises(ValueError):
             xlq.PathGrid(dt=0.1, n_steps=0)
+        with pytest.raises(ValueError, match="dt \\* n_steps must be finite"):
+            xlq.PathGrid(dt=1e308, n_steps=5)  # finite dt, infinite horizon
         grid = xlq.PathGrid(dt=0.5, n_steps=4)
         assert grid.horizon == 2.0
         assert np.allclose(grid.times(), [0, 0.5, 1.0, 1.5, 2.0])
@@ -183,7 +180,8 @@ class TestEulerMaruyama:
         model = xlq.LqModel(a=0, b=2.0, c=0, d=0, m=0, n=1, r=0, p=0, q=0,
                             rho=1, lam=0.2)
         grid = xlq.PathGrid(dt=0.01, n_steps=50)
-        batch = xlq.simulate_classical(model, 0.0, 0.0, 0.7, grid, 3, 4)
+        batch = xlq.simulate_exploratory(
+            model, xlq.AffineGaussianPolicy(0.0, 0.0, 0.0), 0.7, grid, 3, 4)
         assert np.all(batch.states == 0.7)
 
     def test_s1_mean_matches_moment_oracle(self):
@@ -206,16 +204,42 @@ class TestEulerMaruyama:
         se = batch.endpoints.std(ddof=1) / math.sqrt(batch.n_paths)
         assert abs(batch.endpoint_mean() - target) < 3 * se + 2e-3
 
-    def test_zero_variance_coincides_bitwise_with_classical(self):
+    def test_zero_variance_batch_is_the_written_out_euler_loop(self):
+        # The classical optimum is the optimal policy with variance zero;
+        # its batch is the plain Euler recursion of the classical SDE,
+        # bit for bit, across a noise-block boundary.
         model = DS_MODEL
-        grid = xlq.PathGrid(dt=0.01, n_steps=200)
-        slope, intercept = -0.3, 0.2
-        exp_batch = xlq.simulate_exploratory(
-            model, xlq.AffineGaussianPolicy(slope, intercept, 0.0),
-            1.0, grid, 5, 32)
-        cls_batch = xlq.simulate_classical(model, slope, intercept,
-                                           1.0, grid, 5, 32)
-        assert np.array_equal(exp_batch.states, cls_batch.states)
+        policy = xlq.solve(model).classical_policy
+        assert policy.variance == 0.0
+        n_paths, dt = 40, 0.002
+        grid = xlq.PathGrid(dt=dt, n_steps=EULER_STEPS)
+        batch = xlq.simulate_exploratory(model, policy, 1.0, grid, 5, n_paths,
+                                         record_paths=True)
+        a1 = model.a + model.b * policy.slope
+        a2 = model.b * policy.intercept
+        b1 = model.c + model.d * policy.slope
+        b2 = model.d * policy.intercept
+        noise = xlq.rng.normal_block(5, 0, n_paths, EULER_STEPS)
+        x = np.full(n_paths, 1.0)
+        expected = [x]
+        for z in noise.T:
+            x = x + (a1 * x + a2) * dt + np.sqrt((b1 * x + b2) ** 2 + 0.0) * (
+                z * math.sqrt(dt))
+            expected.append(x)
+        assert batch.n_diverged == 0
+        assert batch.states.tobytes() == np.stack(expected, axis=1).tobytes()
+        assert batch.endpoints.tobytes() == x.tobytes()
+
+    def test_action_noise_without_discount_rate_rejected(self, monkeypatch):
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        grid = xlq.PathGrid(dt=0.01, n_steps=10)
+        with pytest.raises(ValueError, match="action_noise.*discount_rate"):
+            xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 4,
+                                     action_noise=True)
 
     def test_determinism_under_partitioning_and_parallelism(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=EULER_STEPS)
@@ -233,8 +257,9 @@ class TestEulerMaruyama:
         model = xlq.LqModel(a=40.0, b=0, c=0, d=0, m=0, n=1, r=0, p=0, q=0,
                             rho=1, lam=0.1)
         grid = xlq.PathGrid(dt=0.5, n_steps=120)
-        batch = xlq.simulate_classical(model, 0.0, 0.0, 1.0, grid, 2, 3,
-                                       checkpoints=(120,))
+        batch = xlq.simulate_exploratory(
+            model, xlq.AffineGaussianPolicy(0.0, 0.0, 0.0), 1.0, grid, 2, 3,
+            checkpoints=(120,))
         assert batch.n_diverged == 3
         assert np.all(batch.divergence_step > 0)
         assert np.all(np.isfinite(batch.states))
@@ -261,7 +286,7 @@ class TestEulerMaruyama:
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):
         grid = xlq.PathGrid(dt=0.1, n_steps=2)
-        policy = state_independent_policy(C0_MODEL)
+        policy = xlq.state_independent_policy(C0_MODEL)
         calls = (
             lambda: xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, seed, 2),
             lambda: xlq.exact_batch(C0_MODEL, 1.0, grid, seed, 2, method="c0"),
@@ -395,7 +420,7 @@ class TestExactPathD0:
             exact_row(DS_MODEL, 1.0, grid, 7, 0, "d0")
 
     def test_strong_convergence_under_dt_refinement(self):
-        policy = state_independent_policy(D0_MODEL)
+        policy = xlq.state_independent_policy(D0_MODEL)
         errors = []
         for dt in (1e-2, 1e-3):
             grid = xlq.PathGrid(dt=dt, n_steps=int(round(1.0 / dt)))
@@ -427,7 +452,7 @@ class TestExactPathC0:
         target = model.d ** 2 * model.lam / (2.0 * model.n)
         var = batch.endpoints.var(ddof=1)
         assert var == pytest.approx(target, rel=0.05)
-        coeffs = xlq.derived_coeffs(model, state_independent_policy(model))
+        coeffs = xlq.derived_coeffs(model, xlq.state_independent_policy(model))
         m_inf = float(xlq.second_moment_curve(coeffs, 1.0, 60.0))
         n_inf = float(xlq.mean_curve(coeffs, 1.0, 60.0))
         assert m_inf - n_inf ** 2 == pytest.approx(target, rel=1e-6)
@@ -435,7 +460,7 @@ class TestExactPathC0:
     def test_endpoint_distribution_kolmogorov_smirnov(self):
         grid = xlq.PathGrid(dt=1 / 16, n_steps=16)
         batch = xlq.exact_batch(C0_MODEL, 1.0, grid, 5, 100000, method="c0")
-        coeffs = xlq.derived_coeffs(C0_MODEL, state_independent_policy(C0_MODEL))
+        coeffs = xlq.derived_coeffs(C0_MODEL, xlq.state_independent_policy(C0_MODEL))
         mean = float(xlq.mean_curve(coeffs, 1.0, 1.0))
         m2 = float(xlq.second_moment_curve(coeffs, 1.0, 1.0))
         ks = stats.kstest(batch.endpoints, "norm",
@@ -448,7 +473,7 @@ class TestExactPathC0:
             exact_row(DS_MODEL, 1.0, grid, 7, 0, "c0")
 
     def test_strong_convergence(self):
-        policy = state_independent_policy(C0_MODEL)
+        policy = xlq.state_independent_policy(C0_MODEL)
         errors = []
         for dt in (1e-2, 1e-3):
             grid = xlq.PathGrid(dt=dt, n_steps=int(round(1.0 / dt)))
@@ -608,13 +633,6 @@ class TestStrongError:
         grid = xlq.PathGrid(dt=0.01, n_steps=50)
         b = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 16)
         assert xlq.strong_error(b, b) == (0.0, 0.0)
-
-    def test_zero_variance_coincidence(self):
-        grid = xlq.PathGrid(dt=0.01, n_steps=50)
-        a = xlq.simulate_exploratory(
-            DS_MODEL, xlq.AffineGaussianPolicy(-0.2, 0.1, 0.0), 1.0, grid, 3, 16)
-        b = xlq.simulate_classical(DS_MODEL, -0.2, 0.1, 1.0, grid, 3, 16)
-        assert xlq.strong_error(a, b) == (0.0, 0.0)
 
     def test_mismatch_rejected(self):
         _, policy = xlq.exploratory_solution(DS_MODEL)
