@@ -33,7 +33,7 @@ classical = xlq.simulate_exploratory(model, feedback, 1.0, grid, seed=2024,
                                      n_paths=2000)
 print("classical sample mean at T:          ", classical.endpoint_mean())
 print("classical second moment oracle at T: ", float(xlq.second_moment_curve(
-    xlq.derived_coeffs(model, policy), 1.0, grid.horizon, "classical")))
+    xlq.derived_coeffs(model, feedback), 1.0, grid.horizon)))
 print("classical sample second moment at T: ",
       classical.endpoint_second_moment())
 

@@ -45,12 +45,14 @@ ladder(D0, "d0")
 ladder(C0, "c0")
 ladder(DS, "doss_saussman")
 
-# The transform F satisfies dF/dz = sqrt((c1t F + c2t)^2 + dt_var).
+# The transform F satisfies dF/dz = sqrt((b1 F + b2)^2 + c1), with the
+# coefficients of the optimal policy.
 value, _ = xlq.exploratory_solution(DS)
 tr = xlq.DossSaussmanTransform.from_solution(DS, value)
 z, y = 0.8, -1.1
 h = 1e-6
 fd = (tr.f(z + h, y) - tr.f(z - h, y)) / (2 * h)
 print("\nF'(z) by finite differences:", fd)
-print("sqrt((c1t F + c2t)^2 + dt_var):",
-      math.sqrt((tr.c1t * tr.f(z, y) + tr.c2t) ** 2 + tr.dt_var))
+c = tr.coeffs
+print("sqrt((b1 F + b2)^2 + c1):   ",
+      math.sqrt((c.b1 * tr.f(z, y) + c.b2) ** 2 + c.c1))

@@ -13,7 +13,8 @@ import exploratory_lq as xlq
 
 model = xlq.LqModel(a=0, b=1, c=0.5, d=1, m=1, n=2, r=0, p=0, q=0,
                     rho=3, lam=0.2)
-value, policy = xlq.exploratory_solution(model)
+sol = xlq.solve(model)
+value, policy = sol.value, sol.policy
 coeffs = xlq.derived_coeffs(model, policy)
 tag, _ = xlq.classify_case(coeffs)
 print("derived coefficients:", coeffs)
@@ -38,9 +39,11 @@ for node in nodes:
           f"{m_cf:>10.6f} {float(m_rk):>10.6f} {mc_m2:>10.6f}")
 
 # Exploration only adds variance: m(t) >= m_hat(t), equal iff c1 = 0.
+# m_hat is the same curve under the zero-variance classical policy.
 ts = np.array([0.5, 1.0, 2.0])
 m = xlq.second_moment_curve(coeffs, 1.0, ts)
-mh = xlq.second_moment_curve(coeffs, 1.0, ts, "classical")
+mh = xlq.second_moment_curve(
+    xlq.derived_coeffs(model, sol.classical_policy), 1.0, ts)
 print("\nexploratory minus classical second moment:", m - mh)
 
 exponent, decays = xlq.admissibility_decay(model, coeffs)

@@ -233,14 +233,14 @@ def _cmd_exact_vs_euler(spec: RunSpec) -> None:
 
 
 def _cmd_moments(spec: RunSpec) -> None:
-    policy = _solve(spec).policy
+    sol = _solve(spec)
     grid, x0 = spec.sim["grid"], spec.sim["x0"]
-    coeffs = derived_coeffs(spec.model, policy)
+    coeffs = derived_coeffs(spec.model, sol.policy)
     case_tag = moments.classify_case(coeffs)[0]
     n_nodes = min(41, grid.n_steps + 1)
     nodes = np.unique(np.linspace(0, grid.n_steps, n_nodes).astype(int))
     batch = sde.simulate_exploratory(
-        spec.model, policy, x0, grid, spec.sim["seed"],
+        spec.model, sol.policy, x0, grid, spec.sim["seed"],
         spec.sim["n_paths"], record_paths=False, checkpoints=tuple(nodes))
     times = nodes * grid.dt
     # One call per curve, so a near-band curve is a single RK4 pass.
@@ -248,8 +248,9 @@ def _cmd_moments(spec: RunSpec) -> None:
              *batch.checkpoint_stats(int(node)))
             for node, t, n, m, m_hat in zip(
                 nodes, times, moments.mean_curve(coeffs, x0, times),
-                moments.second_moment_curve(coeffs, x0, times, "exploratory"),
-                moments.second_moment_curve(coeffs, x0, times, "classical"))]
+                moments.second_moment_curve(coeffs, x0, times),
+                moments.second_moment_curve(
+                    derived_coeffs(spec.model, sol.classical_policy), x0, times))]
     path = _write_table(
         spec.out_dir / "moments", spec.fmt,
         ["t", "n", "m", "m_hat", "case_tag",

@@ -268,28 +268,24 @@ def solve(model: LqModel, *, allow_assumption_violation: bool = False) -> Soluti
         classical_policy=AffineGaussianPolicy(policy.slope, policy.intercept, 0.0))
 
 
-def exploratory_solution(
-    model: LqModel, *, allow_assumption_violation: bool = False,
-) -> tuple[QuadraticValue, AffineGaussianPolicy]:
+def exploratory_solution(model: LqModel) -> tuple[QuadraticValue, AffineGaussianPolicy]:
     """Value function and optimal Gaussian feedback of the regularized problem.
 
     In the state-independent-reward case (m = r = p = 0) this reduces to
     the constant value q^2/(2 rho n) + lam/(2 rho)(ln(2 pi e lam/n) - 1)
     with policy N(-q/n, lam/n) at every state.
     """
-    sol = solve(model, allow_assumption_violation=allow_assumption_violation)
+    sol = solve(model)
     return sol.value, sol.policy
 
 
-def classical_solution(
-    model: LqModel, *, allow_assumption_violation: bool = False,
-) -> tuple[QuadraticValue, AffineGaussianPolicy]:
+def classical_solution(model: LqModel) -> tuple[QuadraticValue, AffineGaussianPolicy]:
     """Value function and zero-variance optimal feedback of the
     unregularized problem.
 
     The feedback equals the exploratory policy mean at every state.
     """
-    sol = solve(model, allow_assumption_violation=allow_assumption_violation)
+    sol = solve(model)
     return sol.classical_value, sol.classical_policy
 
 
@@ -352,7 +348,9 @@ def exploration_cost(model: LqModel) -> float:
 
 def value_gap(model: LqModel) -> float:
     """v(x) - w(x): the (state-independent) entropy annuity
-    lam/(2 rho) (ln(2 pi e lam/(n - k2 d^2)) - 1)."""
+    lam/(2 rho) (ln(2 pi e lam/(n - k2 d^2)) - 1).  Raises
+    ModelValidationError on an invalid model."""
+    validate(model)
     return _entropy_annuity(model, model.n - solve_k2(model) * model.d ** 2)
 
 
@@ -381,7 +379,6 @@ def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0, *,
     return out
 
 
-def solution_record(model: LqModel, *, allow_assumption_violation: bool = False) -> dict:
+def solution_record(model: LqModel) -> dict:
     """JSON-ready record of the full closed-form solution."""
-    return solve(
-        model, allow_assumption_violation=allow_assumption_violation).record()
+    return solve(model).record()

@@ -17,7 +17,8 @@ Each input rule has one owner.  :func:`sim_settings` checks every sim
 key; the CLI's ``--seed`` and ``--parallelism`` arrive as ``sim.seed``
 and ``sim.parallelism``, so a flag meets the same check as its key.
 :class:`~exploratory_lq.sde.PathGrid` owns the grid rules (0 < dt < inf,
-n_steps >= 1, a finite horizon dt * n_steps) and
+1 <= n_steps within float range, a finite horizon dt * n_steps),
+``sde._check_n_paths`` the path count's, and
 :func:`~exploratory_lq.model.check_model` the model's, finiteness
 included.  :func:`sweep_lambdas` requires each temperature to be
 positive and finite.
@@ -30,7 +31,7 @@ import math
 from .errors import ConfigError
 from .model import LqModel
 from .rng import valid_seed
-from .sde import PathGrid
+from .sde import PathGrid, _check_n_paths
 
 MODEL_KEYS = {
     "dynamics.a": "a",
@@ -123,15 +124,14 @@ def sim_settings(mapping: dict[str, str]) -> dict:
     if parallelism < 1:
         raise ConfigError(
             f"sim.parallelism (--parallelism) must be >= 1, got {parallelism}")
-    if n_paths < 1:
-        raise ConfigError(f"sim.n_paths must be >= 1, got {n_paths}")
     if not math.isfinite(x0):
         raise ConfigError(f"sim.x0 must be finite, got {x0}")
     try:
+        _check_n_paths(n_paths)
         grid = PathGrid(dt=_float(mapping, "sim.dt") if "sim.dt" in mapping else 1e-2,
                         n_steps=_int(mapping, "sim.n_steps", 1000))
     except ValueError as exc:
-        # PathGrid's messages start with the field name.
+        # These messages start with the field name.
         raise ConfigError(f"sim.{exc}") from exc
     return {"grid": grid, "n_paths": n_paths, "x0": x0, "seed": seed}
 

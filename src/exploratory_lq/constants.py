@@ -28,5 +28,5 @@ RK_STEPS = 2048
 ODE_SUBSTEPS = 4
 
 # Largest relative defect of the Doss-Saussmann diffusion ODE
-# dF/dz = sqrt((c1t F + c2t)^2 + dt_var) accepted at an evaluated node.
+# dF/dz = sqrt((b1 F + b2)^2 + c1) accepted at an evaluated node.
 DS_DEFECT_TOL = 1e-8

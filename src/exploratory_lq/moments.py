@@ -7,7 +7,8 @@ the moments n(t) = E[X_t] and m(t) = E[X_t^2] solve linear ODEs
     m' = (2 A1 + B1^2) m + 2 (A2 + B1 B2) n + B2^2 + C1,   m(0) = x0^2,
 
 and the classical process (no exploration noise) obeys the same system
-with C1 dropped.  Variation of constants yields five closed-form
+with C1 = 0, which is what the zero-variance policy's coefficients
+carry.  Variation of constants yields five closed-form
 branches keyed on which of A1, B1, A1 + B1^2, 2 A1 + B1^2 vanish; a
 fixed-step RK4 integrator of the same ODEs doubles as an independent
 numerical oracle and takes over near branch boundaries where the closed
@@ -79,12 +80,12 @@ def mean_curve(coeffs: DerivedCoeffs, x0: float, t):
 
 
 def _closed_second_moment(coeffs: DerivedCoeffs, x0: float, t: np.ndarray,
-                          noise: float, tag: str) -> np.ndarray:
+                          tag: str) -> np.ndarray:
     a1, a2 = coeffs.a1, coeffs.a2
     b1 = coeffs.b1
     alpha = 2.0 * a1 + b1 * b1
     beta = a2 + b1 * coeffs.b2
-    gamma = coeffs.b2 ** 2 + noise
+    gamma = coeffs.b2 ** 2 + coeffs.c1
     x0sq = x0 * x0
     if tag == "a":
         return x0sq + t * (2.0 * beta * x0 + gamma) + t * t * beta * a2
@@ -111,13 +112,12 @@ def _closed_second_moment(coeffs: DerivedCoeffs, x0: float, t: np.ndarray,
             + forced * t * _phi1(alpha * t))
 
 
-def integrate_moment_ode(a1, a2, b1, b2, c1, x0, t,
-                         steps: int = RK_STEPS) -> tuple[np.ndarray, np.ndarray]:
+def integrate_moment_ode(a1, a2, b1, b2, c1, x0, t) -> tuple[np.ndarray, np.ndarray]:
     """RK4 integration of the (n, m) system to time t.
 
     The coefficients and t may be scalars or broadcastable arrays, so a
     batch of coefficient sets, of end times, or of both integrates in
-    one pass; every element takes ``steps`` steps of size t/steps.
+    one pass; every element takes RK_STEPS steps of size t/RK_STEPS.
     Returns (n(t), m(t)) in the broadcast shape.
     """
     a1, a2, b1, b2, c1, t = np.broadcast_arrays(
@@ -130,10 +130,10 @@ def integrate_moment_ode(a1, a2, b1, b2, c1, x0, t,
         n, m = state
         return np.stack([a1 * n + a2, alpha * m + 2.0 * beta * n + gamma])
 
-    h = t / steps
+    h = t / RK_STEPS
     state = np.stack([np.broadcast_to(np.asarray(x0, dtype=float), a1.shape),
                       np.broadcast_to(np.asarray(x0, dtype=float) ** 2, a1.shape)]).copy()
-    for _ in range(steps):
+    for _ in range(RK_STEPS):
         k1 = rhs(state)
         k2 = rhs(state + 0.5 * h * k1)
         k3 = rhs(state + 0.5 * h * k2)
@@ -142,27 +142,22 @@ def integrate_moment_ode(a1, a2, b1, b2, c1, x0, t,
     return state[0], state[1]
 
 
-def second_moment_curve(coeffs: DerivedCoeffs, x0: float, t,
-                        kind: str = "exploratory"):
-    """m(t) (exploratory) or m_hat(t) (classical, C1 dropped).
+def second_moment_curve(coeffs: DerivedCoeffs, x0: float, t):
+    """m(t) = E[X_t^2] of the process with these coefficients.
 
-    Dispatches to the closed-form branch for the coefficient case;
-    near-boundary coefficients fall back to the RK4 integrator.
+    The classical curve m_hat(t) is the same call on the coefficients
+    of the zero-variance policy (``Solution.classical_policy``), whose
+    c1 is 0.  Dispatches to the closed-form branch for the coefficient
+    case; near-boundary coefficients fall back to the RK4 integrator.
     """
-    if kind == "exploratory":
-        noise = coeffs.c1
-    elif kind == "classical":
-        noise = 0.0
-    else:
-        raise ValueError(f"unknown moment kind {kind!r}")
     t_arr = np.asarray(t, dtype=float)
     tag, near = classify_case(coeffs)
     if near:
         _, m = integrate_moment_ode(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2,
-                                    noise, x0, t_arr)
+                                    coeffs.c1, x0, t_arr)
         out = np.where(t_arr == 0.0, x0 * x0, m)
     else:
-        out = _closed_second_moment(coeffs, x0, t_arr, noise, tag)
+        out = _closed_second_moment(coeffs, x0, t_arr, tag)
     return out if out.shape else float(out)
 
 

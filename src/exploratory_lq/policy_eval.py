@@ -19,7 +19,6 @@ horizon is bounded analytically from the moment curves.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +154,6 @@ def _estimate(values: np.ndarray, bound: float, grid: PathGrid,
 def mc_value(model: LqModel, policy: AffineGaussianPolicy, x0: float,
              grid: PathGrid, seed: int, n_paths: int, *,
              sample_actions: bool = False,
-             tail_tol: float | None = None,
              allow_assumption_violation: bool = False) -> ValueEstimate:
     """Monte Carlo estimate of the discounted objective under ``policy``.
 
@@ -174,15 +172,11 @@ def mc_value(model: LqModel, policy: AffineGaussianPolicy, x0: float,
     bound = truncation_bound(
         model, policy, x0, grid.horizon,
         allow_assumption_violation=allow_assumption_violation)
-    if tail_tol is not None and bound > tail_tol:
-        warnings.warn(
-            f"truncation bound {bound:.3g} exceeds requested tolerance "
-            f"{tail_tol:.3g}; extend the horizon", stacklevel=2)
     return _estimate(values, bound, grid, seed)
 
 
 def mc_exploration_cost(model: LqModel, x0: float, grid: PathGrid, seed: int,
-                        n_paths: int, *, sample_actions: bool = True,
+                        n_paths: int, *,
                         allow_assumption_violation: bool = False) -> ValueEstimate:
     """Monte Carlo estimate of the exploration cost (target lam/(2 rho)).
 
@@ -190,14 +184,14 @@ def mc_exploration_cost(model: LqModel, x0: float, grid: PathGrid, seed: int,
     the optimal-policy entropy is state-independent, so its discounted
     integral enters as a deterministic constant.  Both legs run on the
     same per-path noise (common random numbers); the standard error is
-    that of the per-path difference.  Sampled actions are the default
-    so that reference models with degenerate diffusion still carry a
-    genuine statistical error bar.
+    that of the per-path difference.  The optimal leg always samples its
+    actions, so that reference models with degenerate diffusion still
+    carry a genuine statistical error bar; the classical leg is
+    deterministic in the action and has none to sample.
     """
     sol = solve(model, allow_assumption_violation=allow_assumption_violation)
     feedback = sol.classical_policy
-    v_vals = _per_path_values(model, sol.policy, x0, grid, seed, n_paths,
-                              sample_actions)
+    v_vals = _per_path_values(model, sol.policy, x0, grid, seed, n_paths, True)
     w_vals = _per_path_values(model, feedback, x0, grid, seed, n_paths, False)
     ent = model.lam / (2.0 * model.rho) * log_2pi_e_ratio(model.lam, sol.n2)
     diffs = w_vals - v_vals + ent

@@ -43,12 +43,6 @@ def valid_seed(seed: int) -> bool:
     return 0 <= seed < 2 ** 64
 
 
-def standard_normals(seed: int, path_index: int, n: int,
-                     stream: int = STATE_STREAM) -> np.ndarray:
-    """n standard normals for one path, reproducible from (seed, path)."""
-    return normal_block(seed, path_index, 1, n, stream)[0]
-
-
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
                  stream: int = STATE_STREAM, first_step: int = 0,
                  out: np.ndarray | None = None) -> np.ndarray:

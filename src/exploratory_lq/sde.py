@@ -30,6 +30,7 @@ threads do not speed it up.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +69,10 @@ class PathGrid:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        # An int beyond float range would overflow the product dt * n_steps.
+        if not 1 <= self.n_steps <= sys.float_info.max:
+            raise ValueError(
+                f"n_steps must be >= 1 and within float range, got {self.n_steps}")
         if not math.isfinite(self.horizon):
             raise ValueError(
                 f"dt * n_steps must be finite, got {self.dt} * {self.n_steps}")
@@ -95,7 +98,7 @@ class BrownianPath:
 
     @classmethod
     def generate(cls, grid: PathGrid, seed: int, path_index: int) -> "BrownianPath":
-        z = rng.standard_normals(seed, path_index, grid.n_steps)
+        z = rng.normal_block(seed, path_index, 1, grid.n_steps)[0]
         inc = z * math.sqrt(grid.dt)
         w = np.concatenate(([0.0], np.cumsum(inc)))
         return cls(grid=grid, seed=seed, path_index=path_index,
@@ -218,18 +221,23 @@ def _chunk_ranges(n_paths: int, width: int):
     return [(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
 
 
-def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
-                     seed: int, n_paths: int, *,
-                     record_paths: bool = True,
-                     checkpoints: tuple = (),
-                     discount_rate: float | None = None,
-                     action_noise: bool = False,
-                     parallelism: int = 1) -> TrajectoryBatch:
-    """Euler-Maruyama batch for dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW.
+def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
+                         x0: float, grid: PathGrid, seed: int, n_paths: int, *,
+                         record_paths: bool = True,
+                         checkpoints: tuple = (),
+                         discount_rate: float | None = None,
+                         action_noise: bool = False,
+                         parallelism: int = 1) -> TrajectoryBatch:
+    """Euler-Maruyama batch of the policy-averaged (exploratory) dynamics
+    dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW, coefficients from
+    :func:`~exploratory_lq.model.derived_coeffs`.  A policy with variance
+    zero gives c1 = 0: the classical SDE under u(x) = slope*x + intercept.
 
-    ``action_noise`` feeds the discounted sums, so it needs
-    ``discount_rate``.  ``parallelism`` is accepted for compatibility
-    and has no effect.
+    ``record_paths`` keeps every node in ``states`` and ``checkpoints``
+    the listed nodes in ``checkpoint_states``; ``discount_rate`` adds the
+    :class:`DiscountedSums`, and ``action_noise`` (which needs it) their
+    sums over an independent per-path action stream.  ``parallelism`` is
+    accepted for compatibility and has no effect.
     """
     _check_n_paths(n_paths)
     if action_noise and discount_rate is None:
@@ -255,6 +263,7 @@ def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
     dt = grid.dt
     sq_dt = math.sqrt(dt)
     cp_set = set(cp)
+    coeffs = derived_coeffs(model, policy)
     a1, a2, b1, b2, c1 = coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1
     width = min(_STEP_BLOCK, k_steps)
 
@@ -327,19 +336,6 @@ def _simulate_coeffs(coeffs: DerivedCoeffs, x0: float, grid: PathGrid,
         grid=grid, n_paths=n_paths, seed=seed, x0=float(x0),
         endpoints=endpoints, diverged=diverged, divergence_step=div_step,
         states=states, checkpoint_states=cp_states, sums=sums)
-
-
-def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
-                         x0: float, grid: PathGrid, seed: int, n_paths: int,
-                         **kwargs) -> TrajectoryBatch:
-    """Euler-Maruyama batch of the policy-averaged (exploratory) dynamics.
-
-    A policy with variance zero gives c1 = 0: the classical SDE
-    dx = (ax + bu(x)) dt + (cx + du(x)) dW under the feedback
-    u(x) = slope*x + intercept.
-    """
-    coeffs = derived_coeffs(model, policy)
-    return _simulate_coeffs(coeffs, x0, grid, seed, n_paths, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +434,16 @@ def _c0_builder(model: LqModel, x0: float, grid: PathGrid):
 @dataclass(frozen=True)
 class DossSaussmanTransform:
     """Pathwise transform X = F(W, Y) for the optimal state SDE
-    dX = (at X + bt) dt + sqrt((c1t X + c2t)^2 + dt_var) dW.
+    dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW, whose
+    coefficients are :func:`~exploratory_lq.model.derived_coeffs` under
+    the optimal policy.
 
-    F(z, y) = (sqrt(dt_var)/|c1t|) sinh(|c1t| z + asinh((|c1t|/sqrt(dt_var)) (y + c2t/c1t))) - c2t/c1t
-    satisfies dF/dz = sqrt((c1t F + c2t)^2 + dt_var) with F(0, y) = y,
-    and Y follows the per-path ODE dY/dt = G(W_t, Y_t).  The five fields
-    are the Euler kernel's coefficients (a1, a2, b1, b2, c1) of
-    :func:`~exploratory_lq.model.derived_coeffs` under the policy.
+    F(z, y) = (sqrt(c1)/|b1|) sinh(|b1| z + asinh((|b1|/sqrt(c1)) (y + b2/b1))) - b2/b1
+    satisfies dF/dz = sqrt((b1 F + b2)^2 + c1) with F(0, y) = y,
+    and Y follows the per-path ODE dY/dt = G(W_t, Y_t).
     """
 
-    at: float
-    bt: float
-    c1t: float
-    c2t: float
-    dt_var: float
+    coeffs: DerivedCoeffs
 
     @classmethod
     def from_solution(cls, model: LqModel, value) -> "DossSaussmanTransform":
@@ -468,13 +460,14 @@ class DossSaussmanTransform:
         if abs(coeffs.b1) <= ABS_TOL:
             raise UnsupportedRegimeError(
                 "effective volatility slope vanishes; use the c = 0 exact path")
-        return cls(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1)
+        return cls(coeffs)
 
     def _terms(self, z, y):
         """(F, dF/dz, dF/dy) at (z, y) from one arcsinh, sinh and cosh."""
-        root = math.sqrt(self.dt_var)
-        ac = abs(self.c1t)
-        shift = self.c2t / self.c1t
+        c = self.coeffs
+        root = math.sqrt(c.c1)
+        ac = abs(c.b1)
+        shift = c.b2 / c.b1
         w = ac / root * (y + shift)
         arg = ac * z + np.arcsinh(w)
         cosh = np.cosh(arg)
@@ -491,8 +484,9 @@ class DossSaussmanTransform:
         return self._terms(z, y)[2]
 
     def g(self, z, y):
+        c = self.coeffs
         fv, _, dfy = self._terms(z, y)
-        num = self.at * fv + self.bt - self.c1t / 2.0 * (self.c1t * fv + self.c2t)
+        num = c.a1 * fv + c.a2 - c.b1 / 2.0 * (c.b1 * fv + c.b2)
         return num / dfy
 
 
@@ -504,6 +498,7 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     if value is None:
         raise ValueError("doss_saussman batch needs the value function")
     transform = DossSaussmanTransform.from_solution(model, value)
+    coeffs = transform.coeffs
     dt = grid.dt
     h = dt / ODE_SUBSTEPS
 
@@ -528,7 +523,7 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
                 y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             x, dfz, _ = transform._terms(w[:, k + 1], y)
             defect = np.abs(dfz - np.sqrt(
-                (transform.c1t * x + transform.c2t) ** 2 + transform.dt_var))
+                (coeffs.b1 * x + coeffs.b2) ** 2 + coeffs.c1))
             scale = np.maximum(1.0, np.abs(dfz))
             worst = max(worst, float((defect / scale).max()))
             out[:, k + 1] = x

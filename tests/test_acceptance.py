@@ -183,8 +183,9 @@ def test_06_moment_oracle():
     for t in (0.1, 1.0, 5.0):
         for kind in ("exploratory", "classical"):
             noise = arrays["c1"] if kind == "exploratory" else np.zeros(500)
-            closed = np.array([xlq.second_moment_curve(c, 1.0, t, kind)
-                               for c in sets])
+            closed = np.array([xlq.second_moment_curve(
+                c if kind == "exploratory" else replace(c, c1=0.0), 1.0, t)
+                for c in sets])
             _, m_rk = xlq.integrate_moment_ode(
                 arrays["a1"], arrays["a2"], arrays["b1"], arrays["b2"],
                 noise, 1.0, t)
@@ -248,8 +249,8 @@ def test_07_exact_path_oracles():
     for _ in range(100):
         z, y = rng.uniform(-2, 2), rng.uniform(-3, 3)
         fd = (transform.f(z + h, y) - transform.f(z - h, y)) / (2 * h)
-        target = math.sqrt((transform.c1t * transform.f(z, y)
-                            + transform.c2t) ** 2 + transform.dt_var)
+        c = transform.coeffs
+        target = math.sqrt((c.b1 * transform.f(z, y) + c.b2) ** 2 + c.c1)
         worst_f = max(worst_f, abs(fd - target))
     all_ok &= worst_f < 1e-6
     elapsed = time.time() - t0

@@ -196,7 +196,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("setting", [
         "sim.dt=0", "sim.dt=nan", "sim.dt=inf", "sim.dt=1e308", "sim.n_steps=0",
         "sim.n_paths=0", "sim.x0=nan", "sim.seed=-1", f"--seed={2 ** 64}",
-        "sim.parallelism=0", "--parallelism=-3"])
+        "sim.parallelism=0", "--parallelism=-3",
+        pytest.param(f"sim.n_steps=1{'0' * 400}", id="sim.n_steps=1e400")])
     def test_bad_sim_input_exit_1(self, tmp_path, capsys, setting):
         name, value = setting.split("=")
         if name.startswith("--"):

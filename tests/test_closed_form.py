@@ -198,8 +198,7 @@ class TestSolution:
         coeffs = xlq.derived_coeffs(model, sol.policy)
         if abs(model.d) > ABS_TOL and abs(coeffs.b1) > ABS_TOL:
             tr = xlq.DossSaussmanTransform.from_solution(model, sol.value)
-            assert (tr.at, tr.bt, tr.c1t, tr.c2t, tr.dt_var) == (
-                coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1)
+            assert tr.coeffs == coeffs
 
 
 class TestClassicalSolution:
@@ -327,6 +326,11 @@ class TestEquivalenceAndCost:
             diffs = sol.value(xs) - sol.classical_value(xs)
             assert np.max(np.abs(diffs - gap)) < 1e-12
             assert np.max(np.abs(diffs - diffs[0])) < 1e-12  # constant in x
+
+    @pytest.mark.parametrize("rho", [0.0, math.nan])
+    def test_value_gap_validates_the_model(self, rho):
+        with pytest.raises(xlq.ModelValidationError):
+            xlq.value_gap(S1.__class__(**{**S1.__dict__, "rho": rho}))
 
     def test_cost_values(self):
         assert xlq.exploration_cost(

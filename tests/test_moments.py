@@ -61,13 +61,6 @@ class TestSecondMomentClosedForms:
         assert xlq.second_moment_curve(coeffs, 1.5, 3.0) == pytest.approx(
             1.5 ** 2 + 0.7 * 3.0, abs=1e-14)
 
-    def test_classical_equals_exploratory_without_noise(self):
-        for coeffs in CASE_COEFFS.values():
-            quiet = replace(coeffs, c1=0.0)
-            for t in (0.3, 1.0, 4.0):
-                assert xlq.second_moment_curve(quiet, 1.0, t) == \
-                    xlq.second_moment_curve(quiet, 1.0, t, "classical")
-
     def test_s1_optimal_decay(self):
         value, policy = xlq.exploratory_solution(S1)
         coeffs = xlq.derived_coeffs(S1, policy)
@@ -77,12 +70,12 @@ class TestSecondMomentClosedForms:
 
     def test_each_case_vs_integrator(self):
         for tag, coeffs in CASE_COEFFS.items():
-            for kind, noise in (("exploratory", coeffs.c1), ("classical", 0.0)):
+            for kind, c in (("exploratory", coeffs),
+                            ("classical", replace(coeffs, c1=0.0))):
                 for t in (0.1, 1.0, 5.0):
-                    closed = xlq.second_moment_curve(coeffs, 1.0, t, kind)
+                    closed = xlq.second_moment_curve(c, 1.0, t)
                     _, m_rk = xlq.integrate_moment_ode(
-                        coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, noise,
-                        1.0, t)
+                        c.a1, c.a2, c.b1, c.b2, c.c1, 1.0, t)
                     assert closed == pytest.approx(float(m_rk), rel=1e-8), \
                         f"case {tag} {kind} t={t}"
 
@@ -130,13 +123,14 @@ class TestSecondMomentClosedForms:
 
     @pytest.mark.parametrize("kind", ["exploratory", "classical"])
     def test_near_boundary_array_equals_scalar_calls(self, kind):
-        coeffs = DerivedCoeffs(1e-8, 0.5, 1e-7, 0.3, 0.2)
+        coeffs = DerivedCoeffs(1e-8, 0.5, 1e-7, 0.3,
+                               0.2 if kind == "exploratory" else 0.0)
         assert xlq.classify_case(coeffs)[1]
         ts = np.array([0.0, 0.05, 0.5, 1.0, 2.0])
-        got = xlq.second_moment_curve(coeffs, 1.3, ts, kind)
+        got = xlq.second_moment_curve(coeffs, 1.3, ts)
         assert got[0] == 1.3 * 1.3
         for ti, gi in zip(ts, got):
-            assert gi == xlq.second_moment_curve(coeffs, 1.3, float(ti), kind)
+            assert gi == xlq.second_moment_curve(coeffs, 1.3, float(ti))
 
     def test_exact_zero_below_tolerance_uses_closed_form(self):
         # Below the dispatch tolerance the value is treated as zero.
@@ -165,8 +159,8 @@ class TestMomentInvariants:
             coeffs = random_coeffs(rng)
             n = np.atleast_1d(xlq.mean_curve(coeffs, 1.0, ts))
             m = np.atleast_1d(xlq.second_moment_curve(coeffs, 1.0, ts))
-            mh = np.atleast_1d(xlq.second_moment_curve(coeffs, 1.0, ts,
-                                                       "classical"))
+            mh = np.atleast_1d(xlq.second_moment_curve(
+                replace(coeffs, c1=0.0), 1.0, ts))
             assert np.all(m - n ** 2 > -1e-8 * np.maximum(1, np.abs(m)))
             assert np.all(mh - n ** 2 > -1e-8 * np.maximum(1, np.abs(mh)))
             if coeffs.c1 > 0:
@@ -194,7 +188,7 @@ class TestMomentInvariants:
         same first moment n(t) and the classical second moment m_hat(t);
         checked by Monte Carlo rather than re-derivation."""
         sol = xlq.solve(DS_MODEL)
-        coeffs = xlq.derived_coeffs(DS_MODEL, sol.policy)
+        coeffs = xlq.derived_coeffs(DS_MODEL, sol.classical_policy)
         grid = xlq.PathGrid(dt=5e-4, n_steps=2000)
         batch = xlq.simulate_exploratory(DS_MODEL, sol.classical_policy, 1.0,
                                          grid, 23, 8000, record_paths=False,
@@ -202,7 +196,7 @@ class TestMomentInvariants:
         mc_mean, mc_m2, se_mean, se_m2 = batch.checkpoint_stats(2000)
         assert abs(mc_mean - float(xlq.mean_curve(coeffs, 1.0, 1.0))) < \
             4 * se_mean + 1e-3
-        target = float(xlq.second_moment_curve(coeffs, 1.0, 1.0, "classical"))
+        target = float(xlq.second_moment_curve(coeffs, 1.0, 1.0))
         assert abs(mc_m2 - target) < 4 * se_m2 + 2e-3
 
 
@@ -254,11 +248,12 @@ class TestAdmissibilityDecay:
 
 class TestMomentCurvesOnTimeArrays:
     def test_values_and_tags(self):
-        value, policy = xlq.exploratory_solution(DS_MODEL)
-        coeffs = xlq.derived_coeffs(DS_MODEL, policy)
+        sol = xlq.solve(DS_MODEL)
+        coeffs = xlq.derived_coeffs(DS_MODEL, sol.policy)
+        classical = xlq.derived_coeffs(DS_MODEL, sol.classical_policy)
         times = np.array([0.0, 0.5, 1.0])
         for values in (xlq.mean_curve(coeffs, 1.0, times),
-                       xlq.second_moment_curve(coeffs, 1.0, times, "exploratory"),
-                       xlq.second_moment_curve(coeffs, 1.0, times, "classical")):
+                       xlq.second_moment_curve(coeffs, 1.0, times),
+                       xlq.second_moment_curve(classical, 1.0, times)):
             assert values.shape == (3,) and values[0] == 1.0
         assert xlq.classify_case(coeffs)[0] == "e"

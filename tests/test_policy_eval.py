@@ -159,13 +159,6 @@ class TestMcValue:
         with pytest.raises(xlq.SimulationDivergedError):
             xlq.mc_value(model, policy, 1.0, grid, seed=1, n_paths=4)
 
-    def test_tail_warning(self):
-        _, policy = xlq.exploratory_solution(S1)
-        grid = xlq.PathGrid(dt=0.01, n_steps=50)  # T = 0.5, big tail
-        with pytest.warns(UserWarning, match="truncation bound"):
-            xlq.mc_value(S1, policy, 1.0, grid, seed=1, n_paths=4,
-                         tail_tol=1e-6)
-
     def test_estimate_report_keys(self):
         _, policy = xlq.exploratory_solution(S1)
         grid = xlq.PathGrid(dt=0.01, n_steps=100)
