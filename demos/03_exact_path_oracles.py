@@ -34,7 +34,7 @@ def ladder(model, method):
                                       n_paths=200, record_paths=False)
         ex = xlq.exact_batch(model, 1.0, grid, 99, 200, method=method,
                              value=value)
-        errs.append(xlq.endpoint_rms_error(em, ex))
+        errs.append(xlq.endpoint_errors(em, ex)[0])
     order = math.log10(errs[0] / errs[2]) / 2
     print(f"{method:>14}: rms " + " -> ".join(f"{e:.3e}" for e in errs)
           + f"   empirical order {order:.2f}")
@@ -51,8 +51,9 @@ value, _ = xlq.exploratory_solution(DS)
 tr = xlq.DossSaussmanTransform.from_solution(DS, value)
 z, y = 0.8, -1.1
 h = 1e-6
-fd = (tr.f(z + h, y) - tr.f(z - h, y)) / (2 * h)
+fd = (tr.terms(z + h, y)[0] - tr.terms(z - h, y)[0]) / (2 * h)
+f, df_dz, _ = tr.terms(z, y)
 print("\nF'(z) by finite differences:", fd)
+print("dF/dz from the transform:    ", df_dz)
 c = tr.coeffs
-print("sqrt((b1 F + b2)^2 + c1):   ",
-      math.sqrt((c.b1 * tr.f(z, y) + c.b2) ** 2 + c.c1))
+print("sqrt((b1 F + b2)^2 + c1):    ", math.sqrt((c.b1 * f + c.b2) ** 2 + c.c1))

@@ -54,7 +54,6 @@ from .moments import (
     admissibility_decay,
     classify_case,
     decay_exponent_from_riccati,
-    discounted_second_moment,
     integrate_moment_ode,
     mean_curve,
     second_moment_curve,
@@ -64,19 +63,16 @@ from .policy_eval import (
     integrand_coefficients,
     mc_exploration_cost,
     mc_value,
-    running_integrand,
     truncation_bound,
 )
 from .sde import (
-    BrownianPath,
     DossSaussmanTransform,
     PathGrid,
     TrajectoryBatch,
-    endpoint_rms_error,
+    endpoint_errors,
     exact_batch,
     simulate_exploratory,
     state_independent_policy,
-    strong_error,
 )
 
 __version__ = "0.1.0"

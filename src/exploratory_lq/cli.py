@@ -24,10 +24,9 @@ import numpy as np
 from . import closed_form, config, moments, policy_eval, sde
 from .constants import ABS_TOL
 from .errors import ConfigError, ExploratoryLqError, ModelValidationError, NumericalError
-from .model import ASSUMPTION_BOUND, LqModel, check_model, derived_coeffs, validate
+from .model import (ASSUMPTION_BOUND, LqModel, check_model, clears_bound,
+                    derived_coeffs, validate)
 
-COMMANDS = ("solve", "residual", "simulate", "evaluate", "cost", "sweep",
-            "exact-vs-euler", "moments")
 STOCHASTIC_COMMANDS = {"simulate", "evaluate", "cost", "exact-vs-euler", "moments"}
 
 CONVERGENCE_DTS = (1e-2, 1e-3, 1e-4)
@@ -76,16 +75,27 @@ def _write_table(path_base: Path, fmt: str, header: list[str], rows: list[tuple]
 
 def emit_report(solution: closed_form.Solution, *, assumption_ok: bool,
                 mc_sections: list[str] | None = None) -> str:
-    """Fixed-order plain-text summary of the closed-form solution."""
+    """Fixed-order plain-text summary of the closed-form solution.
+
+    ``assumption_ok`` is the :func:`~exploratory_lq.model.check_model`
+    verdict on the discount-rate bound; it decides both the bound's
+    verdict and the UNVERIFIED stamp.  A bound the model need not meet
+    is reported as not required.
+    """
     model = solution.model
     record = solution.record()
-    bound = record["assumption_bound"]
+    if not assumption_ok:
+        verdict = "(VIOLATED)"
+    elif clears_bound(model):
+        verdict = "(satisfied)"
+    else:
+        verdict = "(not required: m = 0)"
     lines = [
         "model: " + " ".join(
             f"{name}={_fmt(getattr(model, name))}"
             for name in ("a", "b", "c", "d", "m", "n", "r", "p", "q", "rho", "lam")),
-        f"assumption bound: {_fmt(bound)} vs rho={_fmt(model.rho)} "
-        + ("(satisfied)" if model.rho > bound else "(VIOLATED)"),
+        f"assumption bound: {_fmt(record['assumption_bound'])} "
+        f"vs rho={_fmt(model.rho)} {verdict}",
         f"value: k2={_fmt(record['k2'])} k1={_fmt(record['k1'])} k0={_fmt(record['k0'])}",
         "policy: slope={slope} intercept={intercept} variance={variance}".format(
             **{k: _fmt(v) for k, v in record["policy"].items()}),
@@ -222,9 +232,8 @@ def _cmd_exact_vs_euler(spec: RunSpec) -> None:
         exact = sde.exact_batch(
             model, spec.sim["x0"], grid, spec.sim["seed"], spec.sim["n_paths"],
             method=method, value=value)
-        worst, mean = sde.strong_error(euler, exact)
-        rows.append((dt, sde.endpoint_rms_error(euler, exact), worst, mean,
-                     method, spec.sim["n_paths"]))
+        rows.append((dt, *sde.endpoint_errors(euler, exact), method,
+                     spec.sim["n_paths"]))
     path = _write_table(
         spec.out_dir / "convergence", spec.fmt,
         ["dt", "rms_endpoint_error", "max_endpoint_error",
@@ -242,7 +251,7 @@ def _cmd_moments(spec: RunSpec) -> None:
     batch = sde.simulate_exploratory(
         spec.model, sol.policy, x0, grid, spec.sim["seed"],
         spec.sim["n_paths"], record_paths=False, checkpoints=tuple(nodes))
-    times = nodes * grid.dt
+    times = grid.times()[nodes]
     # One call per curve, so a near-band curve is a single RK4 pass.
     rows = [(t, float(n), float(m), float(m_hat), case_tag,
              *batch.checkpoint_stats(int(node)))
@@ -268,6 +277,7 @@ _DISPATCH = {
     "exact-vs-euler": _cmd_exact_vs_euler,
     "moments": _cmd_moments,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(spec: RunSpec) -> int:

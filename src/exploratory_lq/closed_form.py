@@ -27,7 +27,7 @@ a stated tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -366,7 +366,7 @@ def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0, *,
     for lam in lambdas:
         if lam <= 0:
             raise ValueError(f"sweep temperatures must be positive, got {lam}")
-        m = model.with_lambda(float(lam))
+        m = replace(model, lam=float(lam))
         sol = solve(m, allow_assumption_violation=allow_assumption_violation)
         out.append(SweepPoint(
             lam=float(lam),

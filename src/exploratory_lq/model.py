@@ -18,7 +18,7 @@ coefficients are collected in :class:`DerivedCoeffs`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class LqModel:
     q: float
     rho: float
     lam: float
-
-    def with_lambda(self, lam: float) -> "LqModel":
-        return replace(self, lam=lam)
 
     def reward(self, x, u):
         """Running reward r(x, u)."""
@@ -173,11 +170,16 @@ def check_model(model: LqModel) -> list[Violation]:
                 "r^2<mn", f"r^2={model.r ** 2!r} vs m*n={model.m * model.n!r}"))
 
     if model.m > ABS_TOL and model.n > ABS_TOL and model.rho > ABS_TOL:
-        bound = assumption_bound(model)
-        if not model.rho - bound > ABS_TOL:
-            out.append(Violation(
-                ASSUMPTION_BOUND, f"rho={model.rho!r} vs bound={bound!r}"))
+        if not clears_bound(model):
+            out.append(Violation(ASSUMPTION_BOUND, f"rho={model.rho!r} vs "
+                                 f"bound={assumption_bound(model)!r}"))
     return out
+
+
+def clears_bound(model: LqModel) -> bool:
+    """rho - assumption_bound(model) > ABS_TOL.  :func:`check_model`
+    requires this only when m > 0."""
+    return model.rho - assumption_bound(model) > ABS_TOL
 
 
 def validate(model: LqModel, *, allow_assumption_violation: bool = False) -> LqModel:

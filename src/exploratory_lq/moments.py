@@ -188,12 +188,3 @@ def decay_exponent_from_riccati(model: LqModel, k2: float) -> float:
     frac = (k2 * (2.0 * model.n - k2 * model.d ** 2) * beta ** 2
             - (2.0 * model.n * model.r * beta - model.d ** 2 * model.r ** 2)) / n2 ** 2
     return 2.0 * model.a + model.c ** 2 - model.rho + frac
-
-
-def discounted_second_moment(model: LqModel, coeffs: DerivedCoeffs,
-                             x0: float, t):
-    """e^{-rho t} m(t); tends to zero whenever the decay exponent is
-    negative."""
-    t = np.asarray(t, dtype=float)
-    out = np.exp(-model.rho * t) * second_moment_curve(coeffs, x0, t)
-    return out if out.shape else float(out)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import LOG_2PI, QuadraticValue, log_2pi_e_ratio, solve
+from .closed_form import QuadraticValue, log_2pi_e_ratio, solve
 from .errors import SimulationDivergedError
 from .model import AffineGaussianPolicy, LqModel, derived_coeffs
 from .moments import second_moment_curve
@@ -72,22 +72,8 @@ def integrand_coefficients(model: LqModel,
     g1 = -(model.r * c + model.n * a * c + model.p + model.q * a)
     g0 = -(model.n / 2.0 * (c * c + s2) + model.q * c)
     if s2 > 0:
-        g0 += model.lam * 0.5 * (LOG_2PI + 1.0 + math.log(s2))
+        g0 += model.lam * policy.entropy()
     return g2, g1, g0
-
-
-def running_integrand(model: LqModel, policy: AffineGaussianPolicy, x):
-    """Exact policy-averaged running integrand at state x.
-
-    For variance > 0 this is
-        -(m/2 x^2 + r x mu + n/2 (mu^2 + s^2) + p x + q mu)
-        + lam/2 ln(2 pi e s^2),           mu = slope*x + intercept;
-    variance zero routes to the classical reward r(x, mean(x)).
-    """
-    g2, g1, g0 = integrand_coefficients(model, policy)
-    x = np.asarray(x, dtype=float)
-    out = g2 * x * x + g1 * x + g0
-    return out if out.shape else float(out)
 
 
 def truncation_bound(model: LqModel, policy: AffineGaussianPolicy,

@@ -87,25 +87,6 @@ class PathGrid:
 
 
 @dataclass(frozen=True)
-class BrownianPath:
-    """One discretized Brownian motion, reproducible from (seed, path_index)."""
-
-    grid: PathGrid
-    seed: int
-    path_index: int
-    increments: np.ndarray  # n_steps values, each N(0, dt)
-    values: np.ndarray      # n_steps + 1 cumulative values, W_0 = 0
-
-    @classmethod
-    def generate(cls, grid: PathGrid, seed: int, path_index: int) -> "BrownianPath":
-        z = rng.normal_block(seed, path_index, 1, grid.n_steps)[0]
-        inc = z * math.sqrt(grid.dt)
-        w = np.concatenate(([0.0], np.cumsum(inc)))
-        return cls(grid=grid, seed=seed, path_index=path_index,
-                   increments=inc, values=w)
-
-
-@dataclass(frozen=True)
 class DiscountedSums:
     """Per-path left-endpoint Riemann sums used by value estimation.
 
@@ -208,8 +189,7 @@ class TrajectoryBatch:
 
 
 def _discount_weights(rho: float, grid: PathGrid) -> np.ndarray:
-    t = np.arange(grid.n_steps) * grid.dt
-    return np.exp(-rho * t) * grid.dt
+    return np.exp(-rho * grid.times()[:-1]) * grid.dt
 
 
 def _check_n_paths(n_paths: int) -> None:
@@ -462,7 +442,7 @@ class DossSaussmanTransform:
                 "effective volatility slope vanishes; use the c = 0 exact path")
         return cls(coeffs)
 
-    def _terms(self, z, y):
+    def terms(self, z, y):
         """(F, dF/dz, dF/dy) at (z, y) from one arcsinh, sinh and cosh."""
         c = self.coeffs
         root = math.sqrt(c.c1)
@@ -474,18 +454,9 @@ class DossSaussmanTransform:
         return (root / ac * np.sinh(arg) - shift, root * cosh,
                 cosh / np.sqrt(1.0 + w * w))
 
-    def f(self, z, y):
-        return self._terms(z, y)[0]
-
-    def df_dz(self, z, y):
-        return self._terms(z, y)[1]
-
-    def df_dy(self, z, y):
-        return self._terms(z, y)[2]
-
     def g(self, z, y):
         c = self.coeffs
-        fv, _, dfy = self._terms(z, y)
+        fv, _, dfy = self.terms(z, y)
         num = c.a1 * fv + c.a2 - c.b1 / 2.0 * (c.b1 * fv + c.b2)
         return num / dfy
 
@@ -521,7 +492,7 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
                 k3 = transform.g(zh, y + 0.5 * h * k2)
                 k4 = transform.g(z1, y + h * k3)
                 y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            x, dfz, _ = transform._terms(w[:, k + 1], y)
+            x, dfz, _ = transform.terms(w[:, k + 1], y)
             defect = np.abs(dfz - np.sqrt(
                 (coeffs.b1 * x + coeffs.b2) ** 2 + coeffs.c1))
             scale = np.maximum(1.0, np.abs(dfz))
@@ -563,24 +534,16 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
         divergence_step=np.full(n_paths, -1, dtype=np.int64), states=states)
 
 
-def _check_comparable(batch_a: TrajectoryBatch, batch_b: TrajectoryBatch) -> None:
+def endpoint_errors(batch_a: TrajectoryBatch,
+                    batch_b: TrajectoryBatch) -> tuple[float, float, float]:
+    """(rms, max, mean) of the pathwise endpoint deviation |X_a(T) - X_b(T)|
+    between two batches on the same grid, seed and path count."""
     if batch_a.grid != batch_b.grid:
         raise GridMismatchError("batches use different grids")
     if batch_a.seed != batch_b.seed:
         raise GridMismatchError("batches use different seeds")
     if batch_a.n_paths != batch_b.n_paths:
         raise GridMismatchError("batches hold different path counts")
-
-
-def strong_error(batch_a: TrajectoryBatch, batch_b: TrajectoryBatch) -> tuple[float, float]:
-    """(max, mean) pathwise endpoint deviation |X_a(T) - X_b(T)|."""
-    _check_comparable(batch_a, batch_b)
     diff = np.abs(batch_a.endpoints - batch_b.endpoints)
-    return float(diff.max()), float(diff.mean())
-
-
-def endpoint_rms_error(batch_a: TrajectoryBatch, batch_b: TrajectoryBatch) -> float:
-    """Root-mean-square endpoint deviation over paths."""
-    _check_comparable(batch_a, batch_b)
-    diff = batch_a.endpoints - batch_b.endpoints
-    return float(np.sqrt((diff * diff).mean()))
+    return (float(np.sqrt((diff * diff).mean())), float(diff.max()),
+            float(diff.mean()))

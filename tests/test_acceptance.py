@@ -236,7 +236,7 @@ def test_07_exact_path_oracles():
                                           record_paths=False)
             ex = xlq.exact_batch(model, 1.0, grid, 99, 200, method=method,
                                  value=value)
-            errs.append(xlq.endpoint_rms_error(em, ex))
+            errs.append(xlq.endpoint_errors(em, ex)[0])
         order = math.log10(errs[0] / errs[2]) / 2.0
         mono = errs[0] > errs[1] > errs[2]
         all_ok &= mono and order >= 0.4
@@ -248,9 +248,9 @@ def test_07_exact_path_oracles():
     worst_f = 0.0
     for _ in range(100):
         z, y = rng.uniform(-2, 2), rng.uniform(-3, 3)
-        fd = (transform.f(z + h, y) - transform.f(z - h, y)) / (2 * h)
+        fd = (transform.terms(z + h, y)[0] - transform.terms(z - h, y)[0]) / (2 * h)
         c = transform.coeffs
-        target = math.sqrt((c.b1 * transform.f(z, y) + c.b2) ** 2 + c.c1)
+        target = math.sqrt((c.b1 * transform.terms(z, y)[0] + c.b2) ** 2 + c.c1)
         worst_f = max(worst_f, abs(fd - target))
     all_ok &= worst_f < 1e-6
     elapsed = time.time() - t0
@@ -336,3 +336,25 @@ def test_10_suboptimality_sweep():
     _report(10, "suboptimality sweep", ok,
             f"policies beating V: {beats}/50, worst excess {worst_excess:.2e}, "
             f"{elapsed:.0f}s")
+
+
+def test_11_noisier_environment_explores_less():
+    """A more random environment needs less exploration: for 200 random
+    models at rho = 50, the optimal variance lam/(n - k2 d^2) never
+    increases as the control volatility d runs over 31 points in
+    [0, 3], never exceeds its d = 0 value lam/n, and (m > 0, so k2 < 0)
+    ends strictly below it."""
+    rng = np.random.default_rng(RNG_SEED + 8)
+    ds = np.linspace(0.0, 3.0, 31)
+    rising = above = flat = 0
+    for _ in range(200):
+        model = random_valid_model(rng, rho=50.0)
+        variance = np.array([xlq.solve(replace(model, d=float(d))).policy.variance
+                             for d in ds])
+        rising += bool(np.any(np.diff(variance) > 0))
+        above += bool(np.any(variance > model.lam / model.n))
+        flat += bool(variance[-1] >= variance[0])
+    _report(11, "noisier environment explores less",
+            rising == 0 and above == 0 and flat == 0,
+            f"models whose variance rises along d: {rising}/200, "
+            f"exceeds lam/n: {above}/200, not lower at d = 3: {flat}/200")

@@ -272,6 +272,44 @@ class TestSolveCommand:
             (out2 / "report.txt").read_bytes()
 
 
+class TestReportVerdict:
+    """The report's verdict on the discount-rate bound and its
+    UNVERIFIED stamp come from the same model check."""
+
+    def solve_report(self, tmp_path, text, *flags):
+        assert cli.main(["--config", write_config(tmp_path, text), "--command",
+                         "solve", "--out", str(tmp_path), *flags]) == 0
+        return (tmp_path / "report.txt").read_text()
+
+    def test_bound_not_required_when_m_is_zero(self, tmp_path):
+        # rho = 0.5 is below the bound 2.0, which an m = 0 model need not meet.
+        text = """\
+dynamics.a = 1
+dynamics.b = 1
+dynamics.c = 0
+dynamics.d = 1
+reward.m = 0
+reward.n = 2
+reward.r = 0
+reward.p = 0
+reward.q = 1
+discount.rho = 0.5
+explore.lambda = 1
+"""
+        report = self.solve_report(tmp_path, text)
+        assert "assumption bound: 2.0 vs rho=0.5 (not required: m = 0)\n" in report
+        assert "UNVERIFIED" not in report
+
+    def test_bound_cleared_by_less_than_tolerance_is_violated(self, tmp_path):
+        # rho exceeds the bound 1.0 by 5e-13, less than the 1e-12 the
+        # model check requires.
+        text = (S1_CONFIG.replace("dynamics.a = 0", "dynamics.a = 0.5")
+                .replace("discount.rho = 1", "discount.rho = 1.0000000000005"))
+        report = self.solve_report(tmp_path, text, "--override-assumptions")
+        assert "assumption bound: 1.0 vs rho=1.0000000000005 (VIOLATED)\n" in report
+        assert report.endswith("UNVERIFIED (assumption violated)\n")
+
+
 class TestTableCommands:
     def test_residual_grid(self, tmp_path):
         rc = cli.main(["--config", write_config(tmp_path, S1_CONFIG),

@@ -69,6 +69,22 @@ class TestSolveK2:
         assert xlq.solve_k2(model) == concave
         assert abs(xlq.k2_residual(model, convex)) < 1e-9
 
+    def test_negative_discriminant_has_no_concave_root(self):
+        # rho = 0 fails validation, which riccati_roots does not run:
+        # den = 1, num = 0, disc = -4 (r^2 - m n) = -4.
+        model = xlq.LqModel(a=1, b=1, c=0, d=0, m=0, n=1, r=1, p=0, q=0,
+                            rho=0, lam=1)
+        with pytest.raises(xlq.NoConcaveRootError, match="negative discriminant"):
+            xlq.riccati_roots(model)
+
+    def test_degenerate_curvature_equation_has_no_concave_root(self):
+        # b = c = d = 0 and rho = 2a: both the quadratic and the linear
+        # coefficient vanish.
+        model = xlq.LqModel(a=0.5, b=0, c=0, d=0, m=1, n=1, r=0, p=0, q=0,
+                            rho=1, lam=1)
+        with pytest.raises(xlq.NoConcaveRootError, match="degenerate"):
+            xlq.riccati_roots(model)
+
 
 class TestSolveK1:
     def test_s1_has_no_linear_term(self):

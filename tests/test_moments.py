@@ -242,7 +242,8 @@ class TestAdmissibilityDecay:
             exponent, decays = xlq.admissibility_decay(model, coeffs)
             assert decays
             horizon = 50.0 / model.rho
-            tail = xlq.discounted_second_moment(model, coeffs, 1.0, horizon)
+            tail = math.exp(-model.rho * horizon) * xlq.second_moment_curve(
+                coeffs, 1.0, horizon)
             assert tail < 1e-6 * 1.0  # below 1e-6 * m(0)
 
 

@@ -3,12 +3,17 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from scipy import integrate
 
 import exploratory_lq as xlq
 from conftest import BENCH_SI, DS_MODEL, S1
+
+
+def running_integrand(model, policy, x):
+    """g2 x^2 + g1 x + g0 from the policy's integrand coefficients."""
+    g2, g1, g0 = xlq.integrand_coefficients(model, policy)
+    return g2 * x * x + g1 * x + g0
 
 
 class TestRunningIntegrand:
@@ -19,7 +24,7 @@ class TestRunningIntegrand:
         model = xlq.LqModel(a=0, b=1, c=0, d=0, m=0, n=2, r=0, p=0, q=1,
                             rho=0.5, lam=1.0)
         policy = xlq.AffineGaussianPolicy(0.0, -0.5, 0.5)
-        got = xlq.running_integrand(model, policy, 3.3)
+        got = running_integrand(model, policy, 3.3)
         ent_half = 0.5 * math.log(2 * math.pi * math.e * 0.5)
         assert ent_half == pytest.approx(1.0723649429247, abs=1e-12)
         assert got == pytest.approx(-0.25 + model.lam * ent_half, abs=1e-12)
@@ -34,7 +39,7 @@ class TestRunningIntegrand:
                             rho=0.5, lam=1.0)
         policy = xlq.AffineGaussianPolicy(0.0, -0.5, 0.0)
         # r(0, -0.5) = -(N/2 u^2 + Q u) = -(0.25 - 0.5) = 0.25
-        assert xlq.running_integrand(model, policy, 0.0) == pytest.approx(
+        assert running_integrand(model, policy, 0.0) == pytest.approx(
             0.25, abs=1e-14)
 
     def test_matches_quadrature(self):
@@ -52,15 +57,19 @@ class TestRunningIntegrand:
             lo = policy.mean(x) - 12 * policy.std
             hi = policy.mean(x) + 12 * policy.std
             num, _ = integrate.quad(f, lo, hi)
-            assert xlq.running_integrand(model, policy, x) == pytest.approx(
+            assert running_integrand(model, policy, x) == pytest.approx(
                 num, rel=1e-9)
 
-    def test_vectorized(self):
-        _, policy = xlq.exploratory_solution(S1)
-        xs = np.array([-1.0, 0.0, 2.0])
-        got = xlq.running_integrand(S1, policy, xs)
-        assert got.shape == (3,)
-        assert got[1] == xlq.running_integrand(S1, policy, 0.0)
+    def test_entropy_enters_only_the_constant(self):
+        """A randomized policy's coefficients are the zero-variance
+        policy's, with g0 shifted by -n s^2/2 + lam H(pi)."""
+        sol = xlq.solve(DS_MODEL)
+        g2, g1, g0 = xlq.integrand_coefficients(DS_MODEL, sol.policy)
+        h2, h1, h0 = xlq.integrand_coefficients(DS_MODEL, sol.classical_policy)
+        assert (g2, g1) == (h2, h1)
+        s2 = sol.policy.variance
+        assert g0 - h0 == pytest.approx(
+            -DS_MODEL.n / 2.0 * s2 + DS_MODEL.lam * sol.policy.entropy(), abs=1e-14)
 
 
 class TestMcValue:

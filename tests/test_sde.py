@@ -66,6 +66,12 @@ def assert_leading_rows_equal(big, small):
                                   getattr(small.sums, name))
 
 
+def brownian(grid, seed, p):
+    """W at the grid nodes of path (seed, p), as the exact builders see it."""
+    return sde._brownian_nodes(
+        xlq.rng.normal_block(seed, p, 1, grid.n_steps), grid.dt)[0]
+
+
 def exact_row(model, x0, grid, seed, p, method, value=None):
     """The exact path of (seed, p): row p of a (p + 1)-path batch."""
     return xlq.exact_batch(model, x0, grid, seed, p + 1, method,
@@ -88,18 +94,15 @@ class TestGridAndBrownian:
 
     def test_brownian_reproducible_and_scaled(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=500)
-        p1 = xlq.BrownianPath.generate(grid, 42, 7)
-        p2 = xlq.BrownianPath.generate(grid, 42, 7)
-        assert np.array_equal(p1.increments, p2.increments)
-        assert p1.values[0] == 0.0
-        assert np.allclose(np.diff(p1.values), p1.increments)
-        other = xlq.BrownianPath.generate(grid, 42, 8)
-        assert not np.array_equal(p1.increments, other.increments)
+        w = brownian(grid, 42, 7)
+        assert np.array_equal(w, brownian(grid, 42, 7))
+        assert w[0] == 0.0
+        z = xlq.rng.normal_block(42, 7, 1, grid.n_steps)[0]
+        assert np.allclose(np.diff(w), z * math.sqrt(grid.dt))
+        assert not np.array_equal(w, brownian(grid, 42, 8))
 
     def test_increment_distribution(self):
-        grid = xlq.PathGrid(dt=0.04, n_steps=20000)
-        path = xlq.BrownianPath.generate(grid, 1, 0)
-        z = path.increments / math.sqrt(grid.dt)
+        z = xlq.rng.normal_block(1, 0, 1, 20000)[0]
         assert abs(z.mean()) < 0.03
         assert abs(z.std() - 1.0) < 0.02
         ks = stats.kstest(z, "norm")
@@ -394,9 +397,8 @@ class TestExactPathD0:
         model = xlq.LqModel(a=0, b=1, c=1, d=0, m=0, n=1, r=0, p=0, q=0,
                             rho=1, lam=0.2)
         grid = xlq.PathGrid(dt=1e-3, n_steps=1000)
-        path = xlq.BrownianPath.generate(grid, 7, 0)
         exact = exact_row(model, 1.0, grid, 7, 0, "d0")
-        gbm = np.exp(-0.5 * grid.times() + path.values)
+        gbm = np.exp(-0.5 * grid.times() + brownian(grid, 7, 0))
         assert np.allclose(exact, gbm, atol=1e-12)
 
     def test_deterministic_reduction(self):
@@ -428,7 +430,7 @@ class TestExactPathD0:
             em = xlq.simulate_exploratory(D0_MODEL, policy, 1.0, grid, 99,
                                           100, record_paths=False)
             ex = xlq.exact_batch(D0_MODEL, 1.0, grid, 99, 100, method="d0")
-            errors.append(xlq.endpoint_rms_error(em, ex))
+            errors.append(xlq.endpoint_errors(em, ex)[0])
         assert errors[1] < errors[0]
         order = math.log10(errors[0] / errors[1])
         assert order >= 0.4
@@ -439,10 +441,9 @@ class TestExactPathC0:
         model = xlq.LqModel(a=0, b=1, c=0, d=1, m=0, n=2, r=0, p=0, q=0,
                             rho=0.5, lam=1.0)  # b*q = 0
         grid = xlq.PathGrid(dt=0.01, n_steps=200)
-        path = xlq.BrownianPath.generate(grid, 3, 1)
         exact = exact_row(model, 0.5, grid, 3, 1, "c0")
         sigma = abs(model.d) / model.n * math.sqrt(model.lam * model.n)
-        assert np.allclose(exact, 0.5 + sigma * path.values, atol=1e-12)
+        assert np.allclose(exact, 0.5 + sigma * brownian(grid, 3, 1), atol=1e-12)
 
     def test_stationary_variance_matches_moment_fixed_point(self):
         # a = -1, q = 0: var(inf) = c1/(2|a|) = d^2 lam / (2 n).
@@ -481,7 +482,7 @@ class TestExactPathC0:
             em = xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, 99,
                                           100, record_paths=False)
             ex = xlq.exact_batch(C0_MODEL, 1.0, grid, 99, 100, method="c0")
-            errors.append(xlq.endpoint_rms_error(em, ex))
+            errors.append(xlq.endpoint_errors(em, ex)[0])
         assert errors[1] < errors[0]
         assert math.log10(errors[0] / errors[1]) >= 0.4
 
@@ -491,7 +492,7 @@ class TestDossSaussman:
         value, _ = xlq.exploratory_solution(DS_MODEL)
         transform = xlq.DossSaussmanTransform.from_solution(DS_MODEL, value)
         for y in (-3.0, -0.2, 0.0, 1.7, 8.0):
-            assert transform.f(0.0, y) == pytest.approx(y, abs=1e-12)
+            assert transform.terms(0.0, y)[0] == pytest.approx(y, abs=1e-12)
 
     def test_dfdz_finite_difference(self, rng):
         value, _ = xlq.exploratory_solution(DS_MODEL)
@@ -500,11 +501,12 @@ class TestDossSaussman:
         for _ in range(50):
             z = rng.uniform(-2, 2)
             y = rng.uniform(-3, 3)
-            fd = (transform.f(z + h, y) - transform.f(z - h, y)) / (2 * h)
+            fd = (transform.terms(z + h, y)[0] - transform.terms(z - h, y)[0]) / (2 * h)
             c = transform.coeffs
-            target = math.sqrt((c.b1 * transform.f(z, y) + c.b2) ** 2 + c.c1)
+            f, df_dz, _ = transform.terms(z, y)
+            target = math.sqrt((c.b1 * f + c.b2) ** 2 + c.c1)
             assert fd == pytest.approx(target, abs=1e-6, rel=1e-6)
-            assert transform.df_dz(z, y) == pytest.approx(target, abs=1e-10)
+            assert df_dz == pytest.approx(target, abs=1e-10)
 
     def test_dfdy_finite_difference(self, rng):
         value, _ = xlq.exploratory_solution(DS_MODEL)
@@ -513,8 +515,8 @@ class TestDossSaussman:
         for _ in range(20):
             z = rng.uniform(-2, 2)
             y = rng.uniform(-3, 3)
-            fd = (transform.f(z, y + h) - transform.f(z, y - h)) / (2 * h)
-            assert transform.df_dy(z, y) == pytest.approx(fd, rel=1e-6)
+            fd = (transform.terms(z, y + h)[0] - transform.terms(z, y - h)[0]) / (2 * h)
+            assert transform.terms(z, y)[2] == pytest.approx(fd, rel=1e-6)
 
     def test_strong_convergence_against_euler(self):
         value, policy = xlq.exploratory_solution(DS_MODEL)
@@ -525,7 +527,7 @@ class TestDossSaussman:
                                           100, record_paths=False)
             ex = xlq.exact_batch(DS_MODEL, 1.0, grid, 99, 100,
                                  method="doss_saussman", value=value)
-            errors.append(xlq.endpoint_rms_error(em, ex))
+            errors.append(xlq.endpoint_errors(em, ex)[0])
         assert errors[1] < errors[0]
         assert math.log10(errors[0] / errors[1]) >= 0.4
 
@@ -633,15 +635,29 @@ class TestStrongError:
         _, policy = xlq.exploratory_solution(DS_MODEL)
         grid = xlq.PathGrid(dt=0.01, n_steps=50)
         b = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 16)
-        assert xlq.strong_error(b, b) == (0.0, 0.0)
+        assert xlq.endpoint_errors(b, b) == (0.0, 0.0, 0.0)
+
+    def test_rms_max_mean_of_the_signed_deviation(self):
+        sol = xlq.solve(DS_MODEL)
+        grid = xlq.PathGrid(dt=0.01, n_steps=50)
+        a = xlq.simulate_exploratory(DS_MODEL, sol.policy, 1.0, grid, 3, 16)
+        b = xlq.simulate_exploratory(DS_MODEL, sol.classical_policy, 1.0, grid, 3, 16)
+        d = a.endpoints - b.endpoints
+        assert xlq.endpoint_errors(a, b) == (
+            float(np.sqrt((d * d).mean())), float(np.abs(d).max()),
+            float(np.abs(d).mean()))
 
     def test_mismatch_rejected(self):
         _, policy = xlq.exploratory_solution(DS_MODEL)
         grid = xlq.PathGrid(dt=0.01, n_steps=50)
         a = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 16)
-        b = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 4, 16)
-        with pytest.raises(xlq.GridMismatchError):
-            xlq.strong_error(a, b)
+        for other in (
+                xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 4, 16),
+                xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 15),
+                xlq.simulate_exploratory(DS_MODEL, policy, 1.0,
+                                         xlq.PathGrid(dt=0.02, n_steps=25), 3, 16)):
+            with pytest.raises(xlq.GridMismatchError):
+                xlq.endpoint_errors(a, other)
 
 
 class TestAdmissibilityDecaySampled:
