@@ -3,17 +3,18 @@
 Reads a flat key=value model config, runs one workflow, and writes CSV
 tables / JSON summaries plus a plain-text report.  Exit codes: 0 on
 success, 1 for configuration errors, 2 for model-validation failures,
-3 for numerical failures; every error names the violated condition on
-standard error.  Outputs are byte-identical across repeated runs with
-the same inputs.  ``--seed`` and ``--parallelism`` override ``sim.seed``
-and ``sim.parallelism`` and meet the same checks in
-:func:`config.sim_settings`; the parallelism must be >= 1 and has no
-effect: paths are simulated serially.
+3 for numerical and other library failures; every error names the
+violated condition on standard error.  Outputs are byte-identical
+across repeated runs with the same inputs.  ``--seed`` and
+``--parallelism`` override ``sim.seed`` and ``sim.parallelism`` and
+meet the same checks in :func:`config.sim_settings`; the parallelism
+must be >= 1 and has no effect: paths are simulated serially.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -281,9 +282,20 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run(spec: RunSpec) -> int:
-    """Execute one resolved RunSpec; returns the process exit status."""
+    """Execute one resolved RunSpec; returns the process exit status.
+
+    A command that fails removes the output directories it created, if
+    it left them empty.
+    """
+    created = [d for d in (spec.out_dir, *spec.out_dir.parents) if not d.exists()]
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _DISPATCH[spec.command](spec)
+    try:
+        _DISPATCH[spec.command](spec)
+    except BaseException:
+        for d in created:  # innermost first; rmdir refuses a non-empty one
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     return 0
 
 

@@ -99,6 +99,9 @@ def riccati_roots(model: LqModel) -> tuple[float, float]:
     The convex root exists only as a diagnostic; it does not produce a
     value function.  When the quadratic degenerates to a linear
     equation (b + cd = 0 and d = 0) both entries equal its unique root.
+    Where num - sqrt(disc) would cancel (num > 0 and the difference
+    below num / 2), the concave root is taken in the product form
+    2 (r^2 - mn) / (num + sqrt(disc)), which does not.
     """
     beta = model.b + model.c * model.d
     shift = model.rho - (2.0 * model.a + model.c ** 2)
@@ -111,12 +114,17 @@ def riccati_roots(model: LqModel) -> tuple[float, float]:
             raise NoConcaveRootError("curvature equation is degenerate")
         root = (model.r ** 2 / model.n - model.m) / shift
         return root, root
-    disc = num ** 2 - 4.0 * den * (model.r ** 2 - model.m * model.n)
+    const = model.r ** 2 - model.m * model.n
+    disc = num ** 2 - 4.0 * den * const
     if disc < 0:
         raise NoConcaveRootError(
             f"negative discriminant {disc!r} in the curvature quadratic")
     sq = math.sqrt(disc)
-    return (num - sq) / (2.0 * den), (num + sq) / (2.0 * den)
+    if num > 0 and abs(num - sq) < num / 2.0:
+        concave = 2.0 * const / (num + sq)
+    else:
+        concave = (num - sq) / (2.0 * den)
+    return concave, (num + sq) / (2.0 * den)
 
 
 def solve_k2(model: LqModel) -> float:

@@ -21,10 +21,12 @@ batch size or the chunk it was stepped in.  The Euler kernel steps
 2048 paths at a time, wide enough that NumPy's per-call overhead is
 small against each step's work, and draws their noise in blocks of 512
 steps: at most about 8 MB of normals per stream per chunk.  Exact paths
-go 512 at a time with the whole horizon in one block, because their
-builders need the whole Brownian path.  Chunks run serially: the
-per-step work is short NumPy calls that hold the interpreter lock, so
-threads do not speed it up.
+go 512 at a time and draw each chunk's whole horizon in one block,
+because the d0 builder needs the whole Brownian path at once; the
+Doss-Saussmann builder walks it 64 steps at a time and keeps no
+whole-horizon copy of W.  Chunks run serially: the per-step work is
+short NumPy calls that hold the interpreter lock, so threads do not
+speed it up.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from . import rng
 from .closed_form import policy_from_value
 from .constants import ABS_TOL, DIVERGENCE_THRESHOLD, DS_DEFECT_TOL, ODE_SUBSTEPS
 from .errors import (
+    ExploratoryLqError,
     GridMismatchError,
     NumericalError,
     SimulationDivergedError,
@@ -50,9 +53,14 @@ from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 # block holds at most 2048 x 512 normals (8 MB) per stream.
 _CHUNK = 2048
 _STEP_BLOCK = 512
-# Exact-path paths per chunk.  The builders need a path's whole Brownian
-# motion, so each chunk draws its whole horizon in one block.
+# Exact-path paths per chunk.  The d0 builder needs a path's whole
+# Brownian motion at once, so each chunk draws its whole horizon in one
+# block.
 _EXACT_CHUNK = 512
+# Grid steps per Doss-Saussmann block: the block's W, its interpolated
+# |b1| W and its Y nodes are held step-major, so every RK4 stage works
+# on contiguous rows of one path-width each.
+_DS_STEP_BLOCK = 64
 
 # The text NumPy wraps around a float64's Python repr: ("np.float64(", ")")
 # on NumPy 2, ("", "") on 1.x.
@@ -197,6 +205,17 @@ def _check_n_paths(n_paths: int) -> None:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
 
 
+def _node_array(n_paths: int, n_steps: int) -> np.ndarray:
+    """Uninitialized (n_paths, n_steps + 1) array for every node of every
+    path; ExploratoryLqError when it cannot be allocated."""
+    try:
+        return np.empty((n_paths, n_steps + 1))
+    except (ValueError, MemoryError) as exc:
+        raise ExploratoryLqError(
+            f"{n_paths} paths x {n_steps + 1} nodes of float64 cannot be "
+            f"allocated ({exc})") from None
+
+
 def _chunk_ranges(n_paths: int, width: int):
     return [(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
 
@@ -213,11 +232,13 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
     :func:`~exploratory_lq.model.derived_coeffs`.  A policy with variance
     zero gives c1 = 0: the classical SDE under u(x) = slope*x + intercept.
 
-    ``record_paths`` keeps every node in ``states`` and ``checkpoints``
-    the listed nodes in ``checkpoint_states``; ``discount_rate`` adds the
-    :class:`DiscountedSums`, and ``action_noise`` (which needs it) their
-    sums over an independent per-path action stream.  ``parallelism`` is
-    accepted for compatibility and has no effect.
+    ``record_paths`` keeps every node in ``states`` (ExploratoryLqError,
+    before any noise is drawn, when that array cannot be allocated) and
+    ``checkpoints`` the listed nodes in ``checkpoint_states``;
+    ``discount_rate`` adds the :class:`DiscountedSums`, and
+    ``action_noise`` (which needs it) their sums over an independent
+    per-path action stream.  ``parallelism`` is accepted for
+    compatibility and has no effect.
     """
     _check_n_paths(n_paths)
     if action_noise and discount_rate is None:
@@ -230,7 +251,7 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
     endpoints = np.empty(n_paths)
     diverged = np.zeros(n_paths, dtype=bool)
     div_step = np.full(n_paths, -1, dtype=np.int64)
-    states = np.empty((n_paths, k_steps + 1)) if record_paths else None
+    states = _node_array(n_paths, k_steps) if record_paths else None
     cp_states = {c: np.empty(n_paths) for c in cp}
     weights = _discount_weights(discount_rate, grid) if discount_rate is not None else None
     if weights is not None:
@@ -420,7 +441,8 @@ class DossSaussmanTransform:
 
     F(z, y) = (sqrt(c1)/|b1|) sinh(|b1| z + asinh((|b1|/sqrt(c1)) (y + b2/b1))) - b2/b1
     satisfies dF/dz = sqrt((b1 F + b2)^2 + c1) with F(0, y) = y,
-    and Y follows the per-path ODE dY/dt = G(W_t, Y_t).
+    and Y follows the per-path ODE dY/dt = G(W_t, Y_t) with
+    G = (a1 F + a2 - b1/2 (b1 F + b2)) / (dF/dy).
     """
 
     coeffs: DerivedCoeffs
@@ -442,65 +464,124 @@ class DossSaussmanTransform:
                 "effective volatility slope vanishes; use the c = 0 exact path")
         return cls(coeffs)
 
+    def _scales(self) -> tuple[float, float, float]:
+        """(sqrt(c1), |b1|, b2/b1), the constants F is built from."""
+        c = self.coeffs
+        return math.sqrt(c.c1), abs(c.b1), c.b2 / c.b1
+
     def terms(self, z, y):
         """(F, dF/dz, dF/dy) at (z, y) from one arcsinh, sinh and cosh."""
-        c = self.coeffs
-        root = math.sqrt(c.c1)
-        ac = abs(c.b1)
-        shift = c.b2 / c.b1
+        root, ac, shift = self._scales()
         w = ac / root * (y + shift)
         arg = ac * z + np.arcsinh(w)
         cosh = np.cosh(arg)
         return (root / ac * np.sinh(arg) - shift, root * cosh,
                 cosh / np.sqrt(1.0 + w * w))
 
-    def g(self, z, y):
-        c = self.coeffs
-        fv, _, dfy = self.terms(z, y)
-        num = c.a1 * fv + c.a2 - c.b1 / 2.0 * (c.b1 * fv + c.b2)
-        return num / dfy
-
 
 def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     """Integrate Y per path (RK4, ODE_SUBSTEPS steps per grid step, W
     linearly interpolated inside steps) and map nodes through F.
-    Verifies the defining diffusion ODE of F at every evaluated node to
-    DS_DEFECT_TOL."""
+    Verifies the defining diffusion ODE of F at every node to
+    DS_DEFECT_TOL, and raises NumericalError on a larger or non-finite
+    defect.
+
+    The grid goes _DS_STEP_BLOCK steps at a time, step-major: a block's
+    Brownian nodes continue the previous block's last node, every
+    |b1| W the RK4 stages read is interpolated in one pass, and each
+    stage is a few NumPy calls into preallocated (n_paths,) rows.  The
+    arithmetic is the per-node recursion's, operation for operation.
+    """
     if value is None:
         raise ValueError("doss_saussman batch needs the value function")
     transform = DossSaussmanTransform.from_solution(model, value)
-    coeffs = transform.coeffs
+    c = transform.coeffs
+    a1, a2, b1, b2 = c.a1, c.a2, c.b1, c.b2
+    root, ac, shift = transform._scales()
+    to_w, to_f, half_b1 = ac / root, root / ac, b1 / 2.0
     dt = grid.dt
+    sq_dt = math.sqrt(dt)
     h = dt / ODE_SUBSTEPS
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    # Where in a step the stages read W: j/S, (j + 0.5)/S and (j + 1)/S
+    # for substep j of S, shared between neighbouring substeps.
+    fractions = (np.arange(2 * ODE_SUBSTEPS + 1) * 0.5 / ODE_SUBSTEPS)[:, None]
+
+    def stage(acw, y, out, t_w, t_f):
+        """out = G(W, y) for acw = |b1| W; t_w and t_f are work buffers."""
+        np.add(y, shift, t_w)
+        t_w *= to_w                       # w = |b1|/sqrt(c1) (y + b2/b1)
+        np.arcsinh(t_w, t_f)
+        t_f += acw                        # arg = |b1| W + asinh(w)
+        np.cosh(t_f, out)
+        np.sinh(t_f, t_f)
+        t_f *= to_f
+        t_f -= shift                      # F
+        t_w *= t_w
+        t_w += 1.0
+        np.sqrt(t_w, t_w)
+        out /= t_w                        # dF/dy = cosh(arg) / sqrt(1 + w^2)
+        np.multiply(t_f, b1, t_w)
+        t_w += b2
+        t_w *= half_b1
+        t_f *= a1
+        t_f += a2
+        t_f -= t_w                        # a1 F + a2 - b1/2 (b1 F + b2)
+        np.divide(t_f, out, out)
 
     def build(z: np.ndarray) -> np.ndarray:
-        w = _brownian_nodes(z, dt)
-        m, nodes = w.shape
-        y = np.full(m, float(x0))
-        out = np.empty((m, nodes))
+        m, k_steps = z.shape
+        width = min(_DS_STEP_BLOCK, k_steps)
+        out = np.empty((m, k_steps + 1))
         out[:, 0] = x0
-        worst = 0.0
-        for k in range(nodes - 1):
-            w0 = w[:, k]
-            dw = w[:, k + 1] - w0
-            for j in range(ODE_SUBSTEPS):
-                z0 = w0 + dw * (j / ODE_SUBSTEPS)
-                zh = w0 + dw * ((j + 0.5) / ODE_SUBSTEPS)
-                z1 = w0 + dw * ((j + 1.0) / ODE_SUBSTEPS)
-                k1 = transform.g(z0, y)
-                k2 = transform.g(zh, y + 0.5 * h * k1)
-                k3 = transform.g(zh, y + 0.5 * h * k2)
-                k4 = transform.g(z1, y + h * k3)
-                y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            x, dfz, _ = transform.terms(w[:, k + 1], y)
-            defect = np.abs(dfz - np.sqrt(
-                (coeffs.b1 * x + coeffs.b2) ** 2 + coeffs.c1))
-            scale = np.maximum(1.0, np.abs(dfz))
-            worst = max(worst, float((defect / scale).max()))
-            out[:, k + 1] = x
-        if worst > DS_DEFECT_TOL:
-            raise NumericalError(
-                f"Doss-Saussmann transform violated its defining ODE ({worst:.3g})")
+        # Row 0 carries the last node of the previous block (W_0 = 0).
+        w_buf = np.zeros((width + 1, m))
+        dw_buf = np.empty((width, 1, m))
+        acw_buf = np.empty((width, fractions.size, m))
+        y_buf = np.empty((width, m))
+        y = np.full(m, float(x0))
+        k1, k2, k3, k4, y_in, t_w, t_f = (np.empty(m) for _ in range(7))
+        for k0 in range(0, k_steps, width):
+            n = min(width, k_steps - k0)
+            w = w_buf[:n + 1]
+            np.multiply(z[:, k0:k0 + n].T, sq_dt, w[1:])
+            np.cumsum(w, axis=0, out=w)
+            dw = dw_buf[:n]
+            np.subtract(w[1:, None], w[:-1, None], dw)
+            acw = acw_buf[:n]
+            np.multiply(dw, fractions, acw)
+            acw += w[:-1, None]
+            acw *= ac
+            for k in range(n):
+                for j in range(0, 2 * ODE_SUBSTEPS, 2):
+                    z0, zh, z1 = acw[k, j], acw[k, j + 1], acw[k, j + 2]
+                    stage(z0, y, k1, t_w, t_f)
+                    np.multiply(k1, half_h, y_in)
+                    y_in += y
+                    stage(zh, y_in, k2, t_w, t_f)
+                    np.multiply(k2, half_h, y_in)
+                    y_in += y
+                    stage(zh, y_in, k3, t_w, t_f)
+                    np.multiply(k3, h, y_in)
+                    y_in += y
+                    stage(z1, y_in, k4, t_w, t_f)
+                    k2 *= 2.0
+                    k1 += k2
+                    k3 *= 2.0
+                    k1 += k3
+                    k1 += k4
+                    k1 *= sixth_h
+                    y += k1
+                y_buf[k] = y
+            x, dfz, _ = transform.terms(w[1:], y_buf[:n])
+            defect = np.abs(dfz - np.sqrt((b1 * x + b2) ** 2 + c.c1))
+            worst = (defect / np.maximum(1.0, np.abs(dfz))).max()
+            if not worst <= DS_DEFECT_TOL:
+                raise NumericalError(
+                    "Doss-Saussmann transform violated its defining ODE "
+                    f"({worst:.3g}) in steps {k0 + 1}-{k0 + n}")
+            out[:, k0 + 1:k0 + n + 1] = x.T
+            w_buf[0] = w[n]
         return out
 
     return build
@@ -512,8 +593,8 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     per-path Brownian streams; method one of 'd0', 'c0',
     'doss_saussman' ('doss_saussman' needs the value function).
 
-    The path count, the method and its regime are checked before any
-    noise is drawn.
+    The path count, the method, its regime and the room for every node
+    are checked before any noise is drawn.
     """
     _check_n_paths(n_paths)
     if method == "d0":
@@ -524,7 +605,7 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
         build = _doss_saussman_builder(model, x0, grid, value)
     else:
         raise ValueError(f"unknown exact-path method {method!r}")
-    states = np.empty((n_paths, grid.n_steps + 1))
+    states = _node_array(n_paths, grid.n_steps)
     for lo, hi in _chunk_ranges(n_paths, _EXACT_CHUNK):
         states[lo:hi] = build(rng.normal_block(seed, lo, hi - lo, grid.n_steps))
     endpoints = states[:, -1].copy()

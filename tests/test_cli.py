@@ -227,6 +227,17 @@ class TestInputChecks:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unallocatable_recorded_paths_exit_3(self, tmp_path, capsys):
+        # 1000 x (1e17 + 1) recorded nodes exceed any address space.
+        rc = self.run(tmp_path, S1_CONFIG, "simulate",
+                      keys={"sim.n_steps": "100000000000000000",
+                            "sim.n_paths": "1000"})
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1000 paths x 100000000000000001 nodes")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_vanishing_volatility_slope_exit_3(self, tmp_path, capsys):
         # A valid model whose optimal slope is exactly -1, so
         # b1 = c + d * slope = 0: no Doss-Saussmann path exists.

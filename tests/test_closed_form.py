@@ -7,7 +7,9 @@ Boltzmann numerator for the softmax density, and direct evaluation of
 the ansatz equations for the residual checks.
 """
 
+import decimal
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +36,22 @@ def quadratic_roots_oracle(model):
     num = shift * model.n + 2 * beta * model.r - model.d ** 2 * model.m
     roots = np.roots([den, -num, -(model.m * model.n - model.r ** 2)])
     return np.sort(roots.real)
+
+
+def concave_root_decimal(model, digits=50):
+    """Concave root (num - sqrt(disc)) / (2 den) of the curvature
+    quadratic in ``digits``-digit decimal arithmetic on the model's
+    exact binary constants."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        a, b, c, d, m, n, r, rho = (decimal.Decimal(getattr(model, k))
+                                    for k in ("a", "b", "c", "d", "m", "n", "r", "rho"))
+        beta = b + c * d
+        shift = rho - (2 * a + c * c)
+        den = beta * beta + shift * d * d
+        num = shift * n + 2 * beta * r - d * d * m
+        disc = num * num - 4 * den * (r * r - m * n)
+        return float((num - disc.sqrt()) / (2 * den))
 
 
 class TestSolveK2:
@@ -68,6 +86,39 @@ class TestSolveK2:
         assert concave < 0 < convex
         assert xlq.solve_k2(model) == concave
         assert abs(xlq.k2_residual(model, convex)) < 1e-9
+
+    def test_small_quadratic_term_does_not_cancel(self):
+        # c = d = 0 and a tiny b make den = b^2 tiny next to num = rho n,
+        # where num - sqrt(disc) cancels: the textbook form loses up to
+        # every digit of k2 here (one draw gave k2 = 0.0 with m > 0).
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(1500):
+            model = replace(random_valid_model(rng), c=0.0, d=0.0,
+                            b=float(rng.choice([-1.0, 1.0])
+                                    * 10.0 ** rng.uniform(-6.0, -2.0)),
+                            rho=float(rng.uniform(5.0, 60.0)))
+            assert xlq.check_model(model) == []
+            k2 = xlq.solve_k2(model)
+            ref = concave_root_decimal(model)
+            assert k2 < 0
+            worst = max(worst, abs(k2 - ref) / abs(ref))
+        assert worst <= 1e-12
+
+    def test_noisier_environment_ladder_is_certified(self):
+        # The models and control-volatility ladder of
+        # test_acceptance::test_11 (seed 414243 + 8, rho = 50).
+        rng = np.random.default_rng(414243 + 8)
+        xs = np.linspace(-10.0, 10.0, 41)
+        worst = 0.0
+        for _ in range(200):
+            model = random_valid_model(rng, rho=50.0)
+            for d in np.linspace(0.0, 3.0, 31):
+                rung = replace(model, d=float(d))
+                sol = xlq.solve(rung)
+                worst = max(worst, float(np.max(np.abs(xlq.hjb_residual(
+                    rung, sol.value, xs, "exploratory")))))
+        assert worst <= 1e-9
 
     def test_negative_discriminant_has_no_concave_root(self):
         # rho = 0 fails validation, which riccati_roots does not run:

@@ -2,12 +2,15 @@
 
 Exact-path checks lean on external truth: the geometric-Brownian
 reduction for d = 0, the stationary Ornstein-Uhlenbeck moments for
-c = 0, and finite differences for the Doss-Saussmann transform.
+c = 0, and finite differences for the Doss-Saussmann transform, whose
+step-blocked builder must also give the bits of the plain per-node RK4
+recursion.
 """
 
 import hashlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import exploratory_lq as xlq
-from exploratory_lq import sde
+from exploratory_lq import cli, sde
+from exploratory_lq.constants import ODE_SUBSTEPS
 from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1
 
 # Explosive multiplicative noise: the Euler state grows by a random
@@ -25,6 +29,10 @@ from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1
 EXPLOSIVE = xlq.LqModel(a=30.0, b=0, c=4.0, d=0, m=0, n=1, r=0, p=0, q=0,
                         rho=1, lam=0.1)
 EXPLOSIVE_POLICY = xlq.AffineGaussianPolicy(0.0, 0.0, 0.1)
+
+# DS_MODEL with (c, d) negated: the same optimal slope, so the effective
+# volatility slope b1 = c + d * slope has the opposite sign.
+DS_MIRROR = replace(DS_MODEL, c=-DS_MODEL.c, d=-DS_MODEL.d)
 
 
 def chunking_sizes(chunk):
@@ -544,6 +552,87 @@ class TestDossSaussman:
             exact_row(S1, 1.0, grid, 7, 0, "doss_saussman", value)
 
 
+def per_node_doss_saussman(model, x0, grid, seed, n_paths):
+    """Reference Doss-Saussmann batch, one grid node at a time: each RK4
+    substep interpolates W anew and evaluates the drift of Y,
+    G(z, y) = (a1 F + a2 - b1/2 (b1 F + b2)) / (dF/dy), through
+    ``terms``."""
+    value = xlq.exploratory_solution(model)[0]
+    transform = xlq.DossSaussmanTransform.from_solution(model, value)
+    c = transform.coeffs
+
+    def g(z, y):
+        fv, _, dfy = transform.terms(z, y)
+        num = c.a1 * fv + c.a2 - c.b1 / 2.0 * (c.b1 * fv + c.b2)
+        return num / dfy
+
+    w = sde._brownian_nodes(
+        xlq.rng.normal_block(seed, 0, n_paths, grid.n_steps), grid.dt)
+    h = grid.dt / ODE_SUBSTEPS
+    y = np.full(n_paths, float(x0))
+    out = np.empty_like(w)
+    out[:, 0] = x0
+    for k in range(grid.n_steps):
+        w0 = w[:, k]
+        dw = w[:, k + 1] - w0
+        for j in range(ODE_SUBSTEPS):
+            z0 = w0 + dw * (j / ODE_SUBSTEPS)
+            zh = w0 + dw * ((j + 0.5) / ODE_SUBSTEPS)
+            z1 = w0 + dw * ((j + 1.0) / ODE_SUBSTEPS)
+            k1 = g(z0, y)
+            k2 = g(zh, y + 0.5 * h * k1)
+            k3 = g(zh, y + 0.5 * h * k2)
+            k4 = g(z1, y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[:, k + 1] = transform.terms(w[:, k + 1], y)[0]
+    return out
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestDossSaussmanBlocks:
+    """The step-blocked builder gives the per-node recursion's bits."""
+
+    @pytest.mark.parametrize("dt", cli.CONVERGENCE_DTS)
+    def test_convergence_grids(self, dt):
+        grid = xlq.PathGrid(dt=dt, n_steps=int(round(cli.CONVERGENCE_HORIZON / dt)))
+        value = xlq.exploratory_solution(DS_MODEL)[0]
+        batch = xlq.exact_batch(DS_MODEL, 1.0, grid, 1, 6, "doss_saussman", value)
+        assert_same_bits(batch.states, per_node_doss_saussman(DS_MODEL, 1.0, grid, 1, 6))
+
+    @pytest.mark.parametrize("model, sign", [(DS_MODEL, 1.0), (DS_MIRROR, -1.0)])
+    @pytest.mark.parametrize("steps_past_blocks", [
+        (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_block_boundaries(self, model, sign, steps_past_blocks):
+        blocks, extra = steps_past_blocks
+        n_steps = max(1, blocks * sde._DS_STEP_BLOCK + extra)
+        value = xlq.exploratory_solution(model)[0]
+        b1 = xlq.DossSaussmanTransform.from_solution(model, value).coeffs.b1
+        assert math.copysign(1.0, b1) == sign
+        grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
+        batch = xlq.exact_batch(model, -0.4, grid, 3, 7, "doss_saussman", value)
+        assert_same_bits(batch.states, per_node_doss_saussman(model, -0.4, grid, 3, 7))
+
+    def test_non_finite_defect_raises(self, monkeypatch):
+        # An absurd increment in one path overflows F there; the other
+        # paths stay finite, so a max that skipped NaN would pass.
+        real = xlq.rng.normal_block
+
+        def poisoned(*args, **kwargs):
+            z = real(*args, **kwargs)
+            z[1] = 1e200
+            return z
+
+        monkeypatch.setattr(xlq.rng, "normal_block", poisoned)
+        value = xlq.exploratory_solution(DS_MODEL)[0]
+        grid = xlq.PathGrid(dt=1e-2, n_steps=100)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(xlq.NumericalError, match="defining ODE"):
+            xlq.exact_batch(DS_MODEL, 1.0, grid, 1, 4, "doss_saussman", value)
+
+
 class TestExactBatch:
     @pytest.mark.parametrize("method, model, n_steps", [
         ("d0", D0_MODEL, 100), ("c0", C0_MODEL, 100),
@@ -589,6 +678,23 @@ class TestExactBatch:
             xlq.exact_batch(C0_MODEL, 1.0, grid, 7, -1, "c0")
         xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 4, "c0")
         assert len(calls) == 1
+
+    def test_unallocatable_batch_rejected_before_noise(self, monkeypatch):
+        # 1000 x (1e17 + 1) float64 nodes exceed any address space.
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
+        grid = xlq.PathGrid(dt=0.01, n_steps=10 ** 17)
+        policy = xlq.state_independent_policy(C0_MODEL)
+        calls = (
+            lambda: xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 1000, "c0"),
+            lambda: xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, 7, 1000),
+        )
+        for call in calls:
+            with pytest.raises(xlq.ExploratoryLqError,
+                               match="1000 paths x 100000000000000001 nodes"):
+                call()
 
 
 class TestChunkWidths:
