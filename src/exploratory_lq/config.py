@@ -18,10 +18,10 @@ key; the CLI's ``--seed`` and ``--parallelism`` arrive as ``sim.seed``
 and ``sim.parallelism``, so a flag meets the same check as its key.
 :class:`~exploratory_lq.sde.PathGrid` owns the grid rules (0 < dt < inf,
 1 <= n_steps within float range, a finite horizon dt * n_steps),
-``sde._check_n_paths`` the path count's, and
-:func:`~exploratory_lq.model.check_model` the model's, finiteness
-included.  :func:`sweep_lambdas` requires each temperature to be
-positive and finite.
+``sde._check_batch`` the path count's and x0's, ``rng.valid_seed`` the
+seed's, and :func:`~exploratory_lq.model.check_model` the model's,
+finiteness included.  :func:`sweep_lambdas` requires each temperature
+to be positive and finite.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from .errors import ConfigError
 from .model import LqModel
 from .rng import valid_seed
-from .sde import PathGrid, _check_n_paths
+from .sde import PathGrid, _check_batch
 
 MODEL_KEYS = {
     "dynamics.a": "a",
@@ -124,10 +124,8 @@ def sim_settings(mapping: dict[str, str]) -> dict:
     if parallelism < 1:
         raise ConfigError(
             f"sim.parallelism (--parallelism) must be >= 1, got {parallelism}")
-    if not math.isfinite(x0):
-        raise ConfigError(f"sim.x0 must be finite, got {x0}")
     try:
-        _check_n_paths(n_paths)
+        _check_batch(n_paths, x0)
         grid = PathGrid(dt=_float(mapping, "sim.dt") if "sim.dt" in mapping else 1e-2,
                         n_steps=_int(mapping, "sim.n_steps", 1000))
     except ValueError as exc:

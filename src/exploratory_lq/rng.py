@@ -40,7 +40,7 @@ _INV_2_53 = 2.0 ** -53
 
 def valid_seed(seed: int) -> bool:
     """Seeds are unsigned 64-bit integers: they fill one Philox key word."""
-    return 0 <= seed < 2 ** 64
+    return isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,

@@ -17,16 +17,14 @@ RK4 integrator.
 
 Randomness is counter-based per path (see :mod:`exploratory_lq.rng`),
 so a path's values depend only on (seed, path_index), never on the
-batch size or the chunk it was stepped in.  The Euler kernel steps
-2048 paths at a time, wide enough that NumPy's per-call overhead is
-small against each step's work, and draws their noise in blocks of 512
-steps: at most about 8 MB of normals per stream per chunk.  Exact paths
-go 512 at a time and draw each chunk's whole horizon in one block,
-because the d0 builder needs the whole Brownian path at once; the
-Doss-Saussmann builder walks it 64 steps at a time and keeps no
-whole-horizon copy of W.  Chunks run serially: the per-step work is
-short NumPy calls that hold the interpreter lock, so threads do not
-speed it up.
+batch size or the chunk it was stepped in.  Every sample path, Euler or
+exact, is walked the same way: 2048 paths per chunk, wide enough that
+NumPy's per-call overhead is small against each step's work, with their
+noise drawn in blocks of 512 steps into one reused buffer per stream
+(at most about 8 MB of normals).  The exact builders carry what crosses
+a block edge and write each block's nodes straight into the batch.
+Chunks run serially: the per-step work is short NumPy calls that hold
+the interpreter lock, so threads do not speed it up.
 """
 
 from __future__ import annotations
@@ -49,18 +47,11 @@ from .errors import (
 )
 from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 
-# Euler paths per chunk, and steps per noise block within a chunk: a
-# block holds at most 2048 x 512 normals (8 MB) per stream.
+# Paths per chunk, and steps per noise block within a chunk, for Euler
+# and exact paths alike: a block holds at most 2048 x 512 normals (8 MB)
+# per stream.
 _CHUNK = 2048
 _STEP_BLOCK = 512
-# Exact-path paths per chunk.  The d0 builder needs a path's whole
-# Brownian motion at once, so each chunk draws its whole horizon in one
-# block.
-_EXACT_CHUNK = 512
-# Grid steps per Doss-Saussmann block: the block's W, its interpolated
-# |b1| W and its Y nodes are held step-major, so every RK4 stage works
-# on contiguous rows of one path-width each.
-_DS_STEP_BLOCK = 64
 
 # The text NumPy wraps around a float64's Python repr: ("np.float64(", ")")
 # on NumPy 2, ("", "") on 1.x.
@@ -196,13 +187,13 @@ class TrajectoryBatch:
                               for h, x in zip(heads, self.states[p].tolist())]))
 
 
-def _discount_weights(rho: float, grid: PathGrid) -> np.ndarray:
-    return np.exp(-rho * grid.times()[:-1]) * grid.dt
-
-
-def _check_n_paths(n_paths: int) -> None:
+def _check_batch(n_paths: int, x0: float) -> None:
+    if not isinstance(n_paths, (int, np.integer)):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
 
 
 def _node_array(n_paths: int, n_steps: int) -> np.ndarray:
@@ -216,8 +207,19 @@ def _node_array(n_paths: int, n_steps: int) -> np.ndarray:
             f"allocated ({exc})") from None
 
 
-def _chunk_ranges(n_paths: int, width: int):
-    return [(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
+def _chunk_ranges(n_paths: int):
+    return [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+
+
+def _noise_blocks(seed: int, lo: int, m: int, n_steps: int, stream=rng.STATE_STREAM):
+    """Yield (k0, z) per _STEP_BLOCK steps: z holds normals k0..k0+n-1 of
+    paths lo..lo+m-1, drawn contiguously into one reused buffer."""
+    width = min(_STEP_BLOCK, n_steps)
+    buf = np.empty(m * width)
+    for k0 in range(0, n_steps, width):
+        n = min(width, n_steps - k0)
+        yield k0, rng.normal_block(seed, lo, m, n, stream=stream, first_step=k0,
+                                   out=buf[:m * n].reshape(m, n))
 
 
 def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
@@ -240,68 +242,56 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
     per-path action stream.  ``parallelism`` is accepted for
     compatibility and has no effect.
     """
-    _check_n_paths(n_paths)
+    _check_batch(n_paths, x0)
     if action_noise and discount_rate is None:
         raise ValueError("action_noise=True requires discount_rate")
     k_steps = grid.n_steps
-    cp = sorted(set(int(c) for c in checkpoints))
-    if cp and (cp[0] < 0 or cp[-1] > k_steps):
-        raise ValueError(f"checkpoints must be grid nodes in [0, {k_steps}]")
+    if not all(isinstance(c, (int, np.integer)) and 0 <= c <= k_steps for c in checkpoints):
+        raise ValueError(f"checkpoints must be integer nodes in [0, {k_steps}]: {checkpoints}")
 
     endpoints = np.empty(n_paths)
     diverged = np.zeros(n_paths, dtype=bool)
     div_step = np.full(n_paths, -1, dtype=np.int64)
     states = _node_array(n_paths, k_steps) if record_paths else None
-    cp_states = {c: np.empty(n_paths) for c in cp}
-    weights = _discount_weights(discount_rate, grid) if discount_rate is not None else None
-    if weights is not None:
-        sum_x = np.zeros(n_paths)
-        sum_x2 = np.zeros(n_paths)
-        sum_zx = np.zeros(n_paths) if action_noise else None
-        sum_z = np.zeros(n_paths) if action_noise else None
-        sum_z2 = np.zeros(n_paths) if action_noise else None
+    cp_states = {int(c): np.empty(n_paths) for c in sorted(set(checkpoints))}
+    weights = None
+    if discount_rate is not None:
+        weights = np.exp(-discount_rate * grid.times()[:-1]) * grid.dt
+        sum_x, sum_x2 = np.zeros((2, n_paths))
+        sum_zx, sum_z, sum_z2 = np.zeros((3, n_paths)) if action_noise else (None,) * 3
 
     dt = grid.dt
     sq_dt = math.sqrt(dt)
-    cp_set = set(cp)
     coeffs = derived_coeffs(model, policy)
     a1, a2, b1, b2, c1 = coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1
-    width = min(_STEP_BLOCK, k_steps)
 
     def run_chunk(lo: int, hi: int) -> None:
         m = hi - lo
-        # Noise buffers, refilled one step block at a time.  A block of
-        # n < width steps uses the first m * n entries, so it stays
-        # contiguous.
-        z_buf = np.empty(m * width)
-        za_buf = np.empty(m * width) if (weights is not None and action_noise) else None
+        blocks = _noise_blocks(seed, lo, m, k_steps)
+        if action_noise:
+            action_blocks = _noise_blocks(seed, lo, m, k_steps, rng.ACTION_STREAM)
         x = np.full(m, float(x0))
         alive = np.ones(m, dtype=bool)
         dstep = np.full(m, -1, dtype=np.int64)
         if weights is not None:
             s_x, s_x2 = sum_x[lo:hi], sum_x2[lo:hi]
-            if za_buf is not None:
+            if action_noise:
                 s_zx, s_z, s_z2 = sum_zx[lo:hi], sum_z[lo:hi], sum_z2[lo:hi]
         if record_paths:
             states[lo:hi, 0] = x
-        for k0 in range(0, k_steps, width):
-            n = min(width, k_steps - k0)
-            z = rng.normal_block(seed, lo, m, n, first_step=k0,
-                                 out=z_buf[:m * n].reshape(m, n))
-            if za_buf is not None:
-                za = rng.normal_block(seed, lo, m, n, stream=rng.ACTION_STREAM,
-                                      first_step=k0,
-                                      out=za_buf[:m * n].reshape(m, n))
-            for j in range(n):
+        for k0, z in blocks:
+            if action_noise:
+                za = next(action_blocks)[1]
+            for j in range(z.shape[1]):
                 k = k0 + j
-                if k in cp_set:
+                if k in cp_states:
                     cp_states[k][lo:hi] = x
                 if weights is not None:
                     w = weights[k]
                     wx = w * x
                     s_x += wx
                     s_x2 += wx * x
-                    if za_buf is not None:
+                    if action_noise:
                         zk = za[:, j]
                         wz = w * zk
                         s_zx += wz * x
@@ -317,7 +307,7 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
                 x = np.where(alive, xn, x)
                 if record_paths:
                     states[lo:hi, k + 1] = x
-        if k_steps in cp_set:
+        if k_steps in cp_states:
             cp_states[k_steps][lo:hi] = x
         endpoints[lo:hi] = x
         diverged[lo:hi] = ~alive
@@ -325,7 +315,7 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
 
     # One call per chunk, so a chunk's noise buffers are freed before
     # the next chunk's are allocated.
-    for lo, hi in _chunk_ranges(n_paths, _CHUNK):
+    for lo, hi in _chunk_ranges(n_paths):
         run_chunk(lo, hi)
 
     sums = None
@@ -343,8 +333,9 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
 # Exact reference paths.  d0 and c0 solve the state-independent process
 #     dX = (a X - b q / n) dt + sqrt((c X - d q / n)^2 + lam d^2 / n) dW;
 # Doss-Saussmann solves the state-dependent optimum.  Each builder checks
-# its regime once and returns the map from a chunk's standard normals
-# (rows = paths) to its node values.
+# its regime once and returns build(blocks, out), which walks one chunk's
+# noise blocks, carries what crosses a block edge and writes nodes 1..n
+# of the chunk's paths into ``out`` (rows = paths; node 0 is x0).
 # ---------------------------------------------------------------------------
 
 def state_independent_policy(model: LqModel) -> AffineGaussianPolicy:
@@ -354,10 +345,17 @@ def state_independent_policy(model: LqModel) -> AffineGaussianPolicy:
     return AffineGaussianPolicy(0.0, -model.q / model.n, model.lam / model.n)
 
 
-def _brownian_nodes(z: np.ndarray, dt: float) -> np.ndarray:
-    """Node values W_0 = 0, ..., W_n from standardized increments."""
-    return np.concatenate(
-        [np.zeros((z.shape[0], 1)), np.cumsum(z * math.sqrt(dt), axis=1)], axis=1)
+def _brownian_blocks(blocks, dt: float):
+    """Yield (k0, w) per noise block (k0, z): w holds W at nodes k0..k0+n
+    of the block's paths (rows), column 0 the last node before (W_0 = 0)."""
+    last = 0.0
+    for k0, z in blocks:
+        w = np.empty((len(z), z.shape[1] + 1))
+        w[:, 0] = last
+        np.multiply(z, math.sqrt(dt), w[:, 1:])
+        np.cumsum(w, axis=1, out=w)
+        last = w[:, -1]
+        yield k0, w
 
 
 def _d0_builder(model: LqModel, x0: float, grid: PathGrid):
@@ -367,7 +365,7 @@ def _d0_builder(model: LqModel, x0: float, grid: PathGrid):
           - (bq/n) int_0^t e^{theta (t-u) + s|c|(W_t - W_u)} du,
     theta = a - c^2/2, s = +1 on the {x0 >= 0, bq <= 0} branch and
     s = -1 on the mirror branch; the time integral uses the trapezoid
-    rule on the grid nodes.
+    rule on the grid nodes.  Node 0, too, comes from the formula.
     """
     if abs(model.d) > ABS_TOL:
         raise ValueError("the d0 exact path requires d = 0")
@@ -381,18 +379,31 @@ def _d0_builder(model: LqModel, x0: float, grid: PathGrid):
             f"no explicit solution for x0={x0!r} with b*q={bq!r}; "
             "supported regimes are (x0 >= 0, b*q <= 0) and (x0 <= 0, b*q >= 0)")
     theta = model.a - model.c ** 2 / 2.0
-    cc = abs(model.c)
+    scw = sgn * abs(model.c)
     a2 = -bq / model.n
-    t = grid.times()
-    dt = grid.dt
+    theta_t = theta * grid.times()
+    neg_theta_t, half_dt = -theta_t, grid.dt / 2.0
 
-    def build(z: np.ndarray) -> np.ndarray:
-        w = _brownian_nodes(z, dt)
-        g = np.exp(-theta * t - sgn * cc * w)
-        cum = np.zeros_like(g)
-        np.cumsum((g[:, :-1] + g[:, 1:]) * (dt / 2.0), axis=1, out=cum[:, 1:])
-        growth = np.exp(theta * t + sgn * cc * w)
-        return growth * (x0 + a2 * cum)
+    def build(blocks, out):
+        integral = 0.0                        # up to the block's first node
+        for k0, w in _brownian_blocks(blocks, grid.dt):
+            nodes = slice(k0, k0 + w.shape[1])
+            g = np.multiply(w, scw)
+            np.subtract(neg_theta_t[nodes], g, g)
+            np.exp(g, g)                      # e^{-theta t - s|c| W}
+            cum = np.empty_like(g)
+            cum[:, 0] = integral
+            np.add(g[:, :-1], g[:, 1:], cum[:, 1:])
+            cum[:, 1:] *= half_dt
+            np.cumsum(cum, axis=1, out=cum)
+            integral = cum[:, -1].copy()
+            np.multiply(w, scw, g)
+            g += theta_t[nodes]
+            np.exp(g, g)                      # e^{theta t + s|c| W}
+            cum *= a2
+            cum += x0
+            np.multiply(cum, g, out[:, nodes])
+            del g, cum
 
     return build
 
@@ -419,15 +430,12 @@ def _c0_builder(model: LqModel, x0: float, grid: PathGrid):
         shift = a2 * dt
         sdh = sigma * math.sqrt(dt)
 
-    def build(z: np.ndarray) -> np.ndarray:
-        m, k_steps = z.shape
-        x = np.full(m, float(x0))
-        out = np.empty((m, k_steps + 1))
-        out[:, 0] = x
-        for k in range(k_steps):
-            x = eah * x + shift + sdh * z[:, k]
-            out[:, k + 1] = x
-        return out
+    def build(blocks, out):
+        x = np.full(out.shape[0], float(x0))
+        for k0, z in blocks:
+            for j in range(z.shape[1]):
+                x = eah * x + shift + sdh * z[:, j]
+                out[:, k0 + j + 1] = x
 
     return build
 
@@ -486,11 +494,10 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     DS_DEFECT_TOL, and raises NumericalError on a larger or non-finite
     defect.
 
-    The grid goes _DS_STEP_BLOCK steps at a time, step-major: a block's
-    Brownian nodes continue the previous block's last node, every
-    |b1| W the RK4 stages read is interpolated in one pass, and each
-    stage is a few NumPy calls into preallocated (n_paths,) rows.  The
-    arithmetic is the per-node recursion's, operation for operation.
+    Each step interpolates every |b1| W its RK4 stages read in one pass,
+    and each stage is a few NumPy calls into preallocated (n_paths,)
+    rows; a noise block's nodes go through F and the defect check at
+    once.  The arithmetic is the per-node recursion's, op for op.
     """
     if value is None:
         raise ValueError("doss_saussman batch needs the value function")
@@ -499,9 +506,7 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     a1, a2, b1, b2 = c.a1, c.a2, c.b1, c.b2
     root, ac, shift = transform._scales()
     to_w, to_f, half_b1 = ac / root, root / ac, b1 / 2.0
-    dt = grid.dt
-    sq_dt = math.sqrt(dt)
-    h = dt / ODE_SUBSTEPS
+    h = grid.dt / ODE_SUBSTEPS
     half_h, sixth_h = 0.5 * h, h / 6.0
     # Where in a step the stages read W: j/S, (j + 0.5)/S and (j + 1)/S
     # for substep j of S, shared between neighbouring substeps.
@@ -529,33 +534,21 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
         t_f -= t_w                        # a1 F + a2 - b1/2 (b1 F + b2)
         np.divide(t_f, out, out)
 
-    def build(z: np.ndarray) -> np.ndarray:
-        m, k_steps = z.shape
-        width = min(_DS_STEP_BLOCK, k_steps)
-        out = np.empty((m, k_steps + 1))
-        out[:, 0] = x0
-        # Row 0 carries the last node of the previous block (W_0 = 0).
-        w_buf = np.zeros((width + 1, m))
-        dw_buf = np.empty((width, 1, m))
-        acw_buf = np.empty((width, fractions.size, m))
-        y_buf = np.empty((width, m))
+    def build(blocks, out):
+        m = out.shape[0]
+        acw = np.empty((fractions.size, m))
         y = np.full(m, float(x0))
-        k1, k2, k3, k4, y_in, t_w, t_f = (np.empty(m) for _ in range(7))
-        for k0 in range(0, k_steps, width):
-            n = min(width, k_steps - k0)
-            w = w_buf[:n + 1]
-            np.multiply(z[:, k0:k0 + n].T, sq_dt, w[1:])
-            np.cumsum(w, axis=0, out=w)
-            dw = dw_buf[:n]
-            np.subtract(w[1:, None], w[:-1, None], dw)
-            acw = acw_buf[:n]
-            np.multiply(dw, fractions, acw)
-            acw += w[:-1, None]
-            acw *= ac
+        dw, k1, k2, k3, k4, y_in, t_w, t_f = (np.empty(m) for _ in range(8))
+        for k0, w in _brownian_blocks(blocks, grid.dt):
+            n = w.shape[1] - 1
             for k in range(n):
+                np.subtract(w[:, k + 1], w[:, k], dw)
+                np.multiply(dw, fractions, acw)
+                acw += w[:, k]
+                acw *= ac
                 for j in range(0, 2 * ODE_SUBSTEPS, 2):
-                    z0, zh, z1 = acw[k, j], acw[k, j + 1], acw[k, j + 2]
-                    stage(z0, y, k1, t_w, t_f)
+                    zh = acw[j + 1]
+                    stage(acw[j], y, k1, t_w, t_f)
                     np.multiply(k1, half_h, y_in)
                     y_in += y
                     stage(zh, y_in, k2, t_w, t_f)
@@ -564,7 +557,7 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
                     stage(zh, y_in, k3, t_w, t_f)
                     np.multiply(k3, h, y_in)
                     y_in += y
-                    stage(z1, y_in, k4, t_w, t_f)
+                    stage(acw[j + 2], y_in, k4, t_w, t_f)
                     k2 *= 2.0
                     k1 += k2
                     k3 *= 2.0
@@ -572,17 +565,15 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
                     k1 += k4
                     k1 *= sixth_h
                     y += k1
-                y_buf[k] = y
-            x, dfz, _ = transform.terms(w[1:], y_buf[:n])
+                out[:, k0 + k + 1] = y        # replaced by X below
+            x, dfz, _ = transform.terms(w[:, 1:], out[:, k0 + 1:k0 + n + 1])
             defect = np.abs(dfz - np.sqrt((b1 * x + b2) ** 2 + c.c1))
             worst = (defect / np.maximum(1.0, np.abs(dfz))).max()
             if not worst <= DS_DEFECT_TOL:
                 raise NumericalError(
                     "Doss-Saussmann transform violated its defining ODE "
                     f"({worst:.3g}) in steps {k0 + 1}-{k0 + n}")
-            out[:, k0 + 1:k0 + n + 1] = x.T
-            w_buf[0] = w[n]
-        return out
+            out[:, k0 + 1:k0 + n + 1] = x
 
     return build
 
@@ -593,10 +584,10 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     per-path Brownian streams; method one of 'd0', 'c0',
     'doss_saussman' ('doss_saussman' needs the value function).
 
-    The path count, the method, its regime and the room for every node
-    are checked before any noise is drawn.
+    The path count, x0, the method, its regime and the room for every
+    node are checked before any noise is drawn.
     """
-    _check_n_paths(n_paths)
+    _check_batch(n_paths, x0)
     if method == "d0":
         build = _d0_builder(model, x0, grid)
     elif method == "c0":
@@ -606,8 +597,9 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     else:
         raise ValueError(f"unknown exact-path method {method!r}")
     states = _node_array(n_paths, grid.n_steps)
-    for lo, hi in _chunk_ranges(n_paths, _EXACT_CHUNK):
-        states[lo:hi] = build(rng.normal_block(seed, lo, hi - lo, grid.n_steps))
+    states[:, 0] = x0
+    for lo, hi in _chunk_ranges(n_paths):
+        build(_noise_blocks(seed, lo, hi - lo, grid.n_steps), states[lo:hi])
     endpoints = states[:, -1].copy()
     return TrajectoryBatch(
         grid=grid, n_paths=n_paths, seed=seed, x0=float(x0),

@@ -2,9 +2,10 @@
 
 Exact-path checks lean on external truth: the geometric-Brownian
 reduction for d = 0, the stationary Ornstein-Uhlenbeck moments for
-c = 0, and finite differences for the Doss-Saussmann transform, whose
-step-blocked builder must also give the bits of the plain per-node RK4
-recursion.
+c = 0, and finite differences for the Doss-Saussmann transform.  The
+step-blocked builders must also give the bits of whole-horizon
+references: the d0 and c0 formulas on a path's whole Brownian motion and
+the plain per-node RK4 recursion.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from scipy import special, stats
 
 import exploratory_lq as xlq
 from exploratory_lq import cli, sde
-from exploratory_lq.constants import ODE_SUBSTEPS
+from exploratory_lq.constants import ABS_TOL, ODE_SUBSTEPS
 from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1
 
 # Explosive multiplicative noise: the Euler state grows by a random
@@ -35,16 +36,11 @@ EXPLOSIVE_POLICY = xlq.AffineGaussianPolicy(0.0, 0.0, 0.1)
 DS_MIRROR = replace(DS_MODEL, c=-DS_MODEL.c, d=-DS_MODEL.d)
 
 
-def chunking_sizes(chunk):
-    """(big, small) path counts: big spans three chunks of width
-    ``chunk`` and small two, neither a multiple of the width."""
-    return 2 * chunk + 276, chunk + 188
-
-
-EULER_BIG, EULER_SMALL = chunking_sizes(sde._CHUNK)
-EXACT_BIG, EXACT_SMALL = chunking_sizes(sde._EXACT_CHUNK)
-# Two Euler noise blocks, the second 30 steps long (not a multiple of
-# the 4 steps one Philox block yields).
+# Path counts: BIG spans three chunks and SMALL two, neither a multiple
+# of the chunk width.
+BIG, SMALL = 2 * sde._CHUNK + 276, sde._CHUNK + 188
+# Two noise blocks, the second 30 steps long (not a multiple of the 4
+# steps one Philox block yields).
 EULER_STEPS = sde._STEP_BLOCK + 30
 
 
@@ -74,10 +70,13 @@ def assert_leading_rows_equal(big, small):
                                   getattr(small.sums, name))
 
 
-def brownian(grid, seed, p):
-    """W at the grid nodes of path (seed, p), as the exact builders see it."""
-    return sde._brownian_nodes(
-        xlq.rng.normal_block(seed, p, 1, grid.n_steps), grid.dt)[0]
+def brownian(grid, seed, n_paths):
+    """W at the grid nodes of paths 0..n_paths-1 of ``seed`` (rows), from
+    one cumulative sum over the whole horizon."""
+    z = xlq.rng.normal_block(seed, 0, n_paths, grid.n_steps)
+    return np.concatenate(
+        [np.zeros((n_paths, 1)), np.cumsum(z * math.sqrt(grid.dt), axis=1)],
+        axis=1)
 
 
 def exact_row(model, x0, grid, seed, p, method, value=None):
@@ -102,12 +101,12 @@ class TestGridAndBrownian:
 
     def test_brownian_reproducible_and_scaled(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=500)
-        w = brownian(grid, 42, 7)
-        assert np.array_equal(w, brownian(grid, 42, 7))
-        assert w[0] == 0.0
+        w = brownian(grid, 42, 9)
+        assert np.array_equal(w, brownian(grid, 42, 9))
+        assert np.all(w[:, 0] == 0.0)
         z = xlq.rng.normal_block(42, 7, 1, grid.n_steps)[0]
-        assert np.allclose(np.diff(w), z * math.sqrt(grid.dt))
-        assert not np.array_equal(w, brownian(grid, 42, 8))
+        assert np.allclose(np.diff(w[7]), z * math.sqrt(grid.dt))
+        assert not np.array_equal(w[7], w[8])
 
     def test_increment_distribution(self):
         z = xlq.rng.normal_block(1, 0, 1, 20000)[0]
@@ -256,13 +255,13 @@ class TestEulerMaruyama:
     def test_determinism_under_partitioning_and_parallelism(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=EULER_STEPS)
         _, policy = xlq.exploratory_solution(DS_MODEL)
-        big = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, EULER_BIG)
-        par = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, EULER_BIG,
+        big = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, BIG)
+        par = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, BIG,
                                        parallelism=4)
         small = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9,
-                                         EULER_SMALL)
+                                         SMALL)
         assert np.array_equal(big.states, par.states)
-        assert np.array_equal(big.states[:EULER_SMALL], small.states)
+        assert np.array_equal(big.states[:SMALL], small.states)
 
     def test_divergence_flagged_not_propagated(self):
         # Explosive drift: dX = 40 X dt, X doubles every ~0.017.
@@ -287,13 +286,24 @@ class TestEulerMaruyama:
         # exercised on both sides of a block boundary.
         (EXPLOSIVE, EXPLOSIVE_POLICY, 0.002)])
     def test_rows_independent_of_chunking(self, model, policy, dt):
-        # EULER_BIG paths span three chunks, EULER_SMALL two, and both
+        # BIG paths span three chunks, SMALL two, and both
         # step through two noise blocks; shared rows agree.
         grid = xlq.PathGrid(dt=dt, n_steps=EULER_STEPS)
         nodes = (0, 10, sde._STEP_BLOCK, EULER_STEPS)
-        big = euler_with_sums(model, policy, grid, EULER_BIG, nodes)
-        small = euler_with_sums(model, policy, grid, EULER_SMALL, nodes)
+        big = euler_with_sums(model, policy, grid, BIG, nodes)
+        small = euler_with_sums(model, policy, grid, SMALL, nodes)
         assert_leading_rows_equal(big, small)
+
+    @pytest.mark.parametrize("bad, name", [
+        (dict(checkpoints=(2.5,)), "checkpoints"), (dict(seed=1.5), "seed"),
+        (dict(n_paths=2.5), "n_paths"), (dict(x0=math.nan), "x0")])
+    def test_inexact_integer_or_non_finite_input_named(self, bad, name):
+        # A float where an integer belongs is rejected, not truncated.
+        args = {**dict(x0=1.0, seed=1, n_paths=2), **bad}
+        grid = xlq.PathGrid(dt=0.1, n_steps=4)
+        policy = xlq.state_independent_policy(C0_MODEL)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            xlq.simulate_exploratory(C0_MODEL, policy, grid=grid, **args)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):
@@ -406,7 +416,7 @@ class TestExactPathD0:
                             rho=1, lam=0.2)
         grid = xlq.PathGrid(dt=1e-3, n_steps=1000)
         exact = exact_row(model, 1.0, grid, 7, 0, "d0")
-        gbm = np.exp(-0.5 * grid.times() + brownian(grid, 7, 0))
+        gbm = np.exp(-0.5 * grid.times() + brownian(grid, 7, 1)[0])
         assert np.allclose(exact, gbm, atol=1e-12)
 
     def test_deterministic_reduction(self):
@@ -451,7 +461,7 @@ class TestExactPathC0:
         grid = xlq.PathGrid(dt=0.01, n_steps=200)
         exact = exact_row(model, 0.5, grid, 3, 1, "c0")
         sigma = abs(model.d) / model.n * math.sqrt(model.lam * model.n)
-        assert np.allclose(exact, 0.5 + sigma * brownian(grid, 3, 1), atol=1e-12)
+        assert np.allclose(exact, 0.5 + sigma * brownian(grid, 3, 2)[1], atol=1e-12)
 
     def test_stationary_variance_matches_moment_fixed_point(self):
         # a = -1, q = 0: var(inf) = c1/(2|a|) = d^2 lam / (2 n).
@@ -566,8 +576,7 @@ def per_node_doss_saussman(model, x0, grid, seed, n_paths):
         num = c.a1 * fv + c.a2 - c.b1 / 2.0 * (c.b1 * fv + c.b2)
         return num / dfy
 
-    w = sde._brownian_nodes(
-        xlq.rng.normal_block(seed, 0, n_paths, grid.n_steps), grid.dt)
+    w = brownian(grid, seed, n_paths)
     h = grid.dt / ODE_SUBSTEPS
     y = np.full(n_paths, float(x0))
     out = np.empty_like(w)
@@ -588,30 +597,73 @@ def per_node_doss_saussman(model, x0, grid, seed, n_paths):
     return out
 
 
+def whole_horizon_d0(model, x0, grid, seed, n_paths):
+    """Reference d0 batch: the closed form on each path's whole Brownian
+    motion at once, the time integral by one trapezoid cumulative sum."""
+    bq = model.b * model.q
+    sgn = 1.0 if x0 >= 0 and bq <= ABS_TOL else -1.0
+    theta = model.a - model.c ** 2 / 2.0
+    cc = abs(model.c)
+    t, dt = grid.times(), grid.dt
+    w = brownian(grid, seed, n_paths)
+    g = np.exp(-theta * t - sgn * cc * w)
+    cum = np.zeros_like(g)
+    np.cumsum((g[:, :-1] + g[:, 1:]) * (dt / 2.0), axis=1, out=cum[:, 1:])
+    return np.exp(theta * t + sgn * cc * w) * (x0 + -bq / model.n * cum)
+
+
+def whole_horizon_c0(model, x0, grid, seed, n_paths):
+    """Reference c0 batch: the exact Ornstein-Uhlenbeck transition applied
+    step after step to each path's whole horizon of normals."""
+    a, dt = model.a, grid.dt
+    sigma = abs(model.d) / model.n * math.sqrt(model.q ** 2 + model.lam * model.n)
+    a2 = -model.b * model.q / model.n
+    eah = math.exp(a * dt)
+    shift = a2 * math.expm1(a * dt) / a
+    sdh = sigma * math.sqrt(math.expm1(2.0 * a * dt) / (2.0 * a))
+    x = np.full(n_paths, float(x0))
+    nodes = [x]
+    for z in xlq.rng.normal_block(seed, 0, n_paths, grid.n_steps).T:
+        x = eah * x + shift + sdh * z
+        nodes.append(x)
+    return np.stack(nodes, axis=1)
+
+
 def assert_same_bits(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestDossSaussmanBlocks:
-    """The step-blocked builder gives the per-node recursion's bits."""
+    """The step-blocked builders give the bits of the whole-horizon
+    references."""
 
-    @pytest.mark.parametrize("dt", cli.CONVERGENCE_DTS)
+    @pytest.mark.parametrize("dt", [
+        pytest.param(dt, marks=pytest.mark.slow) if dt < 1e-3 else dt
+        for dt in cli.CONVERGENCE_DTS])  # dt 1e-4 takes about 10 s
     def test_convergence_grids(self, dt):
         grid = xlq.PathGrid(dt=dt, n_steps=int(round(cli.CONVERGENCE_HORIZON / dt)))
         value = xlq.exploratory_solution(DS_MODEL)[0]
         batch = xlq.exact_batch(DS_MODEL, 1.0, grid, 1, 6, "doss_saussman", value)
         assert_same_bits(batch.states, per_node_doss_saussman(DS_MODEL, 1.0, grid, 1, 6))
 
-    @pytest.mark.parametrize("model, sign", [(DS_MODEL, 1.0), (DS_MIRROR, -1.0)])
+    # sign: that of the Doss-Saussmann volatility slope b1; None marks
+    # the d0 and c0 paths.
+    @pytest.mark.parametrize("model, sign", [
+        (DS_MODEL, 1.0), (DS_MIRROR, -1.0), (D0_MODEL, None), (C0_MODEL, None)])
     @pytest.mark.parametrize("steps_past_blocks", [
         (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
     def test_block_boundaries(self, model, sign, steps_past_blocks):
         blocks, extra = steps_past_blocks
-        n_steps = max(1, blocks * sde._DS_STEP_BLOCK + extra)
+        grid = xlq.PathGrid(dt=0.01, n_steps=max(1, blocks * sde._STEP_BLOCK + extra))
+        if sign is None:
+            method, reference = (("d0", whole_horizon_d0) if model is D0_MODEL
+                                 else ("c0", whole_horizon_c0))
+            batch = xlq.exact_batch(model, 0.4, grid, 3, 7, method)
+            assert_same_bits(batch.states, reference(model, 0.4, grid, 3, 7))
+            return
         value = xlq.exploratory_solution(model)[0]
         b1 = xlq.DossSaussmanTransform.from_solution(model, value).coeffs.b1
         assert math.copysign(1.0, b1) == sign
-        grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
         batch = xlq.exact_batch(model, -0.4, grid, 3, 7, "doss_saussman", value)
         assert_same_bits(batch.states, per_node_doss_saussman(model, -0.4, grid, 3, 7))
 
@@ -638,13 +690,13 @@ class TestExactBatch:
         ("d0", D0_MODEL, 100), ("c0", C0_MODEL, 100),
         ("doss_saussman", DS_MODEL, 10)])
     def test_rows_independent_of_chunking(self, method, model, n_steps):
-        # EXACT_BIG paths span three chunks, EXACT_SMALL two; shared rows
+        # BIG paths span three chunks, SMALL two; shared rows
         # agree.
         value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
-        big = xlq.exact_batch(model, 1.0, grid, 9, EXACT_BIG, method, value)
-        small = xlq.exact_batch(model, 1.0, grid, 9, EXACT_SMALL, method, value)
-        assert np.array_equal(big.states[:EXACT_SMALL], small.states)
+        big = xlq.exact_batch(model, 1.0, grid, 9, BIG, method, value)
+        small = xlq.exact_batch(model, 1.0, grid, 9, SMALL, method, value)
+        assert np.array_equal(big.states[:SMALL], small.states)
 
     def test_inputs_checked_before_noise_is_drawn(self, monkeypatch):
         calls = []
@@ -669,6 +721,11 @@ class TestExactBatch:
              (C0_MODEL, 1.0, grid, 7, 4, "doss_saussman", c0_value)),
             (ValueError, (C0_MODEL, 1.0, grid, 7, 0, "c0")),
             (ValueError, (C0_MODEL, 1.0, grid, 7, -1, "c0")),
+            (ValueError, (C0_MODEL, 1.0, grid, 7, 2.5, "c0")),
+            (ValueError, (C0_MODEL, math.nan, grid, 7, 4, "c0")),
+            (ValueError, (D0_MODEL, math.inf, grid, 7, 4, "d0")),
+            (ValueError, (DS_MODEL, -math.inf, grid, 7, 4, "doss_saussman",
+                          xlq.exploratory_solution(DS_MODEL)[0])),
         ]
         for error, args in bad:
             with pytest.raises(error):
@@ -676,8 +733,29 @@ class TestExactBatch:
         assert calls == []
         with pytest.raises(ValueError, match="n_paths must be >= 1, got -1"):
             xlq.exact_batch(C0_MODEL, 1.0, grid, 7, -1, "c0")
+        with pytest.raises(ValueError, match="x0 must be finite, got nan"):
+            xlq.exact_batch(C0_MODEL, math.nan, grid, 7, 4, "c0")
         xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 4, "c0")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("method, model", [
+        ("d0", D0_MODEL), ("c0", C0_MODEL), ("doss_saussman", DS_MODEL)])
+    def test_noise_drawn_one_step_block_at_a_time(self, monkeypatch, method, model):
+        # Exact paths draw their normals as the Euler kernel does, never
+        # a whole horizon at once.
+        calls = []
+        real = xlq.rng.normal_block
+
+        def recording(seed, first_path, n_paths, n_steps, **kwargs):
+            calls.append((first_path, kwargs.get("first_step", 0), n_steps))
+            return real(seed, first_path, n_paths, n_steps, **kwargs)
+
+        monkeypatch.setattr(xlq.rng, "normal_block", recording)
+        block = sde._STEP_BLOCK
+        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        grid = xlq.PathGrid(dt=1e-3, n_steps=2 * block + 3)
+        xlq.exact_batch(model, 1.0, grid, 7, 3, method, value)
+        assert calls == [(0, 0, block), (0, block, block), (0, 2 * block, 3)]
 
     def test_unallocatable_batch_rejected_before_noise(self, monkeypatch):
         # 1000 x (1e17 + 1) float64 nodes exceed any address space.
@@ -723,15 +801,16 @@ class TestChunkWidths:
     @settings(max_examples=20, deadline=None)
     @given(method=st.sampled_from(["d0", "c0", "doss_saussman"]),
            n_paths=st.integers(1, 30), n_steps=st.integers(1, 20),
-           chunk=st.integers(1, 16))
+           chunk=st.integers(1, 16), step_block=st.integers(1, 16))
     def test_exact_bits_independent_of_chunk_width(self, method, n_paths,
-                                                   n_steps, chunk):
+                                                   n_steps, chunk, step_block):
         model = {"d0": D0_MODEL, "c0": C0_MODEL, "doss_saussman": DS_MODEL}[method]
         value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
         default = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sde, "_EXACT_CHUNK", chunk)
+            mp.setattr(sde, "_CHUNK", chunk)
+            mp.setattr(sde, "_STEP_BLOCK", step_block)
             narrow = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
         assert_leading_rows_equal(default, narrow)
 
