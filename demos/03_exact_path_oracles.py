@@ -6,7 +6,10 @@ Three regimes admit exact constructions of the optimal state process:
   both nonzero   Doss-Saussmann transform X = F(W, Y).
 Because every path owns a counter-based stream, the exact batch and the
 Euler batch see the same increments, so their endpoint gap is a strong
-discretization error that must shrink as dt does.
+discretization error that must shrink as dt does.  `strong_errors` steps
+each exact method beside the Euler batch of the process it solves (the
+state-independent policy's for d0 and c0, the optimum's for
+Doss-Saussmann) and returns the gap's (rms, max, mean).
 """
 
 import math
@@ -22,19 +25,12 @@ DS = xlq.LqModel(a=0, b=1, c=0.5, d=1, m=1, n=2, r=0, p=0, q=0,
 
 
 def ladder(model, method):
-    if method == "doss_saussman":
-        value, policy = xlq.exploratory_solution(model)
-    else:
-        value = None
-        policy = xlq.state_independent_policy(model)
+    value = xlq.solve(model).value if method == "doss_saussman" else None
     errs = []
     for dt in (1e-2, 1e-3, 1e-4):
         grid = xlq.PathGrid(dt=dt, n_steps=int(round(1.0 / dt)))
-        em = xlq.simulate_exploratory(model, policy, 1.0, grid, seed=99,
-                                      n_paths=200, record_paths=False)
-        ex = xlq.exact_batch(model, 1.0, grid, 99, 200, method=method,
-                             value=value)
-        errs.append(xlq.endpoint_errors(em, ex)[0])
+        errs.append(xlq.strong_errors(model, 1.0, grid, seed=99, n_paths=200,
+                                      method=method, value=value)[0])
     order = math.log10(errs[0] / errs[2]) / 2
     print(f"{method:>14}: rms " + " -> ".join(f"{e:.3e}" for e in errs)
           + f"   empirical order {order:.2f}")

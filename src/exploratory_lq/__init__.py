@@ -32,7 +32,6 @@ from .errors import (
     ConfigError,
     DegenerateLinearTermError,
     ExploratoryLqError,
-    GridMismatchError,
     ModelValidationError,
     NoConcaveRootError,
     NonIntegrableDensityError,
@@ -69,10 +68,10 @@ from .sde import (
     DossSaussmanTransform,
     PathGrid,
     TrajectoryBatch,
-    endpoint_errors,
     exact_batch,
     simulate_exploratory,
     state_independent_policy,
+    strong_errors,
 )
 
 __version__ = "0.1.0"

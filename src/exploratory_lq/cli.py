@@ -47,7 +47,6 @@ class RunSpec:
     fmt: str = "csv"
     sweep: list = field(default_factory=list)
     override: bool = False
-    assumption_ok: bool = True
 
 
 def _fmt(x) -> str:
@@ -74,17 +73,18 @@ def _write_table(path_base: Path, fmt: str, header: list[str], rows: list[tuple]
     return path
 
 
-def emit_report(solution: closed_form.Solution, *, assumption_ok: bool,
+def emit_report(solution: closed_form.Solution, *,
                 mc_sections: list[str] | None = None) -> str:
     """Fixed-order plain-text summary of the closed-form solution.
 
-    ``assumption_ok`` is the :func:`~exploratory_lq.model.check_model`
-    verdict on the discount-rate bound; it decides both the bound's
-    verdict and the UNVERIFIED stamp.  A bound the model need not meet
-    is reported as not required.
+    The :func:`~exploratory_lq.model.check_model` verdict on the
+    solution's model decides both the discount-rate bound's verdict and
+    the UNVERIFIED stamp.  A bound the model need not meet is reported
+    as not required.
     """
     model = solution.model
     record = solution.record()
+    assumption_ok = all(v.condition != ASSUMPTION_BOUND for v in check_model(model))
     if not assumption_ok:
         verdict = "(VIOLATED)"
     elif clears_bound(model):
@@ -116,8 +116,7 @@ def _solve(spec: RunSpec) -> closed_form.Solution:
 
 def _write_report(spec: RunSpec, solution: closed_form.Solution,
                   mc_sections: list[str] | None = None) -> None:
-    report = emit_report(solution, assumption_ok=spec.assumption_ok,
-                         mc_sections=mc_sections)
+    report = emit_report(solution, mc_sections=mc_sections)
     (spec.out_dir / "report.txt").write_text(report, encoding="utf-8")
     sys.stdout.write(report)
 
@@ -215,26 +214,19 @@ def _cmd_sweep(spec: RunSpec) -> None:
 
 
 def _cmd_exact_vs_euler(spec: RunSpec) -> None:
-    model = spec.model
-    if abs(model.d) <= ABS_TOL or abs(model.c) <= ABS_TOL:
-        method = "d0" if abs(model.d) <= ABS_TOL else "c0"
-        policy = sde.state_independent_policy(model)
-        value = None
+    model, value = spec.model, None
+    if abs(model.d) <= ABS_TOL:
+        method = "d0"
+    elif abs(model.c) <= ABS_TOL:
+        method = "c0"
     else:
-        method = "doss_saussman"
-        sol = _solve(spec)
-        value, policy = sol.value, sol.policy
+        method, value = "doss_saussman", _solve(spec).value
     rows = []
     for dt in CONVERGENCE_DTS:
         grid = sde.PathGrid(dt=dt, n_steps=int(round(CONVERGENCE_HORIZON / dt)))
-        euler = sde.simulate_exploratory(
-            model, policy, spec.sim["x0"], grid, spec.sim["seed"],
-            spec.sim["n_paths"], record_paths=False)
-        exact = sde.exact_batch(
+        rows.append((dt, *sde.strong_errors(
             model, spec.sim["x0"], grid, spec.sim["seed"], spec.sim["n_paths"],
-            method=method, value=value)
-        rows.append((dt, *sde.endpoint_errors(euler, exact), method,
-                     spec.sim["n_paths"]))
+            method, value), method, spec.sim["n_paths"]))
     path = _write_table(
         spec.out_dir / "convergence", spec.fmt,
         ["dt", "rms_endpoint_error", "max_endpoint_error",
@@ -319,7 +311,6 @@ def build_spec(args, mapping: dict[str, str]) -> RunSpec:
         fmt=config.output_format(mapping),
         sweep=sweep,
         override=args.override_assumptions,
-        assumption_ok=all(v.condition != ASSUMPTION_BOUND for v in check_model(model)),
     )
 
 

@@ -48,7 +48,3 @@ class SimulationDivergedError(NumericalError):
 
 class UnsupportedRegimeError(NumericalError):
     """No explicit path solution is known for this parameter regime."""
-
-
-class GridMismatchError(NumericalError):
-    """Two trajectory batches are not comparable (grid/seed/paths differ)."""

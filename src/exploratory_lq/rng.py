@@ -38,9 +38,15 @@ ACTION_STREAM = 0x9E3779B97F4A7C15  # fixed odd salt, splitmix64 constant
 _INV_2_53 = 2.0 ** -53
 
 
+def is_integer(x) -> bool:
+    """A Python or NumPy integer: the one test for every count, index and
+    seed, so a float is rejected rather than truncated."""
+    return isinstance(x, (int, np.integer))
+
+
 def valid_seed(seed: int) -> bool:
     """Seeds are unsigned 64-bit integers: they fill one Philox key word."""
-    return isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64
+    return is_integer(seed) and 0 <= seed < 2 ** 64
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
@@ -55,8 +61,8 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     for name, value in (("first_path", first_path), ("first_step", first_step),
                         ("n_paths", n_paths), ("n_steps", n_steps)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value!r}")
+        if not (is_integer(value) and value >= 0):
+            raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
     if out is None:
         out = np.empty((n_paths, n_steps))
     elif out.shape != (n_paths, n_steps) or out.dtype != np.float64:

@@ -13,7 +13,9 @@ lognormal-type solution for d = 0, the Ornstein-Uhlenbeck recursion for
 c = 0 (exact Gaussian transitions driven by the same standardized
 increments), and the Doss-Saussmann transform X = F(W, Y) for the
 general state-dependent optimum, with Y solved per path by a fixed-step
-RK4 integrator.
+RK4 integrator.  :func:`strong_errors` steps each exact method beside
+the Euler batch of the process it solves, on the same noise, and
+returns their endpoint deviation.
 
 Randomness is counter-based per path (see :mod:`exploratory_lq.rng`),
 so a path's values depend only on (seed, path_index), never on the
@@ -38,13 +40,8 @@ import numpy as np
 from . import rng
 from .closed_form import policy_from_value
 from .constants import ABS_TOL, DIVERGENCE_THRESHOLD, DS_DEFECT_TOL, ODE_SUBSTEPS
-from .errors import (
-    ExploratoryLqError,
-    GridMismatchError,
-    NumericalError,
-    SimulationDivergedError,
-    UnsupportedRegimeError,
-)
+from .errors import (ExploratoryLqError, NumericalError, SimulationDivergedError,
+                     UnsupportedRegimeError)
 from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 
 # Paths per chunk, and steps per noise block within a chunk, for Euler
@@ -69,9 +66,9 @@ class PathGrid:
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         # An int beyond float range would overflow the product dt * n_steps.
-        if not 1 <= self.n_steps <= sys.float_info.max:
-            raise ValueError(
-                f"n_steps must be >= 1 and within float range, got {self.n_steps}")
+        if not (rng.is_integer(self.n_steps) and 1 <= self.n_steps <= sys.float_info.max):
+            raise ValueError("n_steps must be >= 1 and within float range, and an "
+                             f"integer, got {self.n_steps!r}")
         if not math.isfinite(self.horizon):
             raise ValueError(
                 f"dt * n_steps must be finite, got {self.dt} * {self.n_steps}")
@@ -95,7 +92,6 @@ class DiscountedSums:
     w_k (Z_k^2 - 1) for the per-path action normals Z_k.
     """
 
-    rho: float
     weight_total: float
     x: np.ndarray
     x2: np.ndarray
@@ -116,8 +112,6 @@ class TrajectoryBatch:
 
     grid: PathGrid
     n_paths: int
-    seed: int
-    x0: float
     endpoints: np.ndarray
     diverged: np.ndarray
     divergence_step: np.ndarray
@@ -188,7 +182,7 @@ class TrajectoryBatch:
 
 
 def _check_batch(n_paths: int, x0: float) -> None:
-    if not isinstance(n_paths, (int, np.integer)):
+    if not rng.is_integer(n_paths):
         raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -246,7 +240,7 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
     if action_noise and discount_rate is None:
         raise ValueError("action_noise=True requires discount_rate")
     k_steps = grid.n_steps
-    if not all(isinstance(c, (int, np.integer)) and 0 <= c <= k_steps for c in checkpoints):
+    if not all(rng.is_integer(c) and 0 <= c <= k_steps for c in checkpoints):
         raise ValueError(f"checkpoints must be integer nodes in [0, {k_steps}]: {checkpoints}")
 
     endpoints = np.empty(n_paths)
@@ -321,12 +315,11 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
     sums = None
     if weights is not None:
         sums = DiscountedSums(
-            rho=float(discount_rate), weight_total=float(weights.sum()),
+            weight_total=float(weights.sum()),
             x=sum_x, x2=sum_x2, zx=sum_zx, z=sum_z, z2m1=sum_z2)
     return TrajectoryBatch(
-        grid=grid, n_paths=n_paths, seed=seed, x0=float(x0),
-        endpoints=endpoints, diverged=diverged, divergence_step=div_step,
-        states=states, checkpoint_states=cp_states, sums=sums)
+        grid=grid, n_paths=n_paths, endpoints=endpoints, diverged=diverged,
+        divergence_step=div_step, states=states, checkpoint_states=cp_states, sums=sums)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +571,19 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     return build
 
 
+def _exact_builder(model: LqModel, x0: float, grid: PathGrid, method: str, value):
+    """(build, policy): the builder of ``method``'s exact paths, its
+    regime checked, and the policy whose Euler process they solve."""
+    if method == "d0":
+        return _d0_builder(model, x0, grid), state_independent_policy(model)
+    if method == "c0":
+        return _c0_builder(model, x0, grid), state_independent_policy(model)
+    if method == "doss_saussman":
+        return (_doss_saussman_builder(model, x0, grid, value),
+                policy_from_value(model, value))
+    raise ValueError(f"unknown exact-path method {method!r}")
+
+
 def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
                 n_paths: int, method: str, value=None) -> TrajectoryBatch:
     """TrajectoryBatch of exact reference paths on the shared
@@ -588,35 +594,34 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     node are checked before any noise is drawn.
     """
     _check_batch(n_paths, x0)
-    if method == "d0":
-        build = _d0_builder(model, x0, grid)
-    elif method == "c0":
-        build = _c0_builder(model, x0, grid)
-    elif method == "doss_saussman":
-        build = _doss_saussman_builder(model, x0, grid, value)
-    else:
-        raise ValueError(f"unknown exact-path method {method!r}")
+    build, _ = _exact_builder(model, x0, grid, method, value)
     states = _node_array(n_paths, grid.n_steps)
     states[:, 0] = x0
     for lo, hi in _chunk_ranges(n_paths):
         build(_noise_blocks(seed, lo, hi - lo, grid.n_steps), states[lo:hi])
     endpoints = states[:, -1].copy()
     return TrajectoryBatch(
-        grid=grid, n_paths=n_paths, seed=seed, x0=float(x0),
-        endpoints=endpoints, diverged=np.zeros(n_paths, dtype=bool),
+        grid=grid, n_paths=n_paths, endpoints=endpoints,
+        diverged=np.zeros(n_paths, dtype=bool),
         divergence_step=np.full(n_paths, -1, dtype=np.int64), states=states)
 
 
-def endpoint_errors(batch_a: TrajectoryBatch,
-                    batch_b: TrajectoryBatch) -> tuple[float, float, float]:
-    """(rms, max, mean) of the pathwise endpoint deviation |X_a(T) - X_b(T)|
-    between two batches on the same grid, seed and path count."""
-    if batch_a.grid != batch_b.grid:
-        raise GridMismatchError("batches use different grids")
-    if batch_a.seed != batch_b.seed:
-        raise GridMismatchError("batches use different seeds")
-    if batch_a.n_paths != batch_b.n_paths:
-        raise GridMismatchError("batches hold different path counts")
-    diff = np.abs(batch_a.endpoints - batch_b.endpoints)
+def strong_errors(model: LqModel, x0: float, grid: PathGrid, seed: int,
+                  n_paths: int, method: str, value=None) -> tuple[float, float, float]:
+    """(rms, max, mean) of the pathwise endpoint deviation
+    |X_euler(T) - X_exact(T)| between ``method``'s exact paths and the
+    Euler batch of the process they solve, path p of each on the noise
+    of (seed, p).  d0 and c0 solve :func:`state_independent_policy`'s
+    process, 'doss_saussman' the optimum under ``value``.
+
+    The path count, x0, the method, its regime and the value are
+    checked before any noise is drawn.
+    """
+    _check_batch(n_paths, x0)
+    _, policy = _exact_builder(model, x0, grid, method, value)
+    euler = simulate_exploratory(model, policy, x0, grid, seed, n_paths,
+                                 record_paths=False)
+    exact = exact_batch(model, x0, grid, seed, n_paths, method, value)
+    diff = np.abs(euler.endpoints - exact.endpoints)
     return (float(np.sqrt((diff * diff).mean())), float(diff.max()),
             float(diff.mean()))

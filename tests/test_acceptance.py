@@ -221,22 +221,17 @@ def test_07_exact_path_oracles():
     empirical order >= 0.4; Doss-Saussmann F satisfies its defining
     ODE to 1e-6 under finite differences."""
     t0 = time.time()
-    setups = []
-    value_ds, policy_ds = xlq.exploratory_solution(DS_MODEL)
-    setups.append(("d0", D0_MODEL, xlq.state_independent_policy(D0_MODEL), None))
-    setups.append(("c0", C0_MODEL, xlq.state_independent_policy(C0_MODEL), None))
-    setups.append(("doss_saussman", DS_MODEL, policy_ds, value_ds))
+    value_ds = xlq.solve(DS_MODEL).value
+    setups = [("d0", D0_MODEL, None), ("c0", C0_MODEL, None),
+              ("doss_saussman", DS_MODEL, value_ds)]
     all_ok = True
     details = []
-    for method, model, policy, value in setups:
+    for method, model, value in setups:
         errs = []
         for dt in (1e-2, 1e-3, 1e-4):
             grid = xlq.PathGrid(dt=dt, n_steps=int(round(1.0 / dt)))
-            em = xlq.simulate_exploratory(model, policy, 1.0, grid, 99, 200,
-                                          record_paths=False)
-            ex = xlq.exact_batch(model, 1.0, grid, 99, 200, method=method,
-                                 value=value)
-            errs.append(xlq.endpoint_errors(em, ex)[0])
+            errs.append(xlq.strong_errors(model, 1.0, grid, 99, 200, method,
+                                          value)[0])
         order = math.log10(errs[0] / errs[2]) / 2.0
         mono = errs[0] > errs[1] > errs[2]
         all_ok &= mono and order >= 0.4

@@ -85,6 +85,14 @@ def exact_row(model, x0, grid, seed, p, method, value=None):
                            value).states[p]
 
 
+def rms_ladder(model, method, value=None):
+    """Seed-99 RMS endpoint errors of 100 paths from x0 = 1 over T = 1,
+    at dt 1e-2 and 1e-3."""
+    return [xlq.strong_errors(model, 1.0, xlq.PathGrid(dt=dt, n_steps=round(1.0 / dt)),
+                              99, 100, method, value)[0]
+            for dt in (1e-2, 1e-3)]
+
+
 class TestGridAndBrownian:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -95,6 +103,9 @@ class TestGridAndBrownian:
             xlq.PathGrid(dt=1e308, n_steps=5)  # finite dt, infinite horizon
         with pytest.raises(ValueError, match="n_steps must be >= 1 and within"):
             xlq.PathGrid(dt=0.01, n_steps=10 ** 400)  # beyond float range
+        for steps in (2.5, 3.0, np.float64(4.0)):  # a float is not truncated
+            with pytest.raises(ValueError, match="n_steps .* an integer, got"):
+                xlq.PathGrid(dt=0.1, n_steps=steps)
         grid = xlq.PathGrid(dt=0.5, n_steps=4)
         assert grid.horizon == 2.0
         assert np.allclose(grid.times(), [0, 0.5, 1.0, 1.5, 2.0])
@@ -167,7 +178,12 @@ class TestRandomStreams:
         (dict(n_steps=-1), "n_steps"),
         (dict(out=np.empty((2, 4))), "out"),
         (dict(out=np.empty((5, 2))), "out"),
-        (dict(out=np.empty((2, 5), dtype=np.float32)), "out")])
+        (dict(out=np.empty((2, 5), dtype=np.float32)), "out"),
+        # A float first_path would be truncated to another path's stream.
+        (dict(first_path=1.9), "first_path"),
+        (dict(first_step=1.0), "first_step"),
+        (dict(n_paths=2.5), "n_paths"),
+        (dict(n_steps=5.0), "n_steps")])
     def test_bad_block_rejected_before_any_philox(self, monkeypatch, bad, name):
         def no_philox(*args, **kwargs):
             raise AssertionError("a Philox was built")
@@ -384,7 +400,7 @@ class TestWriteCsv:
             [-math.inf, 1e-4, 9999999999999998.0, -2.5],
         ])
         batch = xlq.TrajectoryBatch(
-            grid=grid, n_paths=3, seed=0, x0=0.0, endpoints=states[:, -1].copy(),
+            grid=grid, n_paths=3, endpoints=states[:, -1].copy(),
             diverged=np.zeros(3, dtype=bool),
             divergence_step=np.full(3, -1, dtype=np.int64), states=states)
         buf = CountingWriter()
@@ -441,14 +457,7 @@ class TestExactPathD0:
             exact_row(DS_MODEL, 1.0, grid, 7, 0, "d0")
 
     def test_strong_convergence_under_dt_refinement(self):
-        policy = xlq.state_independent_policy(D0_MODEL)
-        errors = []
-        for dt in (1e-2, 1e-3):
-            grid = xlq.PathGrid(dt=dt, n_steps=int(round(1.0 / dt)))
-            em = xlq.simulate_exploratory(D0_MODEL, policy, 1.0, grid, 99,
-                                          100, record_paths=False)
-            ex = xlq.exact_batch(D0_MODEL, 1.0, grid, 99, 100, method="d0")
-            errors.append(xlq.endpoint_errors(em, ex)[0])
+        errors = rms_ladder(D0_MODEL, "d0")
         assert errors[1] < errors[0]
         order = math.log10(errors[0] / errors[1])
         assert order >= 0.4
@@ -493,14 +502,7 @@ class TestExactPathC0:
             exact_row(DS_MODEL, 1.0, grid, 7, 0, "c0")
 
     def test_strong_convergence(self):
-        policy = xlq.state_independent_policy(C0_MODEL)
-        errors = []
-        for dt in (1e-2, 1e-3):
-            grid = xlq.PathGrid(dt=dt, n_steps=int(round(1.0 / dt)))
-            em = xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, 99,
-                                          100, record_paths=False)
-            ex = xlq.exact_batch(C0_MODEL, 1.0, grid, 99, 100, method="c0")
-            errors.append(xlq.endpoint_errors(em, ex)[0])
+        errors = rms_ladder(C0_MODEL, "c0")
         assert errors[1] < errors[0]
         assert math.log10(errors[0] / errors[1]) >= 0.4
 
@@ -537,15 +539,8 @@ class TestDossSaussman:
             assert transform.terms(z, y)[2] == pytest.approx(fd, rel=1e-6)
 
     def test_strong_convergence_against_euler(self):
-        value, policy = xlq.exploratory_solution(DS_MODEL)
-        errors = []
-        for dt in (1e-2, 1e-3):
-            grid = xlq.PathGrid(dt=dt, n_steps=int(round(1.0 / dt)))
-            em = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 99,
-                                          100, record_paths=False)
-            ex = xlq.exact_batch(DS_MODEL, 1.0, grid, 99, 100,
-                                 method="doss_saussman", value=value)
-            errors.append(xlq.endpoint_errors(em, ex)[0])
+        errors = rms_ladder(DS_MODEL, "doss_saussman",
+                            xlq.exploratory_solution(DS_MODEL)[0])
         assert errors[1] < errors[0]
         assert math.log10(errors[0] / errors[1]) >= 0.4
 
@@ -727,16 +722,21 @@ class TestExactBatch:
             (ValueError, (DS_MODEL, -math.inf, grid, 7, 4, "doss_saussman",
                           xlq.exploratory_solution(DS_MODEL)[0])),
         ]
-        for error, args in bad:
-            with pytest.raises(error):
-                xlq.exact_batch(*args)
-        assert calls == []
-        with pytest.raises(ValueError, match="n_paths must be >= 1, got -1"):
-            xlq.exact_batch(C0_MODEL, 1.0, grid, 7, -1, "c0")
-        with pytest.raises(ValueError, match="x0 must be finite, got nan"):
-            xlq.exact_batch(C0_MODEL, math.nan, grid, 7, 4, "c0")
+        # strong_errors takes exact_batch's arguments and checks them
+        # before its Euler batch draws any noise.
+        for call in (xlq.exact_batch, xlq.strong_errors):
+            for error, args in bad:
+                with pytest.raises(error):
+                    call(*args)
+            assert calls == []
+            with pytest.raises(ValueError, match="n_paths must be >= 1, got -1"):
+                call(C0_MODEL, 1.0, grid, 7, -1, "c0")
+            with pytest.raises(ValueError, match="x0 must be finite, got nan"):
+                call(C0_MODEL, math.nan, grid, 7, 4, "c0")
         xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 4, "c0")
         assert len(calls) == 1
+        xlq.strong_errors(C0_MODEL, 1.0, grid, 7, 4, "c0")
+        assert len(calls) == 3  # one block each for Euler and exact paths
 
     @pytest.mark.parametrize("method, model", [
         ("d0", D0_MODEL), ("c0", C0_MODEL), ("doss_saussman", DS_MODEL)])
@@ -815,34 +815,42 @@ class TestChunkWidths:
         assert_leading_rows_equal(default, narrow)
 
 
-class TestStrongError:
-    def test_batch_vs_itself(self):
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+class TestStrongErrors:
+    def test_equals_the_deviation_of_explicitly_paired_batches(self):
+        # d0 and c0 solve the state-independent policy's process,
+        # Doss-Saussmann the optimum's; both batches use seed 3.
         grid = xlq.PathGrid(dt=0.01, n_steps=50)
-        b = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 16)
-        assert xlq.endpoint_errors(b, b) == (0.0, 0.0, 0.0)
+        for method, model in (("d0", D0_MODEL), ("c0", C0_MODEL),
+                              ("doss_saussman", DS_MODEL)):
+            sol = xlq.solve(model)
+            value, policy = ((sol.value, sol.policy) if method == "doss_saussman"
+                             else (None, xlq.state_independent_policy(model)))
+            euler = xlq.simulate_exploratory(model, policy, 1.0, grid, 3, 16)
+            exact = xlq.exact_batch(model, 1.0, grid, 3, 16, method, value)
+            d = euler.endpoints - exact.endpoints
+            errors = xlq.strong_errors(model, 1.0, grid, 3, 16, method, value)
+            assert errors == (float(np.sqrt((d * d).mean())),
+                              float(np.abs(d).max()), float(np.abs(d).mean()))
+            assert errors[0] > 0.0
 
-    def test_rms_max_mean_of_the_signed_deviation(self):
-        sol = xlq.solve(DS_MODEL)
-        grid = xlq.PathGrid(dt=0.01, n_steps=50)
-        a = xlq.simulate_exploratory(DS_MODEL, sol.policy, 1.0, grid, 3, 16)
-        b = xlq.simulate_exploratory(DS_MODEL, sol.classical_policy, 1.0, grid, 3, 16)
-        d = a.endpoints - b.endpoints
-        assert xlq.endpoint_errors(a, b) == (
-            float(np.sqrt((d * d).mean())), float(np.abs(d).max()),
-            float(np.abs(d).mean()))
+    def test_one_euler_and_one_exact_batch_per_call(self, monkeypatch):
+        # The benchmark's tracer counts both batches by rebinding these
+        # module attributes, so strong_errors must call through them.
+        calls = []
 
-    def test_mismatch_rejected(self):
-        _, policy = xlq.exploratory_solution(DS_MODEL)
-        grid = xlq.PathGrid(dt=0.01, n_steps=50)
-        a = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 16)
-        for other in (
-                xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 4, 16),
-                xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 15),
-                xlq.simulate_exploratory(DS_MODEL, policy, 1.0,
-                                         xlq.PathGrid(dt=0.02, n_steps=25), 3, 16)):
-            with pytest.raises(xlq.GridMismatchError):
-                xlq.endpoint_errors(a, other)
+        def counting(name):
+            real = getattr(sde, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("simulate_exploratory", "exact_batch"):
+            monkeypatch.setattr(sde, name, counting(name))
+        grid = xlq.PathGrid(dt=0.01, n_steps=10)
+        xlq.strong_errors(C0_MODEL, 1.0, grid, 7, 4, "c0")
+        assert sorted(calls) == ["exact_batch", "simulate_exploratory"]
 
 
 class TestAdmissibilityDecaySampled:
