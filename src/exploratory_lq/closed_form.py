@@ -66,6 +66,14 @@ def _positive_n2(model: LqModel, k2: float) -> float:
     return n2
 
 
+def _nonzero_n2(model: LqModel, k2: float) -> float:
+    """n - k2 d^2, which the residuals divide by; it may be negative."""
+    n2 = model.n - k2 * model.d ** 2
+    if n2 == 0:
+        raise NonIntegrableDensityError(f"n - k2*d^2 must be nonzero, got {n2}")
+    return n2
+
+
 @dataclass(frozen=True)
 class QuadraticValue:
     """Value-function coefficients of v(x) = k2/2 x^2 + k1 x + k0."""
@@ -142,7 +150,7 @@ def solve_k2(model: LqModel) -> float:
 
 def k2_residual(model: LqModel, k2: float) -> float:
     """Defect of k2 in the curvature equation (zero at a true root)."""
-    n2 = model.n - k2 * model.d ** 2
+    n2 = _nonzero_n2(model, k2)
     beta = model.b + model.c * model.d
     rhs = ((k2 * beta - model.r) ** 2 / n2
            + k2 * (2.0 * model.a + model.c ** 2) - model.m)
@@ -170,7 +178,7 @@ def solve_k1(model: LqModel, k2: float) -> float:
 
 def k1_residual(model: LqModel, k2: float, k1: float) -> float:
     """Defect of k1 in the linear ansatz equation."""
-    n2 = model.n - k2 * model.d ** 2
+    n2 = _nonzero_n2(model, k2)
     beta = model.b + model.c * model.d
     rhs = ((k1 * model.b - model.q) * (k2 * beta - model.r) / n2
            + k1 * model.a - model.p)
@@ -193,7 +201,7 @@ def _entropy_annuity(model: LqModel, n2: float) -> float:
 
 def k0_residual(model: LqModel, k2: float, k1: float, k0: float) -> float:
     """Defect of k0 in the constant ansatz equation."""
-    n2 = model.n - k2 * model.d ** 2
+    n2 = _positive_n2(model, k2)
     lin = k1 * model.b - model.q
     rhs = (lin ** 2 / (2.0 * n2)
            + model.lam / 2.0 * (log_2pi_e_ratio(model.lam, n2) - 1.0))

@@ -69,13 +69,11 @@ def classify_case(coeffs: DerivedCoeffs) -> tuple[str, bool]:
 
 
 def mean_curve(coeffs: DerivedCoeffs, x0: float, t):
-    """n(t) = (x0 + A2/A1) e^{A1 t} - A2/A1, or x0 + A2 t when A1 = 0."""
+    """n(t) = x0 e^{A1 t} + A2 t phi1(A1 t), one formula for every A1:
+    the form (x0 + A2/A1) e^{A1 t} - A2/A1 cancels as A1 -> 0."""
     t = np.asarray(t, dtype=float)
-    if abs(coeffs.a1) <= CASE_TOL:
-        out = x0 + coeffs.a2 * t
-    else:
-        ratio = coeffs.a2 / coeffs.a1
-        out = (x0 + ratio) * np.exp(coeffs.a1 * t) - ratio
+    a1t = coeffs.a1 * t
+    out = x0 * np.exp(a1t) + coeffs.a2 * t * _phi1(a1t)
     return out if out.shape else float(out)
 
 

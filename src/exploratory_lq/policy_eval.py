@@ -13,7 +13,9 @@ without the analytic reduction; it exists to demonstrate agreement and
 to restore a genuine statistical error bar on degenerate-noise models.
 The reward integral uses left-endpoint Riemann weights, matching the
 Euler scheme's filtration convention, and the discarded tail beyond the
-horizon is bounded analytically from the moment curves.
+horizon is bounded analytically from the moment curves.  That bound is
+built from the optimal value's coefficients, so it holds for the
+optimal policy only; for any other policy it can be far too small.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ class ValueEstimate:
     """Monte Carlo estimate with its statistical and truncation errors.
 
     ``truncation_bound`` bounds the discarded tail beyond the horizon
-    and is reported separately from the standard error, never folded
-    into it.
+    when the evaluated policy is the optimal one (for any other policy
+    it can be far too small; see :func:`truncation_bound`), and is
+    reported separately from the standard error, never folded into it.
     """
 
     value: float

@@ -63,6 +63,11 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
                         ("n_paths", n_paths), ("n_steps", n_steps)):
         if not (is_integer(value) and value >= 0):
             raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    # Path indices fill a 64-bit key word; steps keep to the same range.
+    for name, first, count in (("first_path + n_paths", first_path, n_paths),
+                               ("first_step + n_steps", first_step, n_steps)):
+        if first + count > 2 ** 64:
+            raise ValueError(f"{name} must be <= 2**64, got {first} + {count}")
     if out is None:
         out = np.empty((n_paths, n_steps))
     elif out.shape != (n_paths, n_steps) or out.dtype != np.float64:

@@ -24,9 +24,9 @@ exact, is walked the same way: 2048 paths per chunk, wide enough that
 NumPy's per-call overhead is small against each step's work, with their
 noise drawn in blocks of 512 steps into one reused buffer per stream
 (at most about 8 MB of normals).  The exact builders carry what crosses
-a block edge and write each block's nodes straight into the batch.
-Chunks run serially: the per-step work is short NumPy calls that hold
-the interpreter lock, so threads do not speed it up.
+a block edge and write each block's nodes straight into one read-only
+array.  Chunks run serially: the per-step work is short NumPy calls
+that hold the interpreter lock, so threads do not speed it up.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class DiscountedSums:
 
 @dataclass
 class TrajectoryBatch:
-    """A batch of simulated sample paths plus bookkeeping.
+    """An Euler-Maruyama batch from :func:`simulate_exploratory`.
 
     states is (n_paths, n_steps + 1) when paths were recorded, else
     None; endpoints always holds the final node.  Paths whose state
@@ -585,10 +585,10 @@ def _exact_builder(model: LqModel, x0: float, grid: PathGrid, method: str, value
 
 
 def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
-                n_paths: int, method: str, value=None) -> TrajectoryBatch:
-    """TrajectoryBatch of exact reference paths on the shared
-    per-path Brownian streams; method one of 'd0', 'c0',
-    'doss_saussman' ('doss_saussman' needs the value function).
+                n_paths: int, method: str, value=None) -> np.ndarray:
+    """Read-only (n_paths, n_steps + 1) array whose row p is the exact
+    path of (seed, p), for method 'd0', 'c0' or 'doss_saussman' (which
+    needs the value function), on the shared per-path Brownian streams.
 
     The path count, x0, the method, its regime and the room for every
     node are checked before any noise is drawn.
@@ -599,11 +599,8 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     states[:, 0] = x0
     for lo, hi in _chunk_ranges(n_paths):
         build(_noise_blocks(seed, lo, hi - lo, grid.n_steps), states[lo:hi])
-    endpoints = states[:, -1].copy()
-    return TrajectoryBatch(
-        grid=grid, n_paths=n_paths, endpoints=endpoints,
-        diverged=np.zeros(n_paths, dtype=bool),
-        divergence_step=np.full(n_paths, -1, dtype=np.int64), states=states)
+    states.setflags(write=False)
+    return states
 
 
 def strong_errors(model: LqModel, x0: float, grid: PathGrid, seed: int,
@@ -622,6 +619,6 @@ def strong_errors(model: LqModel, x0: float, grid: PathGrid, seed: int,
     euler = simulate_exploratory(model, policy, x0, grid, seed, n_paths,
                                  record_paths=False)
     exact = exact_batch(model, x0, grid, seed, n_paths, method, value)
-    diff = np.abs(euler.endpoints - exact.endpoints)
+    diff = np.abs(euler.endpoints - exact[:, -1])
     return (float(np.sqrt((diff * diff).mean())), float(diff.max()),
             float(diff.mean()))

@@ -218,6 +218,27 @@ class TestSolveK0:
             assert abs(xlq.k0_residual(model, k2, k1, k0)) < 1e-10 * max(1, abs(k0))
 
 
+class TestResidualDomain:
+    # DS_MODEL has n = 2 and d = 1, so k2 = 2 zeroes n - k2 d^2, which
+    # every residual divides by.
+    @pytest.mark.parametrize("residual", [
+        lambda k2: xlq.k2_residual(DS_MODEL, k2),
+        lambda k2: xlq.k1_residual(DS_MODEL, k2, 0.3),
+        lambda k2: xlq.k0_residual(DS_MODEL, k2, 0.3, 0.1)],
+        ids=["k2", "k1", "k0"])
+    def test_vanishing_denominator_named(self, residual):
+        with pytest.raises(xlq.NonIntegrableDensityError, match=r"n - k2\*d\^2"):
+            residual(2.0)
+
+    def test_negative_denominator(self):
+        # The convex root lies where n - k2 d^2 < 0; k2 and k1 residuals
+        # stay defined there, while k0's entropy term is not.
+        assert math.isfinite(xlq.k2_residual(DS_MODEL, 3.0))
+        assert math.isfinite(xlq.k1_residual(DS_MODEL, 3.0, 0.3))
+        with pytest.raises(xlq.NonIntegrableDensityError, match=r"n - k2\*d\^2"):
+            xlq.k0_residual(DS_MODEL, 3.0, 0.3, 0.1)
+
+
 class TestExploratorySolution:
     def test_s1_policy(self):
         value, policy = xlq.exploratory_solution(S1)

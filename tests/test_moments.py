@@ -48,6 +48,29 @@ class TestMeanCurve:
             coeffs = random_coeffs(rng)
             assert xlq.mean_curve(coeffs, 1.7, 0.0) == pytest.approx(1.7, abs=1e-14)
 
+    def test_accurate_through_a1_zero(self):
+        # The form (x0 + a2/a1) e^{a1 t} - a2/a1 cancels for small a1.
+        # The reference is x0 e^{a1 t} + a2 (e^{a1 t} - 1)/a1 at 40
+        # digits, and the error is measured against the curve's scale.
+        mpmath = pytest.importorskip("mpmath")
+        times = [0.0, 1e-3, 0.5, 2.0, 10.0]
+        worst = 0.0
+        for x0 in (1.0, -2.5):
+            for a1 in (0.0, 1e-12, -1e-12, 2e-10, -2e-10, 1e-8, 3e-7, -3e-7,
+                       1e-6, 1.5e-6, 2e-5, 1e-3, -0.618, 0.2, -1.0, 3.0):
+                for a2 in (0.7, -0.5, 3.0):
+                    coeffs = DerivedCoeffs(a1=a1, a2=a2, b1=0.3, b2=0.1, c1=0.2)
+                    got = xlq.mean_curve(coeffs, x0, np.array(times))
+                    with mpmath.workdps(40):
+                        for t, value in zip(times, got):
+                            a1t = mpmath.mpf(a1) * t
+                            grow = mpmath.exp(a1t)
+                            phi1 = (grow - 1) / a1t if a1t else 1
+                            ref = x0 * grow + a2 * t * phi1
+                            scale = abs(x0) * grow + abs(a2) * t * phi1
+                            worst = max(worst, float(abs(value - ref) / scale))
+        assert worst <= 1e-15
+
 
 class TestSecondMomentClosedForms:
     def test_case_tags(self):

@@ -81,8 +81,7 @@ def brownian(grid, seed, n_paths):
 
 def exact_row(model, x0, grid, seed, p, method, value=None):
     """The exact path of (seed, p): row p of a (p + 1)-path batch."""
-    return xlq.exact_batch(model, x0, grid, seed, p + 1, method,
-                           value).states[p]
+    return xlq.exact_batch(model, x0, grid, seed, p + 1, method, value)[p]
 
 
 def rms_ladder(model, method, value=None):
@@ -183,7 +182,12 @@ class TestRandomStreams:
         (dict(first_path=1.9), "first_path"),
         (dict(first_step=1.0), "first_step"),
         (dict(n_paths=2.5), "n_paths"),
-        (dict(n_steps=5.0), "n_steps")])
+        (dict(n_steps=5.0), "n_steps"),
+        # Path indices fill one 64-bit key word; steps keep to the same range.
+        (dict(first_path=2 ** 64 - 1), "first_path"),
+        (dict(first_path=2 ** 64 + 5, n_paths=1), "first_path"),
+        (dict(first_step=2 ** 66), "first_step"),
+        (dict(first_step=2 ** 64 - 4), "first_step")])
     def test_bad_block_rejected_before_any_philox(self, monkeypatch, bad, name):
         def no_philox(*args, **kwargs):
             raise AssertionError("a Philox was built")
@@ -192,6 +196,11 @@ class TestRandomStreams:
         args = {**dict(seed=1, first_path=0, n_paths=2, n_steps=5), **bad}
         with pytest.raises(ValueError, match=f"^{name} "):
             xlq.rng.normal_block(**args)
+
+    def test_last_path_and_step_of_64_bits_drawn(self):
+        rng = xlq.rng
+        assert np.all(np.isfinite(rng.normal_block(1, 2 ** 64 - 1, 1, 4)))
+        assert np.all(np.isfinite(rng.normal_block(1, 0, 1, 4, first_step=2 ** 64 - 4)))
 
 
 class TestEulerMaruyama:
@@ -477,9 +486,9 @@ class TestExactPathC0:
         model = xlq.LqModel(a=-1, b=1, c=0, d=1, m=0, n=2, r=0, p=0, q=0,
                             rho=0.5, lam=1.0)
         grid = xlq.PathGrid(dt=0.05, n_steps=400)  # T = 20 >> 1/|a|
-        batch = xlq.exact_batch(model, 1.0, grid, 12, 20000, method="c0")
+        exact = xlq.exact_batch(model, 1.0, grid, 12, 20000, method="c0")
         target = model.d ** 2 * model.lam / (2.0 * model.n)
-        var = batch.endpoints.var(ddof=1)
+        var = exact[:, -1].var(ddof=1)
         assert var == pytest.approx(target, rel=0.05)
         coeffs = xlq.derived_coeffs(model, xlq.state_independent_policy(model))
         m_inf = float(xlq.second_moment_curve(coeffs, 1.0, 60.0))
@@ -488,13 +497,13 @@ class TestExactPathC0:
 
     def test_endpoint_distribution_kolmogorov_smirnov(self):
         grid = xlq.PathGrid(dt=1 / 16, n_steps=16)
-        batch = xlq.exact_batch(C0_MODEL, 1.0, grid, 5, 100000, method="c0")
+        exact = xlq.exact_batch(C0_MODEL, 1.0, grid, 5, 100000, method="c0")
         coeffs = xlq.derived_coeffs(C0_MODEL, xlq.state_independent_policy(C0_MODEL))
         mean = float(xlq.mean_curve(coeffs, 1.0, 1.0))
         m2 = float(xlq.second_moment_curve(coeffs, 1.0, 1.0))
-        ks = stats.kstest(batch.endpoints, "norm",
+        ks = stats.kstest(exact[:, -1], "norm",
                           args=(mean, math.sqrt(m2 - mean ** 2)))
-        assert ks.statistic < 1.628 / math.sqrt(batch.n_paths)
+        assert ks.statistic < 1.628 / math.sqrt(len(exact))
 
     def test_requires_c_zero(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
@@ -638,8 +647,8 @@ class TestDossSaussmanBlocks:
     def test_convergence_grids(self, dt):
         grid = xlq.PathGrid(dt=dt, n_steps=int(round(cli.CONVERGENCE_HORIZON / dt)))
         value = xlq.exploratory_solution(DS_MODEL)[0]
-        batch = xlq.exact_batch(DS_MODEL, 1.0, grid, 1, 6, "doss_saussman", value)
-        assert_same_bits(batch.states, per_node_doss_saussman(DS_MODEL, 1.0, grid, 1, 6))
+        exact = xlq.exact_batch(DS_MODEL, 1.0, grid, 1, 6, "doss_saussman", value)
+        assert_same_bits(exact, per_node_doss_saussman(DS_MODEL, 1.0, grid, 1, 6))
 
     # sign: that of the Doss-Saussmann volatility slope b1; None marks
     # the d0 and c0 paths.
@@ -653,14 +662,14 @@ class TestDossSaussmanBlocks:
         if sign is None:
             method, reference = (("d0", whole_horizon_d0) if model is D0_MODEL
                                  else ("c0", whole_horizon_c0))
-            batch = xlq.exact_batch(model, 0.4, grid, 3, 7, method)
-            assert_same_bits(batch.states, reference(model, 0.4, grid, 3, 7))
+            exact = xlq.exact_batch(model, 0.4, grid, 3, 7, method)
+            assert_same_bits(exact, reference(model, 0.4, grid, 3, 7))
             return
         value = xlq.exploratory_solution(model)[0]
         b1 = xlq.DossSaussmanTransform.from_solution(model, value).coeffs.b1
         assert math.copysign(1.0, b1) == sign
-        batch = xlq.exact_batch(model, -0.4, grid, 3, 7, "doss_saussman", value)
-        assert_same_bits(batch.states, per_node_doss_saussman(model, -0.4, grid, 3, 7))
+        exact = xlq.exact_batch(model, -0.4, grid, 3, 7, "doss_saussman", value)
+        assert_same_bits(exact, per_node_doss_saussman(model, -0.4, grid, 3, 7))
 
     def test_non_finite_defect_raises(self, monkeypatch):
         # An absurd increment in one path overflows F there; the other
@@ -691,7 +700,19 @@ class TestExactBatch:
         grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
         big = xlq.exact_batch(model, 1.0, grid, 9, BIG, method, value)
         small = xlq.exact_batch(model, 1.0, grid, 9, SMALL, method, value)
-        assert np.array_equal(big.states[:SMALL], small.states)
+        assert np.array_equal(big[:SMALL], small)
+
+    @pytest.mark.parametrize("method, model", [
+        ("d0", D0_MODEL), ("c0", C0_MODEL), ("doss_saussman", DS_MODEL)])
+    def test_a_read_only_node_array(self, method, model):
+        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        grid = xlq.PathGrid(dt=0.01, n_steps=12)
+        exact = xlq.exact_batch(model, 0.3, grid, 4, 5, method, value)
+        assert type(exact) is np.ndarray and exact.dtype == np.float64
+        assert exact.shape == (5, 13) and exact.flags.c_contiguous
+        assert np.all(exact[:, 0] == 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            exact[0, 1] = 0.0
 
     def test_inputs_checked_before_noise_is_drawn(self, monkeypatch):
         calls = []
@@ -812,7 +833,7 @@ class TestChunkWidths:
             mp.setattr(sde, "_CHUNK", chunk)
             mp.setattr(sde, "_STEP_BLOCK", step_block)
             narrow = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
-        assert_leading_rows_equal(default, narrow)
+        assert np.array_equal(default, narrow)
 
 
 class TestStrongErrors:
@@ -827,7 +848,7 @@ class TestStrongErrors:
                              else (None, xlq.state_independent_policy(model)))
             euler = xlq.simulate_exploratory(model, policy, 1.0, grid, 3, 16)
             exact = xlq.exact_batch(model, 1.0, grid, 3, 16, method, value)
-            d = euler.endpoints - exact.endpoints
+            d = euler.endpoints - exact[:, -1]
             errors = xlq.strong_errors(model, 1.0, grid, 3, 16, method, value)
             assert errors == (float(np.sqrt((d * d).mean())),
                               float(np.abs(d).max()), float(np.abs(d).mean()))
