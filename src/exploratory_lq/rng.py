@@ -24,6 +24,12 @@ implementations can reproduce them exactly:
     z = ndtri(u)                            inverse standard-normal CDF
 
 u lies strictly inside (0, 1), so z is always finite.
+
+``normal_block`` writes each row's raw Philox bits straight into its
+float64 output (viewed as uint64), so a row costs only the re-key and
+the draw.  It then converts the block in place in tiles of 64 rows: one
+in-place uint64 -> float64 pass over a whole block makes NumPy copy the
+overlap first (8.5 MB for 2048 x 512), while a tile's copy is 0.26 MB.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ STATE_STREAM = 0
 ACTION_STREAM = 0x9E3779B97F4A7C15  # fixed odd salt, splitmix64 constant
 
 _INV_2_53 = 2.0 ** -53
+# Rows per uint64 -> float64 conversion in normal_block.
+_TILE_ROWS = 64
 
 
 def is_integer(x) -> bool:
@@ -81,12 +89,18 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
         counter=np.array([first_step // 4, 0, 0, stream], dtype=np.uint64))
     state = gen.state
     key = state["state"]["key"]
+    # The raw bits go straight into ``out``; each row costs only the
+    # re-key and the draw.
+    bits = out.view(np.uint64)
     for i in range(n_paths):
         key[1] = first_path + i
         gen.state = state
-        raw = gen.random_raw(skip + n_steps)[skip:]
-        np.right_shift(raw, np.uint64(11), out=raw)
-        np.add(raw, 0.5, out=out[i])
+        bits[i] = gen.random_raw(skip + n_steps)[skip:]
+    # In tiles of rows, so NumPy's copy of the overlap stays small.
+    for lo in range(0, n_paths, _TILE_ROWS):
+        tile = bits[lo:lo + _TILE_ROWS]
+        np.right_shift(tile, np.uint64(11), out=tile)
+        np.add(tile, 0.5, out=out[lo:lo + _TILE_ROWS])
     out *= _INV_2_53
     ndtri(out, out=out)
     return out

@@ -23,10 +23,17 @@ batch size or the chunk it was stepped in.  Every sample path, Euler or
 exact, is walked the same way: 2048 paths per chunk, wide enough that
 NumPy's per-call overhead is small against each step's work, with their
 noise drawn in blocks of 512 steps into one reused buffer per stream
-(at most about 8 MB of normals).  The exact builders carry what crosses
-a block edge and write each block's nodes straight into one read-only
-array.  Chunks run serially: the per-step work is short NumPy calls
-that hold the interpreter lock, so threads do not speed it up.
+(at most about 8 MB of normals).  The buffer's rows are padded by 8
+columns: a step reads one column of the block, and with rows of exactly
+4096 B every element of that column would fall in the same cache set.
+The exact builders carry what crosses a block edge and write each
+block's nodes straight into one read-only array.  The Euler step writes
+every temporary into a preallocated (paths,) buffer through ufunc
+``out=`` and swaps the old and new state buffers; each noise block is
+scaled by sqrt(dt) once, in place.  Both keep the arithmetic of the
+plain recursion op for op, so the bits do not depend on them.  Chunks
+run serially: the per-step work is short NumPy calls that hold the
+interpreter lock, so threads do not speed it up.
 """
 
 from __future__ import annotations
@@ -207,13 +214,15 @@ def _chunk_ranges(n_paths: int):
 
 def _noise_blocks(seed: int, lo: int, m: int, n_steps: int, stream=rng.STATE_STREAM):
     """Yield (k0, z) per _STEP_BLOCK steps: z holds normals k0..k0+n-1 of
-    paths lo..lo+m-1, drawn contiguously into one reused buffer."""
+    paths lo..lo+m-1, drawn into one reused buffer.  Its rows are padded
+    by 8 columns: a 512-step row of exactly 4096 B would put every
+    element of a column z[:, j] in the same cache set."""
     width = min(_STEP_BLOCK, n_steps)
-    buf = np.empty(m * width)
+    buf = np.empty((m, width + 8))
     for k0 in range(0, n_steps, width):
         n = min(width, n_steps - k0)
         yield k0, rng.normal_block(seed, lo, m, n, stream=stream, first_step=k0,
-                                   out=buf[:m * n].reshape(m, n))
+                                   out=buf[:, :n])
 
 
 def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
@@ -239,6 +248,8 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
     _check_batch(n_paths, x0)
     if action_noise and discount_rate is None:
         raise ValueError("action_noise=True requires discount_rate")
+    if discount_rate is not None and not 0 <= discount_rate < math.inf:
+        raise ValueError(f"discount_rate must be finite and >= 0, got {discount_rate!r}")
     k_steps = grid.n_steps
     if not all(rng.is_integer(c) and 0 <= c <= k_steps for c in checkpoints):
         raise ValueError(f"checkpoints must be integer nodes in [0, {k_steps}]: {checkpoints}")
@@ -251,21 +262,29 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
     weights = None
     if discount_rate is not None:
         weights = np.exp(-discount_rate * grid.times()[:-1]) * grid.dt
+        w_list = weights.tolist()
         sum_x, sum_x2 = np.zeros((2, n_paths))
         sum_zx, sum_z, sum_z2 = np.zeros((3, n_paths)) if action_noise else (None,) * 3
 
-    dt = grid.dt
-    sq_dt = math.sqrt(dt)
+    sq_dt = math.sqrt(grid.dt)
     coeffs = derived_coeffs(model, policy)
-    a1, a2, b1, b2, c1 = coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1
+    # 0-d float64 operands: a ufunc call costs less with one than with a
+    # Python float, for the same result.
+    a1, a2, b1, b2, c1, dt, one = (
+        np.array(v, dtype=np.float64) for v in
+        (coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1, grid.dt, 1.0))
 
     def run_chunk(lo: int, hi: int) -> None:
         m = hi - lo
         blocks = _noise_blocks(seed, lo, m, k_steps)
         if action_noise:
             action_blocks = _noise_blocks(seed, lo, m, k_steps, rng.ACTION_STREAM)
-        x = np.full(m, float(x0))
+        # x holds node k and xn receives node k + 1; every other per-step
+        # temporary has its own (m,) buffer.
+        x, xn, drift, vol, t, wz = (np.empty(m) for _ in range(6))
+        x.fill(x0)
         alive = np.ones(m, dtype=bool)
+        frozen = False
         dstep = np.full(m, -1, dtype=np.int64)
         if weights is not None:
             s_x, s_x2 = sum_x[lo:hi], sum_x2[lo:hi]
@@ -274,6 +293,7 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
         if record_paths:
             states[lo:hi, 0] = x
         for k0, z in blocks:
+            z *= sq_dt                        # the increments z sqrt(dt)
             if action_noise:
                 za = next(action_blocks)[1]
             for j in range(z.shape[1]):
@@ -281,24 +301,43 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
                 if k in cp_states:
                     cp_states[k][lo:hi] = x
                 if weights is not None:
-                    w = weights[k]
-                    wx = w * x
-                    s_x += wx
-                    s_x2 += wx * x
+                    w = w_list[k]
+                    np.multiply(x, w, t)      # w x
+                    s_x += t
+                    t *= x
+                    s_x2 += t
                     if action_noise:
                         zk = za[:, j]
-                        wz = w * zk
-                        s_zx += wz * x
+                        np.multiply(zk, w, wz)
+                        np.multiply(wz, x, t)
+                        s_zx += t
                         s_z += wz
-                        s_z2 += w * (zk * zk - 1.0)
-                drift = a1 * x + a2
-                vol = np.sqrt((b1 * x + b2) ** 2 + c1)
-                xn = x + drift * dt + vol * (z[:, j] * sq_dt)
-                bad = alive & ~(np.abs(xn) <= DIVERGENCE_THRESHOLD)
-                if bad.any():
-                    dstep[bad] = k + 1
-                    alive &= ~bad
-                x = np.where(alive, xn, x)
+                        np.multiply(zk, zk, t)
+                        t -= one
+                        t *= w
+                        s_z2 += t
+                np.multiply(x, a1, drift)
+                drift += a2
+                drift *= dt
+                np.add(x, drift, xn)          # x + (a1 x + a2) dt
+                np.multiply(x, b1, vol)
+                vol += b2
+                np.multiply(vol, vol, vol)
+                vol += c1
+                np.sqrt(vol, vol)
+                vol *= z[:, j]
+                xn += vol
+                np.abs(xn, t)
+                # A NaN fails the max test too and takes the full path.
+                if not frozen and t.max() <= DIVERGENCE_THRESHOLD:
+                    x, xn = xn, x
+                else:
+                    bad = alive & ~(t <= DIVERGENCE_THRESHOLD)
+                    if bad.any():
+                        dstep[bad] = k + 1
+                        alive &= ~bad
+                        frozen = True
+                    np.copyto(x, xn, where=alive)
                 if record_paths:
                     states[lo:hi, k + 1] = x
         if k_steps in cp_states:
@@ -501,6 +540,11 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     to_w, to_f, half_b1 = ac / root, root / ac, b1 / 2.0
     h = grid.dt / ODE_SUBSTEPS
     half_h, sixth_h = 0.5 * h, h / 6.0
+    # The stage's scalar operands as 0-d float64 arrays: a ufunc call
+    # costs less with one than with a Python float, for the same result.
+    shift, to_w, to_f, a1, a2, b1, b2, half_b1, ac, h, half_h, sixth_h, one, two = (
+        np.array(v, dtype=np.float64) for v in
+        (shift, to_w, to_f, a1, a2, b1, b2, half_b1, ac, h, half_h, sixth_h, 1.0, 2.0))
     # Where in a step the stages read W: j/S, (j + 0.5)/S and (j + 1)/S
     # for substep j of S, shared between neighbouring substeps.
     fractions = (np.arange(2 * ODE_SUBSTEPS + 1) * 0.5 / ODE_SUBSTEPS)[:, None]
@@ -516,7 +560,7 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
         t_f *= to_f
         t_f -= shift                      # F
         t_w *= t_w
-        t_w += 1.0
+        t_w += one
         np.sqrt(t_w, t_w)
         out /= t_w                        # dF/dy = cosh(arg) / sqrt(1 + w^2)
         np.multiply(t_f, b1, t_w)
@@ -551,9 +595,9 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
                     np.multiply(k3, h, y_in)
                     y_in += y
                     stage(acw[j + 2], y_in, k4, t_w, t_f)
-                    k2 *= 2.0
+                    k2 *= two
                     k1 += k2
-                    k3 *= 2.0
+                    k3 *= two
                     k1 += k3
                     k1 += k4
                     k1 *= sixth_h

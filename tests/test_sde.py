@@ -11,6 +11,7 @@ the plain per-node RK4 recursion.
 import hashlib
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy import special, stats
 
 import exploratory_lq as xlq
 from exploratory_lq import cli, sde
-from exploratory_lq.constants import ABS_TOL, ODE_SUBSTEPS
+from exploratory_lq.constants import ABS_TOL, DIVERGENCE_THRESHOLD, ODE_SUBSTEPS
 from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1
 
 # Explosive multiplicative noise: the Euler state grows by a random
@@ -50,6 +51,40 @@ def euler_with_sums(model, policy, grid, n_paths, nodes):
     return xlq.simulate_exploratory(
         model, policy, 1.0, grid, 9, n_paths, checkpoints=nodes,
         discount_rate=model.rho, action_noise=True)
+
+
+def written_out_euler(model, policy, grid, n_paths, nodes):
+    """Reference for :func:`euler_with_sums`: the Euler recursion one
+    step at a time on each path's whole horizon of state and action
+    normals, freezing a path once |X| exceeds the divergence threshold,
+    as plain NumPy expressions.  Returns a dict of the batch's fields."""
+    c = xlq.derived_coeffs(model, policy)
+    dt, n_steps = grid.dt, grid.n_steps
+    z = xlq.rng.normal_block(9, 0, n_paths, n_steps)
+    za = xlq.rng.normal_block(9, 0, n_paths, n_steps, stream=xlq.rng.ACTION_STREAM)
+    weights = np.exp(-model.rho * grid.times()[:-1]) * dt
+    x = np.full(n_paths, 1.0)
+    alive = np.ones(n_paths, dtype=bool)
+    dstep = np.full(n_paths, -1, dtype=np.int64)
+    sums = {name: np.zeros(n_paths) for name in ("x", "x2", "zx", "z", "z2m1")}
+    states = [x]
+    for k in range(n_steps):
+        w, zk = weights[k], za[:, k]
+        sums["x"] += w * x
+        sums["x2"] += w * x * x
+        sums["zx"] += w * zk * x
+        sums["z"] += w * zk
+        sums["z2m1"] += w * (zk * zk - 1.0)
+        xn = x + (c.a1 * x + c.a2) * dt + np.sqrt((c.b1 * x + c.b2) ** 2 + c.c1) * (
+            z[:, k] * math.sqrt(dt))
+        bad = alive & ~(np.abs(xn) <= DIVERGENCE_THRESHOLD)
+        dstep[bad] = k + 1
+        alive &= ~bad
+        x = np.where(alive, xn, x)
+        states.append(x)
+    states = np.stack(states, axis=1)
+    return dict(states=states, endpoints=x, diverged=~alive, divergence_step=dstep,
+                checkpoints={k: states[:, k] for k in nodes}, **sums)
 
 
 def assert_leading_rows_equal(big, small):
@@ -197,6 +232,29 @@ class TestRandomStreams:
         with pytest.raises(ValueError, match=f"^{name} "):
             xlq.rng.normal_block(**args)
 
+    def test_block_into_out_allocates_under_1_mb(self):
+        # A full 2048 x 512 block (8 MB) converts its raw bits in place
+        # in row tiles, without a block-sized temporary.
+        out = np.empty((sde._CHUNK, sde._STEP_BLOCK))
+        tracemalloc.start()
+        try:
+            xlq.rng.normal_block(3, 0, sde._CHUNK, sde._STEP_BLOCK, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_noise_block_rows_not_a_multiple_of_4096_bytes(self):
+        # Rows of exactly 4096 B would put a column's elements in one
+        # cache set.
+        starts = []
+        for k0, z in sde._noise_blocks(3, 2, 5, EULER_STEPS):
+            starts.append(k0)
+            assert z.strides[0] % 4096 != 0
+            assert np.array_equal(
+                z, xlq.rng.normal_block(3, 2, 5, z.shape[1], first_step=k0))
+        assert starts == [0, sde._STEP_BLOCK]
+
     def test_last_path_and_step_of_64_bits_drawn(self):
         rng = xlq.rng
         assert np.all(np.isfinite(rng.normal_block(1, 2 ** 64 - 1, 1, 4)))
@@ -266,6 +324,32 @@ class TestEulerMaruyama:
         assert batch.states.tobytes() == np.stack(expected, axis=1).tobytes()
         assert batch.endpoints.tobytes() == x.tobytes()
 
+    @pytest.mark.parametrize("model, policy, dt, n_paths", [
+        (DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 0.002, 40),
+        # Paths diverge in both noise blocks (checked below).
+        (EXPLOSIVE, EXPLOSIVE_POLICY, 0.002, 300)])
+    def test_batch_with_sums_is_the_written_out_euler_loop(self, model, policy, dt,
+                                                            n_paths):
+        # Every field of a batch with checkpoints and all five discounted
+        # sums equals, bit for bit, the step-by-step recursion on
+        # whole-horizon noise, across the noise-block boundary.
+        grid = xlq.PathGrid(dt=dt, n_steps=EULER_STEPS)
+        nodes = (0, 10, sde._STEP_BLOCK, EULER_STEPS)
+        batch = euler_with_sums(model, policy, grid, n_paths, nodes)
+        expected = written_out_euler(model, policy, grid, n_paths, nodes)
+        if model is EXPLOSIVE:
+            steps = batch.divergence_step
+            assert np.any((steps > 0) & (steps <= sde._STEP_BLOCK))
+            assert np.any(steps > sde._STEP_BLOCK)
+            assert not batch.diverged.all()
+        for name in ("states", "endpoints", "diverged", "divergence_step"):
+            assert getattr(batch, name).tobytes() == expected[name].tobytes(), name
+        for node in nodes:
+            assert (batch.checkpoint_states[node].tobytes()
+                    == expected["checkpoints"][node].tobytes()), node
+        for name in ("x", "x2", "zx", "z", "z2m1"):
+            assert getattr(batch.sums, name).tobytes() == expected[name].tobytes(), name
+
     def test_action_noise_without_discount_rate_rejected(self, monkeypatch):
         def no_noise(*args, **kwargs):
             raise AssertionError("noise was drawn")
@@ -276,6 +360,18 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError, match="action_noise.*discount_rate"):
             xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 4,
                                      action_noise=True)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1e6, -1e-300])
+    def test_bad_discount_rate_rejected_before_noise(self, monkeypatch, rate):
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        grid = xlq.PathGrid(dt=0.01, n_steps=10)
+        with pytest.raises(ValueError, match="^discount_rate must be finite and >= 0"):
+            xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 4,
+                                     discount_rate=rate)
 
     def test_determinism_under_partitioning_and_parallelism(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=EULER_STEPS)
