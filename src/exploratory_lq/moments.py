@@ -8,11 +8,11 @@ the moments n(t) = E[X_t] and m(t) = E[X_t^2] solve linear ODEs
 
 and the classical process (no exploration noise) obeys the same system
 with C1 = 0, which is what the zero-variance policy's coefficients
-carry.  Variation of constants yields five closed-form
-branches keyed on which of A1, B1, A1 + B1^2, 2 A1 + B1^2 vanish; a
-fixed-step RK4 integrator of the same ODEs doubles as an independent
-numerical oracle and takes over near branch boundaries where the closed
-forms lose digits to cancellation.
+carry.  Variation of constants yields two closed forms: one for
+A1 = 0 and one dividing by A1.  Five case tags record which of A1, B1,
+A1 + B1^2, 2 A1 + B1^2 vanish; a fixed-step RK4 integrator of the same
+ODEs doubles as an independent numerical oracle and takes over in the
+near band of those boundaries, where the closed forms lose digits.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 def classify_case(coeffs: DerivedCoeffs) -> tuple[str, bool]:
-    """Branch tag in {'a','b','c','d','e'} plus a near-boundary flag.
+    """Case tag in {'a','b','c','d','e'} plus a near-boundary flag.
 
-    The flag marks inputs whose defining quantities sit between the
-    dispatch tolerance and the near-boundary band: too large to treat
-    as zero, too small for the closed forms dividing by them; those are
-    better served by the numerical integrator.
+    The tag names the boundary the coefficients sit on; only "a or b"
+    (A1 taken as 0) chooses the closed form.  The flag marks inputs too
+    far from a boundary to treat as zero and too near it to divide by
+    (between CASE_TOL and NEAR_BAND); the RK4 integrator serves those.
     """
     a1, b1 = coeffs.a1, coeffs.b1
     crit = (a1, b1, a1 + b1 * b1, 2.0 * a1 + b1 * b1)
@@ -79,15 +79,17 @@ def mean_curve(coeffs: DerivedCoeffs, x0: float, t):
 
 def _closed_second_moment(coeffs: DerivedCoeffs, x0: float, t: np.ndarray,
                           tag: str) -> np.ndarray:
+    # Two closed forms.  Tags 'a' and 'b' (|A1| <= CASE_TOL) take A1 as 0;
+    # 'c', 'd' and 'e' divide by it.  Tag 'a' is the first form at
+    # alpha = 0, tags 'c' and 'd' the second at a1 + b1^2 = 0 and at
+    # alpha = 0, where phi1 and phi2 stay continuous.
     a1, a2 = coeffs.a1, coeffs.a2
     b1 = coeffs.b1
     alpha = 2.0 * a1 + b1 * b1
     beta = a2 + b1 * coeffs.b2
     gamma = coeffs.b2 ** 2 + coeffs.c1
     x0sq = x0 * x0
-    if tag == "a":
-        return x0sq + t * (2.0 * beta * x0 + gamma) + t * t * beta * a2
-    if tag == "b":
+    if tag in ("a", "b"):
         # e^{at}x^2 + (2 beta x + gamma) t phi1(at) + 2 beta a2 t^2 phi2(at);
         # the phi form survives alpha = b1^2 -> 0 without cancellation.
         return (np.exp(alpha * t) * x0sq
@@ -95,15 +97,8 @@ def _closed_second_moment(coeffs: DerivedCoeffs, x0: float, t: np.ndarray,
                 + 2.0 * beta * a2 * t * t * _phi2(alpha * t))
     shifted = x0 + a2 / a1
     forced = gamma - 2.0 * beta * a2 / a1
-    if tag == "c":
-        # alpha == a1: resonant forcing gives the t e^{a1 t} term.
-        return (np.exp(a1 * t) * (x0sq + 2.0 * beta * shifted * t)
-                + forced * t * _phi1(a1 * t))
-    if tag == "d":
-        return (x0sq + 2.0 * beta * shifted * t * _phi1(a1 * t)
-                + forced * t)
-    # General branch: (e^{alpha t} - e^{a1 t})/(a1 + b1^2) written as
-    # e^{a1 t} t phi1((a1 + b1^2) t) to stay stable near the c-boundary.
+    # (e^{alpha t} - e^{a1 t})/(a1 + b1^2) written as
+    # e^{a1 t} t phi1((a1 + b1^2) t) to stay stable through the c-boundary.
     delta = a1 + b1 * b1
     return (np.exp(alpha * t) * x0sq
             + 2.0 * beta * shifted * np.exp(a1 * t) * t * _phi1(delta * t)
@@ -145,8 +140,8 @@ def second_moment_curve(coeffs: DerivedCoeffs, x0: float, t):
 
     The classical curve m_hat(t) is the same call on the coefficients
     of the zero-variance policy (``Solution.classical_policy``), whose
-    c1 is 0.  Dispatches to the closed-form branch for the coefficient
-    case; near-boundary coefficients fall back to the RK4 integrator.
+    c1 is 0.  One of two closed forms serves the five case tags;
+    near-boundary coefficients fall back to the RK4 integrator.
     """
     t_arr = np.asarray(t, dtype=float)
     tag, near = classify_case(coeffs)

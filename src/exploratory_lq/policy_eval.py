@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import QuadraticValue, log_2pi_e_ratio, solve
-from .errors import SimulationDivergedError
 from .model import AffineGaussianPolicy, LqModel, derived_coeffs
 from .moments import second_moment_curve
 from .sde import PathGrid, simulate_exploratory
@@ -111,11 +110,7 @@ def _per_path_values(model: LqModel, policy: AffineGaussianPolicy, x0: float,
         model, policy, x0, grid, seed, n_paths,
         record_paths=False, discount_rate=model.rho,
         action_noise=sample_actions)
-    if batch.n_diverged:
-        first = int(batch.divergence_step[batch.diverged].min())
-        raise SimulationDivergedError(
-            f"{batch.n_diverged} of {n_paths} paths diverged "
-            f"(earliest at step {first}); estimate aborted")
+    batch.require_no_divergence()
     g2, g1, g0 = integrand_coefficients(model, policy)
     sums = batch.sums
     values = g2 * sums.x2 + g1 * sums.x + g0 * sums.weight_total

@@ -138,6 +138,15 @@ class TrajectoryBatch:
     def n_diverged(self) -> int:
         return int(self.diverged.sum())
 
+    def require_no_divergence(self) -> None:
+        """Raise SimulationDivergedError, with the count and the earliest
+        step, if any path diverged: an estimate over the rest is biased."""
+        if self.n_diverged:
+            first = int(self.divergence_step[self.diverged].min())
+            raise SimulationDivergedError(
+                f"{self.n_diverged} of {self.n_paths} paths diverged "
+                f"(earliest at step {first}); estimate aborted")
+
     def _ok(self) -> np.ndarray:
         ok = ~self.diverged
         if not ok.any():
@@ -656,12 +665,14 @@ def strong_errors(model: LqModel, x0: float, grid: PathGrid, seed: int,
     process, 'doss_saussman' the optimum under ``value``.
 
     The path count, x0, the method, its regime and the value are
-    checked before any noise is drawn.
+    checked before any noise is drawn; a diverged Euler path raises
+    SimulationDivergedError before the exact batch is built.
     """
     _check_batch(n_paths, x0)
     _, policy = _exact_builder(model, x0, grid, method, value)
     euler = simulate_exploratory(model, policy, x0, grid, seed, n_paths,
                                  record_paths=False)
+    euler.require_no_divergence()
     exact = exact_batch(model, x0, grid, seed, n_paths, method, value)
     diff = np.abs(euler.endpoints - exact[:, -1])
     return (float(np.sqrt((diff * diff).mean())), float(diff.max()),

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from exploratory_lq import cli, closed_form, config
+import exploratory_lq as xlq
+from exploratory_lq import LqModel, cli, closed_form, config
 from exploratory_lq.errors import ConfigError
+from conftest import D0_MODEL, DS_MODEL
 
 S1_CONFIG = """\
 # reference model
@@ -67,6 +69,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="reward.n"):
             config.model_from_mapping(
                 config.parse_kv_text(text))
+
+    @pytest.mark.parametrize("text,named", [
+        (S1_CONFIG + "= 5\n", "line 13: empty key"),
+        (None, "cannot read config"),
+    ], ids=["empty-key", "unreadable"])
+    def test_unusable_config_exit_1(self, tmp_path, capsys, text, named):
+        path = (write_config(tmp_path, text) if text is not None
+                else str(tmp_path / "missing.cfg"))
+        rc = cli.main(["--config", path, "--command", "solve",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        if text is None:
+            assert path in err
 
     def test_sweep_lambdas(self):
         assert config.sweep_lambdas({"sweep.lambdas": "0.2, 0.02,0.002"}) == \
@@ -196,7 +213,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("setting", [
         "sim.dt=0", "sim.dt=nan", "sim.dt=inf", "sim.dt=1e308", "sim.n_steps=0",
         "sim.n_paths=0", "sim.x0=nan", "sim.seed=-1", f"--seed={2 ** 64}",
-        "sim.parallelism=0", "--parallelism=-3",
+        "sim.parallelism=0", "--parallelism=-3", "sim.n_steps=1.5",
+        "output.format=xml",
         pytest.param(f"sim.n_steps=1{'0' * 400}", id="sim.n_steps=1e400")])
     def test_bad_sim_input_exit_1(self, tmp_path, capsys, setting):
         name, value = setting.split("=")
@@ -209,7 +227,7 @@ class TestInputChecks:
         assert err.startswith("config error:") and name in err
         assert not (tmp_path / "out").exists()  # nothing written first
 
-    @pytest.mark.parametrize("lambdas", ["0.1,inf", "0.1,nan"])
+    @pytest.mark.parametrize("lambdas", ["0.1,inf", "0.1,nan", "a,b", ","])
     def test_non_finite_sweep_temperature_exit_1(self, tmp_path, capsys, lambdas):
         rc = self.run(tmp_path, S1_CONFIG, "sweep", keys={"sweep.lambdas": lambdas})
         assert rc == 1
@@ -411,18 +429,34 @@ class TestStochasticCommands:
         lines = (tmp_path / "moments.csv").read_text().strip().splitlines()
         assert lines[0].startswith("t,n,m,m_hat,case_tag,mc_mean,mc_m2")
 
-    def test_exact_vs_euler(self, tmp_path):
-        # c = 0 regime; nonzero drift keeps Euler genuinely inexact, and
-        # a tiny path count keeps the dt ladder quick.
-        text = S1_CONFIG.replace("dynamics.d = 0", "dynamics.d = 1")
-        text = text.replace("dynamics.a = 0", "dynamics.a = -0.5")
+    @pytest.mark.parametrize("model,method", [
+        (D0_MODEL, "d0"),
+        # c = 0 regime; nonzero drift keeps Euler genuinely inexact.
+        (LqModel(a=-0.5, b=1, c=0, d=1, m=1, n=1, r=0, p=0, q=0, rho=1, lam=0.2),
+         "c0"),
+        (DS_MODEL, "doss_saussman")], ids=["d0", "c0", "doss_saussman"])
+    def test_exact_vs_euler(self, tmp_path, monkeypatch, model, method):
+        # Each model takes its own exact-path route; a short dt ladder
+        # and a tiny path count keep the three routes quick.
+        dts = (0.05, 0.01, 0.002)
+        monkeypatch.setattr(cli, "CONVERGENCE_DTS", dts)
+        text = "".join(f"{key} = {getattr(model, field)!r}\n"
+                       for key, field in config.MODEL_KEYS.items())
         cfg = write_config(tmp_path, text + "sim.n_paths = 20\n")
         rc = cli.main(["--config", cfg, "--command", "exact-vs-euler",
                        "--seed", "12", "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
-        assert len(lines) == 4
-        errs = [float(ln.split(",")[1]) for ln in lines[1:]]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == [repr(dt) for dt in dts]
+        assert all(row[4:] == [method, "20"] for row in rows)
+        parsed = config.model_from_mapping(config.parse_kv_text(text))
+        value = xlq.solve(parsed).value if method == "doss_saussman" else None
+        for dt, row in zip(dts, rows):
+            grid = xlq.PathGrid(dt=dt, n_steps=round(cli.CONVERGENCE_HORIZON / dt))
+            errors = xlq.strong_errors(parsed, 1.0, grid, 12, 20, method, value)
+            assert row[1:4] == [repr(e) for e in errors]
+        errs = [float(row[1]) for row in rows]
         assert errs[0] > errs[1] > errs[2]
 
 

@@ -341,6 +341,11 @@ class TestHjbResidual:
             assert np.max(np.abs(xlq.hjb_residual(model, wval, grid,
                                                   "classical"))) < 1e-9
 
+    def test_unknown_kind_named(self):
+        value, _ = xlq.exploratory_solution(S1)
+        with pytest.raises(ValueError, match="unknown HJB kind 'bogus'"):
+            xlq.hjb_residual(S1, value, 0.0, "bogus")
+
     def test_rejects_bad_curvature(self):
         model = S1.__class__(**{**S1.__dict__, "d": 2.0})
         with pytest.raises(xlq.NonIntegrableDensityError):

@@ -84,6 +84,12 @@ class TestValidate:
             validate(mk(m=1, n=1, r=1.0))
         assert any(v.condition == "r^2<mn" for v in err.value.violations)
 
+    def test_negative_state_weight_rejected(self):
+        with pytest.raises(ModelValidationError) as err:
+            validate(mk(m=-0.5))
+        assert [(v.condition, v.message) for v in err.value.violations] == \
+            [("m>=0", "m=-0.5")]
+
     def test_state_independent_boundary_admitted(self):
         validate(mk(m=0, r=0, p=0))
 
@@ -197,6 +203,13 @@ class TestPolicy:
         u = np.linspace(-30, 30, 20001)
         total = np.trapezoid(policy.density(1.2, u), u)
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    def test_dirac_policy_has_no_density_or_entropy(self):
+        dirac = AffineGaussianPolicy(-0.5, 0.3, 0.0)
+        with pytest.raises(ValueError, match="Dirac policy has no density"):
+            dirac.density(1.0, 0.0)
+        with pytest.raises(ValueError, match="variance = 0"):
+            dirac.entropy()
 
     def test_entropy_matches_quadrature(self):
         policy = AffineGaussianPolicy(0.0, 0.1, 0.4)

@@ -29,6 +29,23 @@ def random_coeffs(rng):
         c1=rng.uniform(0.0, 1.0))
 
 
+def expm_second_moment(mpmath, c, x0, t, magnitude=False):
+    """m(t) at 50 digits: (n, m, 1)(t) = exp(G t) (x0, x0^2, 1) for the
+    moment generator G = [[A1, 0, A2], [2 beta, alpha, gamma], [0, 0, 0]].
+    magnitude=True makes every entry of G and of the start nonnegative,
+    which bounds the sum of the magnitudes of m's terms."""
+    with mpmath.workdps(50):
+        a1, a2, b1, b2, c1 = map(mpmath.mpf, (c.a1, c.a2, c.b1, c.b2, c.c1))
+        gen = mpmath.matrix([[a1, 0, a2],
+                             [2 * (a2 + b1 * b2), 2 * a1 + b1 * b1, b2 * b2 + c1],
+                             [0, 0, 0]])
+        start = [mpmath.mpf(x0), mpmath.mpf(x0) ** 2, 1]
+        if magnitude:
+            gen, start = gen.apply(abs), [abs(v) for v in start]
+        flow = mpmath.expm(gen * t)
+        return sum(flow[1, j] * start[j] for j in range(3))
+
+
 class TestMeanCurve:
     def test_constant(self):
         coeffs = DerivedCoeffs(0.0, 0.0, 0.0, 0.0, 0.5)
@@ -133,6 +150,42 @@ class TestSecondMomentClosedForms:
                 assert gap < prev_gap
             prev_gap = gap
         assert prev_gap < 1e-12
+
+    @pytest.mark.parametrize("tag", ["a", "b", "c", "d"])
+    def test_boundary_families_against_expm(self, tag):
+        """Each boundary case, and coefficients up to CASE_TOL off it,
+        against a 50-digit exponential of the moment generator.
+
+        Tags 'c' and 'd' take the general form, exact through both of
+        their boundaries.  Tags 'a' and 'b' take |A1| <= CASE_TOL as 0,
+        which costs up to |A1| t of the curve's scale: m itself can be
+        far smaller than its terms (x0 = -0.7 against a2 = 0.7 empties
+        the mean at t = 1).
+        """
+        mpmath = pytest.importorskip("mpmath")
+        move = {"a": lambda c, eps: replace(c, a1=eps / 2),   # alpha = eps
+                "b": lambda c, eps: replace(c, a1=eps),
+                "c": lambda c, eps: replace(c, a1=c.a1 + eps),
+                "d": lambda c, eps: replace(c, a1=c.a1 + eps / 2)}[tag]
+        times = (0.1, 1.0, 5.0, 10.0)
+        worst = 0.0
+        for eps in (0.0, 1e-12, -1e-12, 5e-11, -5e-11, 9e-11, -9e-11):
+            for c1 in (CASE_COEFFS[tag].c1, 0.0):
+                coeffs = move(replace(CASE_COEFFS[tag], c1=c1), eps)
+                assert xlq.classify_case(coeffs) == (tag, False)
+                for x0 in (1.0, -0.7):
+                    got = xlq.second_moment_curve(coeffs, x0, np.array(times))
+                    for t, value in zip(times, got):
+                        ref = expm_second_moment(mpmath, coeffs, x0, t)
+                        err = float(abs(float(value) - ref))
+                        if tag in ("c", "d"):
+                            worst = max(worst, err / float(ref))
+                        else:
+                            scale = expm_second_moment(mpmath, coeffs, x0, t,
+                                                       magnitude=True)
+                            worst = max(worst, err / float(scale)
+                                        - abs(coeffs.a1) * t)
+        assert worst <= 1e-14
 
     def test_near_boundary_routes_to_integrator(self):
         # a1 just above the dispatch tolerance: the general closed form

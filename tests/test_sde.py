@@ -969,6 +969,18 @@ class TestStrongErrors:
         xlq.strong_errors(C0_MODEL, 1.0, grid, 7, 4, "c0")
         assert sorted(calls) == ["exact_batch", "simulate_exploratory"]
 
+    def test_diverged_euler_path_raises_before_the_exact_batch(self, monkeypatch):
+        # 49 of these 300 Euler paths pass the divergence threshold; an
+        # error averaged over their frozen endpoints would mean nothing.
+        def no_exact_batch(*args, **kwargs):
+            raise AssertionError("exact batch built after a diverged Euler batch")
+
+        monkeypatch.setattr(sde, "exact_batch", no_exact_batch)
+        grid = xlq.PathGrid(dt=0.002, n_steps=542)
+        with pytest.raises(xlq.SimulationDivergedError,
+                           match=r"^49 of 300 paths diverged \(earliest at step 425\)"):
+            xlq.strong_errors(EXPLOSIVE, 1.0, grid, 3, 300, "d0")
+
 
 class TestAdmissibilityDecaySampled:
     def test_discounted_second_moment_decreases(self):
