@@ -80,6 +80,8 @@ def load_config(path) -> dict[str, str]:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     mapping = parse_kv_text(text)
     unknown = sorted(set(mapping) - KNOWN_KEYS)
     if unknown:

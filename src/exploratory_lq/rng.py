@@ -27,12 +27,23 @@ u lies strictly inside (0, 1), so z is always finite.
 
 ``normal_block`` writes each row's raw Philox bits straight into its
 float64 output (viewed as uint64), so a row costs only the re-key and
-the draw.  It then converts the block in place in tiles of 64 rows: one
+the draw.  It converts the block in place in tiles of 64 rows: one
 in-place uint64 -> float64 pass over a whole block makes NumPy copy the
 overlap first (8.5 MB for 2048 x 512), while a tile's copy is 0.26 MB.
+
+The calling thread draws every row.  In a block of two or more tiles,
+one helper thread, started and joined within the call, converts each
+tile as soon as its rows are drawn: the conversion and ``ndtri``
+release the interpreter lock, the row loop holds it.  Once every row
+is drawn, the caller converts the tiles the helper has not claimed.
+Conversion is elementwise and each row's stream is fixed by its
+counter, so which thread converts a tile does not change a bit.
 """
 
 from __future__ import annotations
+
+import itertools
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -81,6 +92,8 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
     elif out.shape != (n_paths, n_steps) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape "
                          f"{(n_paths, n_steps)}, got {out.dtype} {out.shape}")
+    if not out.flags.writeable:
+        raise ValueError("out must be writeable, got a read-only array")
     skip = first_step % 4
     # One generator, re-keyed per row: assigning .state is cheaper than
     # constructing a Philox.
@@ -92,15 +105,71 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
     # The raw bits go straight into ``out``; each row costs only the
     # re-key and the draw.
     bits = out.view(np.uint64)
-    for i in range(n_paths):
-        key[1] = first_path + i
-        gen.state = state
-        bits[i] = gen.random_raw(skip + n_steps)[skip:]
-    # In tiles of rows, so NumPy's copy of the overlap stays small.
-    for lo in range(0, n_paths, _TILE_ROWS):
-        tile = bits[lo:lo + _TILE_ROWS]
-        np.right_shift(tile, np.uint64(11), out=tile)
-        np.add(tile, 0.5, out=out[lo:lo + _TILE_ROWS])
-    out *= _INV_2_53
-    ndtri(out, out=out)
+
+    def draw(tile):
+        for i in range(tile * _TILE_ROWS, min((tile + 1) * _TILE_ROWS, n_paths)):
+            key[1] = first_path + i
+            gen.state = state
+            bits[i] = gen.random_raw(skip + n_steps)[skip:]
+
+    def convert(tile):
+        # In tiles of rows, so NumPy's copy of the overlap stays small.
+        rows = slice(tile * _TILE_ROWS, (tile + 1) * _TILE_ROWS)
+        raw, z = bits[rows], out[rows]
+        np.right_shift(raw, np.uint64(11), out=raw)
+        np.add(raw, 0.5, out=z)
+        z *= _INV_2_53
+        ndtri(z, out=z)
+
+    n_tiles = -(-n_paths // _TILE_ROWS)
+    if n_tiles < 2:
+        for tile in range(n_tiles):
+            draw(tile)
+            convert(tile)
+        return out
+    # Both threads take tiles to convert from one counter (``next`` on
+    # an ``itertools.count`` is atomic under the interpreter lock), so
+    # each tile is converted once; the helper waits until a tile's rows
+    # are drawn.  An error on either thread sets ``abort`` and stops the
+    # other.
+    claims = itertools.count()
+    drawn = [threading.Event() for _ in range(n_tiles)]
+    abort = threading.Event()
+    helper_error = []
+
+    def convert_claimed(wait):
+        for tile in claims:
+            if tile >= n_tiles:
+                return
+            if wait:
+                drawn[tile].wait()
+            if abort.is_set():
+                return
+            convert(tile)
+
+    def helper():
+        try:
+            convert_claimed(wait=True)
+        except BaseException as exc:  # re-raised on the caller
+            helper_error.append(exc)
+            abort.set()
+
+    thread = threading.Thread(target=helper, name="normal_block", daemon=True)
+    thread.start()
+    try:
+        for tile in range(n_tiles):
+            if abort.is_set():
+                break
+            draw(tile)
+            drawn[tile].set()
+        convert_claimed(wait=False)
+    except BaseException:
+        abort.set()
+        raise
+    finally:
+        for event in drawn:
+            event.set()
+        thread.join()
+    if helper_error:
+        raise helper_error[0]
     return out

@@ -33,7 +33,10 @@ every temporary into a preallocated (paths,) buffer through ufunc
 scaled by sqrt(dt) once, in place.  Both keep the arithmetic of the
 plain recursion op for op, so the bits do not depend on them.  Chunks
 run serially: the per-step work is short NumPy calls that hold the
-interpreter lock, so threads do not speed it up.
+interpreter lock, so threads do not speed the step up.  Noise is
+another matter: ``rng.normal_block`` converts a block's finished row
+tiles on a helper thread, which releases the lock, while the caller
+draws the next rows.
 """
 
 from __future__ import annotations

@@ -73,16 +73,22 @@ class TestConfigParsing:
     @pytest.mark.parametrize("text,named", [
         (S1_CONFIG + "= 5\n", "line 13: empty key"),
         (None, "cannot read config"),
-    ], ids=["empty-key", "unreadable"])
+        (b"dynamics.a = 0\xff\n", "is not UTF-8"),
+    ], ids=["empty-key", "unreadable", "not-utf8"])
     def test_unusable_config_exit_1(self, tmp_path, capsys, text, named):
-        path = (write_config(tmp_path, text) if text is not None
-                else str(tmp_path / "missing.cfg"))
+        if text is None:
+            path = str(tmp_path / "missing.cfg")
+        elif isinstance(text, bytes):
+            path = str(tmp_path / "model.cfg")
+            (tmp_path / "model.cfg").write_bytes(text)
+        else:
+            path = write_config(tmp_path, text)
         rc = cli.main(["--config", path, "--command", "solve",
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
-        if text is None:
+        if not isinstance(text, str):
             assert path in err
 
     def test_sweep_lambdas(self):

@@ -11,6 +11,9 @@ the plain per-node RK4 recursion.
 import hashlib
 import io
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -161,6 +164,53 @@ class TestGridAndBrownian:
         assert ks.statistic < 1.628 / math.sqrt(z.size)  # 1% critical value
 
 
+# A call that has not returned by then has hung; every threaded
+# normal_block test fails after this many seconds instead of waiting.
+HANG_S = 30
+
+
+def written_out_normals(seed, first_path, n_paths, n_steps, stream=0,
+                        first_step=0):
+    """``normal_block`` by its documented definition, one row at a time:
+    a fresh Philox at the row's key and counter, then the fixed
+    transform on the raw bits."""
+    skip = first_step % 4
+    rows = np.empty((n_paths, n_steps))
+    for i in range(n_paths):
+        gen = np.random.Philox(
+            key=np.array([seed, first_path + i], dtype=np.uint64),
+            counter=np.array([first_step // 4, 0, 0, stream], dtype=np.uint64))
+        raw = gen.random_raw(skip + n_steps)[skip:]
+        rows[i] = special.ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5)
+                                * 2.0 ** -53)
+    return rows
+
+
+def within(seconds, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on a daemon thread: its result, or its
+    exception re-raised here; fails if it has not returned in time."""
+    result, error = [], []
+
+    def run():
+        try:
+            result.append(fn(*args, **kwargs))
+        except BaseException as exc:
+            error.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if error:
+        raise error[0]
+    return result[0]
+
+
+def send_block_bits(conn, *args):
+    conn.send(xlq.rng.normal_block(*args).tobytes())
+    conn.close()
+
+
 class TestRandomStreams:
     @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
     def test_action_stream_not_reachable_through_seed(self, seed):
@@ -222,7 +272,9 @@ class TestRandomStreams:
         (dict(first_path=2 ** 64 - 1), "first_path"),
         (dict(first_path=2 ** 64 + 5, n_paths=1), "first_path"),
         (dict(first_step=2 ** 66), "first_step"),
-        (dict(first_step=2 ** 64 - 4), "first_step")])
+        (dict(first_step=2 ** 64 - 4), "first_step"),
+        # A broadcast view is read-only.
+        (dict(out=np.broadcast_to(np.empty(5), (2, 5))), "out")])
     def test_bad_block_rejected_before_any_philox(self, monkeypatch, bad, name):
         def no_philox(*args, **kwargs):
             raise AssertionError("a Philox was built")
@@ -259,6 +311,130 @@ class TestRandomStreams:
         rng = xlq.rng
         assert np.all(np.isfinite(rng.normal_block(1, 2 ** 64 - 1, 1, 4)))
         assert np.all(np.isfinite(rng.normal_block(1, 0, 1, 4, first_step=2 ** 64 - 4)))
+
+    @pytest.mark.parametrize("skip", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200, 1000, 2048, 2100])
+    def test_block_is_the_written_out_rows(self, n_paths, skip):
+        # Tiles converted on either thread, and the last one short.
+        args = (21, 7, n_paths, 45)
+        expected = written_out_normals(*args, first_step=8 + skip).view(np.uint64)
+        fresh = within(HANG_S, xlq.rng.normal_block, *args, first_step=8 + skip)
+        assert np.array_equal(fresh.view(np.uint64), expected)
+        padded = np.full((n_paths, 53), np.nan)[:, :45]
+        within(HANG_S, xlq.rng.normal_block, *args, first_step=8 + skip,
+               out=padded)
+        assert np.array_equal(padded.view(np.uint64), expected)
+
+    def test_row_failure_reaches_the_caller_and_stops_the_helper(self, monkeypatch):
+        class FailOnRow100(np.random.Philox):
+            rows = 0
+
+            def random_raw(self, size=None, output=True):
+                FailOnRow100.rows += 1
+                if FailOnRow100.rows == 101:
+                    raise RuntimeError("row 100 failed")
+                return super().random_raw(size, output)
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        monkeypatch.setattr(np.random, "Philox", FailOnRow100)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="row 100 failed"):
+            within(HANG_S, xlq.rng.normal_block, 5, 0, 300, 40)
+        assert threading.active_count() == threads
+        block = within(HANG_S, xlq.rng.normal_block, 5, 0, 300, 40)
+        assert np.array_equal(block.view(np.uint64),
+                              written_out_normals(5, 0, 300, 40).view(np.uint64))
+        assert threading.active_count() == threads
+        assert unhandled == []
+
+    def test_helper_failure_is_raised_on_the_caller(self, monkeypatch):
+        # The caller waits in row 128 until the second tile (rows 64-127)
+        # has failed, so the helper, not the caller, converts it.
+        out = np.empty((300, 40))
+        second_tile = out[64:].__array_interface__["data"][0]
+        failed_on = []
+        tile_failed = threading.Event()
+        ndtri = xlq.rng.ndtri
+
+        def fail_on_second_tile(z, out=None):
+            if z.__array_interface__["data"][0] == second_tile:
+                failed_on.append(threading.current_thread())
+                tile_failed.set()
+                raise FloatingPointError("second tile failed")
+            return ndtri(z, out=out)
+
+        class WaitOnRow128(np.random.Philox):
+            rows = 0
+
+            def random_raw(self, size=None, output=True):
+                WaitOnRow128.rows += 1
+                if WaitOnRow128.rows == 129:
+                    tile_failed.wait(HANG_S)
+                return super().random_raw(size, output)
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        monkeypatch.setattr(xlq.rng, "ndtri", fail_on_second_tile)
+        monkeypatch.setattr(np.random, "Philox", WaitOnRow128)
+        threads = threading.active_count()
+        caller = []
+
+        def call():
+            caller.append(threading.current_thread())
+            return xlq.rng.normal_block(5, 0, 300, 40, out=out)
+
+        with pytest.raises(FloatingPointError, match="second tile failed"):
+            within(HANG_S, call)
+        assert len(failed_on) == 1 and failed_on[0] is not caller[0]
+        assert threading.active_count() == threads
+        assert unhandled == []
+
+    def test_child_forked_after_a_block_draws_the_same_bits(self):
+        args = (8, 3, 300, 40)
+        expected = within(HANG_S, xlq.rng.normal_block, *args).tobytes()
+        fork = multiprocessing.get_context("fork")
+        receive, send = fork.Pipe(duplex=False)
+        child = fork.Process(target=send_block_bits, args=(send, *args))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(HANG_S), f"no block from the child in {HANG_S} s"
+            assert receive.recv() == expected
+        finally:
+            child.join(HANG_S)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+
+    def test_concurrent_calls_draw_their_own_bits(self):
+        # Four callers and their helpers on a short switch interval: a
+        # tile claimed twice or never would change its bits.
+        seeds = (1, 2, 3, 4)
+        start = threading.Barrier(len(seeds))
+        blocks = {}
+
+        def draw(seed):
+            start.wait(HANG_S)
+            blocks[seed] = xlq.rng.normal_block(seed, 0, 1000, 64)
+
+        threads = [threading.Thread(target=draw, args=(seed,), daemon=True)
+                   for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(HANG_S)
+                assert not thread.is_alive(), f"no return within {HANG_S} s"
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            assert np.array_equal(
+                blocks[seed].view(np.uint64),
+                written_out_normals(seed, 0, 1000, 64).view(np.uint64))
 
 
 class TestEulerMaruyama:
