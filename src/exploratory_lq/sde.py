@@ -26,8 +26,11 @@ noise drawn in blocks of 512 steps into one reused buffer per stream
 (at most about 8 MB of normals).  The buffer's rows are padded by 8
 columns: a step reads one column of the block, and with rows of exactly
 4096 B every element of that column would fall in the same cache set.
-The exact builders carry what crosses a block edge and write each
-block's nodes straight into one read-only array.  The Euler step writes
+The exact builders carry what crosses a block edge and yield each
+block's nodes in one buffer per chunk, reused across blocks:
+:func:`exact_batch` copies them into its read-only array, and
+:func:`strong_errors` keeps only the endpoints, so its memory does not
+grow with the number of steps.  The Euler step writes
 every temporary into a preallocated (paths,) buffer through ufunc
 ``out=`` and swaps the old and new state buffers; each noise block is
 scaled by sqrt(dt) once, in place.  Both keep the arithmetic of the
@@ -59,6 +62,8 @@ from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 # per stream.
 _CHUNK = 2048
 _STEP_BLOCK = 512
+# Paths per tile of the Doss-Saussmann node check.
+_CHECK_ROWS = 64
 
 # The text NumPy wraps around a float64's Python repr: ("np.float64(", ")")
 # on NumPy 2, ("", "") on 1.x.
@@ -377,9 +382,11 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
 # Exact reference paths.  d0 and c0 solve the state-independent process
 #     dX = (a X - b q / n) dt + sqrt((c X - d q / n)^2 + lam d^2 / n) dW;
 # Doss-Saussmann solves the state-dependent optimum.  Each builder checks
-# its regime once and returns build(blocks, out), which walks one chunk's
-# noise blocks, carries what crosses a block edge and writes nodes 1..n
-# of the chunk's paths into ``out`` (rows = paths; node 0 is x0).
+# its regime once and returns the generator build(blocks), which walks
+# one chunk's noise blocks, carries what crosses a block edge and yields
+# (k0, nodes) per block: nodes k0..k0+n of the chunk's paths (rows), in
+# one (paths, width + 1) buffer reused across blocks.  Column 0 of the
+# first block is node 0, of a later block the node carried over.
 # ---------------------------------------------------------------------------
 
 def state_independent_policy(model: LqModel) -> AffineGaussianPolicy:
@@ -391,11 +398,15 @@ def state_independent_policy(model: LqModel) -> AffineGaussianPolicy:
 
 def _brownian_blocks(blocks, dt: float):
     """Yield (k0, w) per noise block (k0, z): w holds W at nodes k0..k0+n
-    of the block's paths (rows), column 0 the last node before (W_0 = 0)."""
-    last = 0.0
+    of the block's paths (rows), column 0 the last node before (W_0 = 0),
+    in one buffer reused across blocks."""
+    buf = last = None
     for k0, z in blocks:
-        w = np.empty((len(z), z.shape[1] + 1))
-        w[:, 0] = last
+        if buf is None:
+            buf = np.zeros((len(z), z.shape[1] + 1))
+        else:
+            buf[:, 0] = last
+        w = buf[:, :z.shape[1] + 1]
         np.multiply(z, math.sqrt(dt), w[:, 1:])
         np.cumsum(w, axis=1, out=w)
         last = w[:, -1]
@@ -409,7 +420,8 @@ def _d0_builder(model: LqModel, x0: float, grid: PathGrid):
           - (bq/n) int_0^t e^{theta (t-u) + s|c|(W_t - W_u)} du,
     theta = a - c^2/2, s = +1 on the {x0 >= 0, bq <= 0} branch and
     s = -1 on the mirror branch; the time integral uses the trapezoid
-    rule on the grid nodes.  Node 0, too, comes from the formula.
+    rule on the grid nodes.  Every node, node 0 and each block's first
+    included, comes from the formula.
     """
     if abs(model.d) > ABS_TOL:
         raise ValueError("the d0 exact path requires d = 0")
@@ -425,29 +437,33 @@ def _d0_builder(model: LqModel, x0: float, grid: PathGrid):
     theta = model.a - model.c ** 2 / 2.0
     scw = sgn * abs(model.c)
     a2 = -bq / model.n
-    theta_t = theta * grid.times()
-    neg_theta_t, half_dt = -theta_t, grid.dt / 2.0
+    dt, half_dt = grid.dt, grid.dt / 2.0
 
-    def build(blocks, out):
+    def build(blocks):
+        g_buf = cum_buf = None
         integral = 0.0                        # up to the block's first node
-        for k0, w in _brownian_blocks(blocks, grid.dt):
-            nodes = slice(k0, k0 + w.shape[1])
-            g = np.multiply(w, scw)
-            np.subtract(neg_theta_t[nodes], g, g)
+        for k0, w in _brownian_blocks(blocks, dt):
+            if g_buf is None:
+                g_buf, cum_buf = np.empty_like(w), np.empty_like(w)
+            g, cum = g_buf[:, :w.shape[1]], cum_buf[:, :w.shape[1]]
+            # theta t at the block's nodes, as grid.times() spells t.
+            theta_t = np.arange(k0, k0 + w.shape[1]) * dt
+            theta_t *= theta
+            np.multiply(w, scw, g)
+            np.subtract(-theta_t, g, g)
             np.exp(g, g)                      # e^{-theta t - s|c| W}
-            cum = np.empty_like(g)
             cum[:, 0] = integral
             np.add(g[:, :-1], g[:, 1:], cum[:, 1:])
             cum[:, 1:] *= half_dt
             np.cumsum(cum, axis=1, out=cum)
             integral = cum[:, -1].copy()
             np.multiply(w, scw, g)
-            g += theta_t[nodes]
+            g += theta_t
             np.exp(g, g)                      # e^{theta t + s|c| W}
             cum *= a2
             cum += x0
-            np.multiply(cum, g, out[:, nodes])
-            del g, cum
+            cum *= g                          # the nodes
+            yield k0, cum
 
     return build
 
@@ -474,12 +490,18 @@ def _c0_builder(model: LqModel, x0: float, grid: PathGrid):
         shift = a2 * dt
         sdh = sigma * math.sqrt(dt)
 
-    def build(blocks, out):
-        x = np.full(out.shape[0], float(x0))
+    def build(blocks):
+        buf = x = None
         for k0, z in blocks:
+            if buf is None:
+                buf = np.empty((len(z), z.shape[1] + 1))
+                x = np.full(len(z), float(x0))
+            nodes = buf[:, :z.shape[1] + 1]
+            nodes[:, 0] = x
             for j in range(z.shape[1]):
                 x = eah * x + shift + sdh * z[:, j]
-                out[:, k0 + j + 1] = x
+                nodes[:, j + 1] = x
+            yield k0, nodes
 
     return build
 
@@ -540,8 +562,10 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
 
     Each step interpolates every |b1| W its RK4 stages read in one pass,
     and each stage is a few NumPy calls into preallocated (n_paths,)
-    rows; a noise block's nodes go through F and the defect check at
-    once.  The arithmetic is the per-node recursion's, op for op.
+    rows; a noise block's nodes go through F and the defect check in
+    tiles of _CHECK_ROWS paths, and the block raises on the worst defect
+    of all its tiles.  The arithmetic is the per-node recursion's, op
+    for op.
     """
     if value is None:
         raise ValueError("doss_saussman batch needs the value function")
@@ -583,13 +607,20 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
         t_f -= t_w                        # a1 F + a2 - b1/2 (b1 F + b2)
         np.divide(t_f, out, out)
 
-    def build(blocks, out):
-        m = out.shape[0]
-        acw = np.empty((fractions.size, m))
-        y = np.full(m, float(x0))
-        dw, k1, k2, k3, k4, y_in, t_w, t_f = (np.empty(m) for _ in range(8))
+    def build(blocks):
+        buf = None
         for k0, w in _brownian_blocks(blocks, grid.dt):
             n = w.shape[1] - 1
+            if buf is None:
+                m = len(w)
+                acw = np.empty((fractions.size, m))
+                y = np.full(m, float(x0))
+                dw, k1, k2, k3, k4, y_in, t_w, t_f = (np.empty(m) for _ in range(8))
+                buf = np.empty((m, n + 1))
+                buf[:, 0] = x0
+            else:
+                buf[:, 0] = nodes[:, -1]
+            nodes = buf[:, :n + 1]
             for k in range(n):
                 np.subtract(w[:, k + 1], w[:, k], dw)
                 np.multiply(dw, fractions, acw)
@@ -614,15 +645,23 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
                     k1 += k4
                     k1 *= sixth_h
                     y += k1
-                out[:, k0 + k + 1] = y        # replaced by X below
-            x, dfz, _ = transform.terms(w[:, 1:], out[:, k0 + 1:k0 + n + 1])
-            defect = np.abs(dfz - np.sqrt((b1 * x + b2) ** 2 + c.c1))
-            worst = (defect / np.maximum(1.0, np.abs(dfz))).max()
+                nodes[:, k + 1] = y           # replaced by X below
+            # F and the defect check in row tiles, so their temporaries
+            # stay small; np.max keeps a NaN tile maximum.
+            tiles = range(0, m, _CHECK_ROWS)
+            worst = np.empty(len(tiles))
+            for i, r0 in enumerate(tiles):
+                rows = slice(r0, r0 + _CHECK_ROWS)
+                x, dfz, _ = transform.terms(w[rows, 1:], nodes[rows, 1:])
+                defect = np.abs(dfz - np.sqrt((b1 * x + b2) ** 2 + c.c1))
+                worst[i] = (defect / np.maximum(1.0, np.abs(dfz))).max()
+                nodes[rows, 1:] = x
+            worst = np.max(worst)
             if not worst <= DS_DEFECT_TOL:
                 raise NumericalError(
                     "Doss-Saussmann transform violated its defining ODE "
                     f"({worst:.3g}) in steps {k0 + 1}-{k0 + n}")
-            out[:, k0 + 1:k0 + n + 1] = x
+            yield k0, nodes
 
     return build
 
@@ -640,6 +679,14 @@ def _exact_builder(model: LqModel, x0: float, grid: PathGrid, method: str, value
     raise ValueError(f"unknown exact-path method {method!r}")
 
 
+def _exact_blocks(build, seed: int, n_paths: int, n_steps: int):
+    """Yield (lo, k0, nodes) per chunk and noise block: the builder's
+    nodes k0..k0+n of paths lo..lo+m-1, in a buffer it reuses."""
+    for lo, hi in _chunk_ranges(n_paths):
+        for k0, nodes in build(_noise_blocks(seed, lo, hi - lo, n_steps)):
+            yield lo, k0, nodes
+
+
 def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
                 n_paths: int, method: str, value=None) -> np.ndarray:
     """Read-only (n_paths, n_steps + 1) array whose row p is the exact
@@ -647,14 +694,14 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     needs the value function), on the shared per-path Brownian streams.
 
     The path count, x0, the method, its regime and the room for every
-    node are checked before any noise is drawn.
+    node are checked before any noise is drawn.  Besides that array, the
+    builder holds one noise block's nodes per chunk at a time.
     """
     _check_batch(n_paths, x0)
     build, _ = _exact_builder(model, x0, grid, method, value)
     states = _node_array(n_paths, grid.n_steps)
-    states[:, 0] = x0
-    for lo, hi in _chunk_ranges(n_paths):
-        build(_noise_blocks(seed, lo, hi - lo, grid.n_steps), states[lo:hi])
+    for lo, k0, nodes in _exact_blocks(build, seed, n_paths, grid.n_steps):
+        states[lo:lo + len(nodes), k0:k0 + nodes.shape[1]] = nodes
     states.setflags(write=False)
     return states
 
@@ -669,14 +716,18 @@ def strong_errors(model: LqModel, x0: float, grid: PathGrid, seed: int,
 
     The path count, x0, the method, its regime and the value are
     checked before any noise is drawn; a diverged Euler path raises
-    SimulationDivergedError before the exact batch is built.
+    SimulationDivergedError before any exact path is built.  The exact
+    paths are walked one noise block per chunk at a time and only their
+    endpoints kept, so memory does not grow with n_steps.
     """
     _check_batch(n_paths, x0)
-    _, policy = _exact_builder(model, x0, grid, method, value)
+    build, policy = _exact_builder(model, x0, grid, method, value)
     euler = simulate_exploratory(model, policy, x0, grid, seed, n_paths,
                                  record_paths=False)
     euler.require_no_divergence()
-    exact = exact_batch(model, x0, grid, seed, n_paths, method, value)
-    diff = np.abs(euler.endpoints - exact[:, -1])
+    exact = np.empty(n_paths)
+    for lo, _, nodes in _exact_blocks(build, seed, n_paths, grid.n_steps):
+        exact[lo:lo + len(nodes)] = nodes[:, -1]
+    diff = np.abs(euler.endpoints - exact)
     return (float(np.sqrt((diff * diff).mean())), float(diff.max()),
             float(diff.mean()))

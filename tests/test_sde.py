@@ -909,6 +909,24 @@ def assert_same_bits(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def assert_poisoned_path_raises(monkeypatch, n_paths, path):
+    """A Doss-Saussmann batch whose ``path`` gets 1e200 for every normal
+    raises NumericalError from the defect check."""
+    real = xlq.rng.normal_block
+
+    def poisoned(*args, **kwargs):
+        z = real(*args, **kwargs)
+        z[path] = 1e200
+        return z
+
+    monkeypatch.setattr(xlq.rng, "normal_block", poisoned)
+    value = xlq.exploratory_solution(DS_MODEL)[0]
+    grid = xlq.PathGrid(dt=1e-2, n_steps=100)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(xlq.NumericalError, match="defining ODE"):
+        xlq.exact_batch(DS_MODEL, 1.0, grid, 1, n_paths, "doss_saussman", value)
+
+
 class TestDossSaussmanBlocks:
     """The step-blocked builders give the bits of the whole-horizon
     references."""
@@ -946,19 +964,12 @@ class TestDossSaussmanBlocks:
     def test_non_finite_defect_raises(self, monkeypatch):
         # An absurd increment in one path overflows F there; the other
         # paths stay finite, so a max that skipped NaN would pass.
-        real = xlq.rng.normal_block
+        assert_poisoned_path_raises(monkeypatch, 4, 1)
 
-        def poisoned(*args, **kwargs):
-            z = real(*args, **kwargs)
-            z[1] = 1e200
-            return z
-
-        monkeypatch.setattr(xlq.rng, "normal_block", poisoned)
-        value = xlq.exploratory_solution(DS_MODEL)[0]
-        grid = xlq.PathGrid(dt=1e-2, n_steps=100)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(xlq.NumericalError, match="defining ODE"):
-            xlq.exact_batch(DS_MODEL, 1.0, grid, 1, 4, "doss_saussman", value)
+    def test_non_finite_defect_in_a_later_tile_raises(self, monkeypatch):
+        # Path 100 of 200 lies in the second tile of the node check, so
+        # a max over the tile maxima that skipped NaN would pass too.
+        assert_poisoned_path_raises(monkeypatch, 200, 100)
 
 
 class TestExactBatch:
@@ -985,6 +996,19 @@ class TestExactBatch:
         assert np.all(exact[:, 0] == 0.3)
         with pytest.raises(ValueError, match="read-only"):
             exact[0, 1] = 0.0
+
+    @pytest.mark.parametrize("method, model, negative", [
+        ("d0", D0_MODEL, False), ("c0", C0_MODEL, True),
+        ("doss_saussman", DS_MODEL, True)])
+    def test_node_0_at_negative_zero(self, method, model, negative):
+        # d0 computes node 0 from its formula, 0 * a2 + x0 with
+        # a2 = -bq/n = 0.5 on D0_MODEL, which is +0.0; c0 and
+        # Doss-Saussmann start from x0 itself.
+        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        grid = xlq.PathGrid(dt=0.01, n_steps=3)
+        exact = xlq.exact_batch(model, -0.0, grid, 4, 5, method, value)
+        assert np.all(exact[:, 0] == 0.0)
+        assert np.all(np.signbit(exact[:, 0]) == negative)
 
     def test_inputs_checked_before_noise_is_drawn(self, monkeypatch):
         calls = []
@@ -1100,12 +1124,14 @@ class TestChunkWidths:
         model = {"d0": D0_MODEL, "c0": C0_MODEL, "doss_saussman": DS_MODEL}[method]
         value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
-        default = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
+        args = (model, 1.0, grid, 9, n_paths, method, value)
+        default = xlq.exact_batch(*args), xlq.strong_errors(*args)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sde, "_CHUNK", chunk)
             mp.setattr(sde, "_STEP_BLOCK", step_block)
-            narrow = xlq.exact_batch(model, 1.0, grid, 9, n_paths, method, value)
-        assert np.array_equal(default, narrow)
+            narrow = xlq.exact_batch(*args), xlq.strong_errors(*args)
+        assert np.array_equal(default[0], narrow[0])
+        assert default[1] == narrow[1]
 
 
 class TestStrongErrors:
@@ -1126,32 +1152,72 @@ class TestStrongErrors:
                               float(np.abs(d).max()), float(np.abs(d).mean()))
             assert errors[0] > 0.0
 
-    def test_one_euler_and_one_exact_batch_per_call(self, monkeypatch):
-        # The benchmark's tracer counts both batches by rebinding these
-        # module attributes, so strong_errors must call through them.
+    def test_one_euler_batch_and_no_node_array(self, monkeypatch):
+        # strong_errors keeps only the exact endpoints: with exact_batch
+        # and the node array unavailable it still returns the deviation
+        # of explicitly paired batches, here over two noise blocks.  The
+        # benchmark's tracer counts the Euler batch by rebinding
+        # sde.simulate_exploratory, so strong_errors calls through it.
+        grid = xlq.PathGrid(dt=0.01, n_steps=EULER_STEPS)
+        cases = []
+        for method, model in (("d0", D0_MODEL), ("c0", C0_MODEL),
+                              ("doss_saussman", DS_MODEL)):
+            sol = xlq.solve(model)
+            value, policy = ((sol.value, sol.policy) if method == "doss_saussman"
+                             else (None, xlq.state_independent_policy(model)))
+            euler = xlq.simulate_exploratory(model, policy, 1.0, grid, 3, 16)
+            exact = xlq.exact_batch(model, 1.0, grid, 3, 16, method, value)
+            d = euler.endpoints - exact[:, -1]
+            cases.append(((model, 1.0, grid, 3, 16, method, value),
+                          (float(np.sqrt((d * d).mean())), float(np.abs(d).max()),
+                           float(np.abs(d).mean()))))
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("strong_errors built a node array")
+
+        monkeypatch.setattr(sde, "exact_batch", unavailable)
+        monkeypatch.setattr(sde, "_node_array", unavailable)
         calls = []
+        real = sde.simulate_exploratory
 
-        def counting(name):
-            real = getattr(sde, name)
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("record_paths"))
+            return real(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return wrapper
+        monkeypatch.setattr(sde, "simulate_exploratory", counting)
+        for args, expected in cases:
+            calls.clear()
+            assert xlq.strong_errors(*args) == expected
+            assert calls == [False]
 
-        for name in ("simulate_exploratory", "exact_batch"):
-            monkeypatch.setattr(sde, name, counting(name))
-        grid = xlq.PathGrid(dt=0.01, n_steps=10)
-        xlq.strong_errors(C0_MODEL, 1.0, grid, 7, 4, "c0")
-        assert sorted(calls) == ["exact_batch", "simulate_exploratory"]
+    @pytest.mark.parametrize("method, model", [
+        ("d0", D0_MODEL), ("c0", C0_MODEL),
+        pytest.param("doss_saussman", DS_MODEL, marks=pytest.mark.slow)])
+    def test_memory_does_not_grow_with_the_step_count(self, method, model):
+        # At dt 1e-4 the 9000 extra steps would take 14.4 MB of nodes for
+        # 200 paths; walked one noise block at a time, the traced peak
+        # grows by far less than an eighth of that.
+        value = xlq.solve(model).value if method == "doss_saussman" else None
+        peaks = []
+        for n_steps in (1000, 10000):
+            grid = xlq.PathGrid(dt=1e-4, n_steps=n_steps)
+            tracemalloc.start()
+            try:
+                xlq.strong_errors(model, 1.0, grid, 3, 200, method, value)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra_nodes = 200 * 9000 * 8
+        assert peaks[1] - peaks[0] < extra_nodes / 8
 
     def test_diverged_euler_path_raises_before_the_exact_batch(self, monkeypatch):
         # 49 of these 300 Euler paths pass the divergence threshold; an
         # error averaged over their frozen endpoints would mean nothing.
-        def no_exact_batch(*args, **kwargs):
-            raise AssertionError("exact batch built after a diverged Euler batch")
+        def no_exact_paths(*args, **kwargs):
+            raise AssertionError("exact paths built after a diverged Euler batch")
 
-        monkeypatch.setattr(sde, "exact_batch", no_exact_batch)
+        monkeypatch.setattr(sde, "exact_batch", no_exact_paths)
+        monkeypatch.setattr(sde, "_exact_blocks", no_exact_paths)
         grid = xlq.PathGrid(dt=0.002, n_steps=542)
         with pytest.raises(xlq.SimulationDivergedError,
                            match=r"^49 of 300 paths diverged \(earliest at step 425\)"):
