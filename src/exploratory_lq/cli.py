@@ -143,11 +143,9 @@ def _cmd_residual(spec: RunSpec) -> None:
 
 
 def _cmd_simulate(spec: RunSpec) -> None:
-    batch = sde.simulate_exploratory(
+    batch = sde.simulate_to_csv(
         spec.model, _solve(spec).policy, spec.sim["x0"], spec.sim["grid"],
-        spec.sim["seed"], spec.sim["n_paths"])
-    with open(spec.out_dir / "trajectories.csv", "w", encoding="utf-8") as fh:
-        batch.write_csv(fh)
+        spec.sim["seed"], spec.sim["n_paths"], spec.out_dir / "trajectories.csv")
     _write_json(spec.out_dir / "summary.json", batch.summary())
     sys.stdout.write(f"wrote {spec.out_dir / 'trajectories.csv'}\n")
 

@@ -96,11 +96,14 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
         raise ValueError("out must be writeable, got a read-only array")
     skip = first_step % 4
     # One generator, re-keyed per row: assigning .state is cheaper than
-    # constructing a Philox.
+    # constructing a Philox, and cheaper again from Python ints and lists
+    # than from the NumPy arrays .state returns (the same 64-bit words).
     gen = np.random.Philox(
         key=np.array([seed, 0], dtype=np.uint64),
         counter=np.array([first_step // 4, 0, 0, stream], dtype=np.uint64))
     state = gen.state
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
     # The raw bits go straight into ``out``; each row costs only the
     # re-key and the draw.

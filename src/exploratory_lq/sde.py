@@ -1,4 +1,4 @@
-"""Simulation of the controlled state dynamics and exact reference paths.
+"""Simulation of the controlled state dynamics and reference paths.
 
 Under an affine Gaussian feedback policy the policy-averaged state
 follows
@@ -7,15 +7,21 @@ follows
 
 which Euler-Maruyama discretizes on a uniform grid.  A policy with
 variance zero is a deterministic feedback, so the classical controlled
-SDE is the same call: pass ``Solution.classical_policy``.  Three exact
-constructions provide oracles on shared Brownian increments: the
-lognormal-type solution for d = 0, the Ornstein-Uhlenbeck recursion for
-c = 0 (exact Gaussian transitions driven by the same standardized
-increments), and the Doss-Saussmann transform X = F(W, Y) for the
-general state-dependent optimum, with Y solved per path by a fixed-step
-RK4 integrator.  :func:`strong_errors` steps each exact method beside
-the Euler batch of the process it solves, on the same noise, and
-returns their endpoint deviation.
+SDE is the same call: pass ``Solution.classical_policy``.  Three
+reference constructions provide oracles on shared Brownian increments.
+The Ornstein-Uhlenbeck recursion for c = 0 (exact Gaussian transitions
+driven by the same standardized increments) is exact in law at the
+nodes.  The lognormal-type solution for d = 0 and the Doss-Saussmann
+transform X = F(W, Y) for the general state-dependent optimum, with Y
+solved per path by a fixed-step RK4 integrator, are order-1 reference
+paths: d0 takes its time integral by the trapezoid rule and
+Doss-Saussmann reads W linearly interpolated inside a step, so each
+leaves a Brownian-bridge error of order dt^{3/2} per step.  Their
+pathwise error, of order dt, stays well below the order-1/2 Euler
+deviation that :func:`strong_errors` measures: it steps each method
+beside the Euler batch of the process it solves, on the same noise, and
+returns their endpoint deviation.  The "exact" in the function and
+method names is kept.
 
 Randomness is counter-based per path (see :mod:`exploratory_lq.rng`),
 so a path's values depend only on (seed, path_index), never on the
@@ -30,7 +36,10 @@ The exact builders carry what crosses a block edge and yield each
 block's nodes in one buffer per chunk, reused across blocks:
 :func:`exact_batch` copies them into its read-only array, and
 :func:`strong_errors` keeps only the endpoints, so its memory does not
-grow with the number of steps.  The Euler step writes
+grow with the number of steps.  :func:`simulate_to_csv` likewise
+steps _RECORD_CHUNK (256) paths at a time into one reused node buffer
+and writes each chunk's rows before it steps the next, so its memory
+does not grow with the number of paths.  The Euler step writes
 every temporary into a preallocated (paths,) buffer through ufunc
 ``out=`` and swaps the old and new state buffers; each noise block is
 scaled by sqrt(dt) once, in place.  Both keep the arithmetic of the
@@ -62,6 +71,9 @@ from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 # per stream.
 _CHUNK = 2048
 _STEP_BLOCK = 512
+# Paths per chunk when simulate_to_csv hands each chunk's nodes to the
+# writer: it holds 256 x (n_steps + 1) nodes, whatever n_paths.
+_RECORD_CHUNK = 256
 # Paths per tile of the Doss-Saussmann node check.
 _CHECK_ROWS = 64
 
@@ -117,7 +129,8 @@ class DiscountedSums:
 
 @dataclass
 class TrajectoryBatch:
-    """An Euler-Maruyama batch from :func:`simulate_exploratory`.
+    """An Euler-Maruyama batch from :func:`simulate_exploratory` or
+    :func:`simulate_to_csv`.
 
     states is (n_paths, n_steps + 1) when paths were recorded, else
     None; endpoints always holds the final node.  Paths whose state
@@ -197,12 +210,23 @@ class TrajectoryBatch:
         """
         if self.states is None:
             raise ValueError("paths were not recorded in this batch")
-        heads = [f"{_F64_OPEN}{t!r}{_F64_CLOSE}," for t in self.grid.times().tolist()]
-        fh.write("t,path_id,x\n")
-        for p in range(self.n_paths):
+        _csv_writer(fh, self.grid)(0, self.states)
+
+
+def _csv_writer(fh, grid: PathGrid):
+    """Write the trajectory table's header to fh and return
+    ``write_rows(lo, nodes)``, which writes the rows of paths lo, lo + 1,
+    ... from the rows of ``nodes``, one ``fh.write`` per path."""
+    heads = [f"{_F64_OPEN}{t!r}{_F64_CLOSE}," for t in grid.times().tolist()]
+    fh.write("t,path_id,x\n")
+
+    def write_rows(lo: int, nodes: np.ndarray) -> None:
+        for p, row in enumerate(nodes, lo):
             mid = f"{p},{_F64_OPEN}"
             fh.write("".join([f"{h}{mid}{x!r}{_F64_CLOSE}\n"
-                              for h, x in zip(heads, self.states[p].tolist())]))
+                              for h, x in zip(heads, row.tolist())]))
+
+    return write_rows
 
 
 def _check_batch(n_paths: int, x0: float) -> None:
@@ -225,8 +249,8 @@ def _node_array(n_paths: int, n_steps: int) -> np.ndarray:
             f"allocated ({exc})") from None
 
 
-def _chunk_ranges(n_paths: int):
-    return [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+def _chunk_ranges(n_paths: int, width: int):
+    return [(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
 
 
 def _noise_blocks(seed: int, lo: int, m: int, n_steps: int, stream=rng.STATE_STREAM):
@@ -242,57 +266,51 @@ def _noise_blocks(seed: int, lo: int, m: int, n_steps: int, stream=rng.STATE_STR
                                    out=buf[:, :n])
 
 
-def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
-                         x0: float, grid: PathGrid, seed: int, n_paths: int, *,
-                         record_paths: bool = True,
-                         checkpoints: tuple = (),
-                         discount_rate: float | None = None,
-                         action_noise: bool = False,
-                         parallelism: int = 1) -> TrajectoryBatch:
-    """Euler-Maruyama batch of the policy-averaged (exploratory) dynamics
-    dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW, coefficients from
-    :func:`~exploratory_lq.model.derived_coeffs`.  A policy with variance
-    zero gives c1 = 0: the classical SDE under u(x) = slope*x + intercept.
-
-    ``record_paths`` keeps every node in ``states`` (ExploratoryLqError,
-    before any noise is drawn, when that array cannot be allocated) and
-    ``checkpoints`` the listed nodes in ``checkpoint_states``;
-    ``discount_rate`` adds the :class:`DiscountedSums`, and
-    ``action_noise`` (which needs it) their sums over an independent
-    per-path action stream.  ``parallelism`` is accepted for
-    compatibility and has no effect.
+class _EulerBatch:
+    """The Euler kernel: one batch of :func:`simulate_exploratory`'s
+    dynamics, stepped a chunk of paths at a time.  ``step(lo, hi,
+    nodes)`` runs paths lo..hi-1 over the whole grid and, when ``nodes``
+    is given, writes node k of path lo + i to ``nodes[i, k]``;
+    ``batch(states)`` gathers every path's results.  The inputs are
+    checked before any noise is drawn.
     """
-    _check_batch(n_paths, x0)
-    if action_noise and discount_rate is None:
-        raise ValueError("action_noise=True requires discount_rate")
-    if discount_rate is not None and not 0 <= discount_rate < math.inf:
-        raise ValueError(f"discount_rate must be finite and >= 0, got {discount_rate!r}")
-    k_steps = grid.n_steps
-    if not all(rng.is_integer(c) and 0 <= c <= k_steps for c in checkpoints):
-        raise ValueError(f"checkpoints must be integer nodes in [0, {k_steps}]: {checkpoints}")
 
-    endpoints = np.empty(n_paths)
-    diverged = np.zeros(n_paths, dtype=bool)
-    div_step = np.full(n_paths, -1, dtype=np.int64)
-    states = _node_array(n_paths, k_steps) if record_paths else None
-    cp_states = {int(c): np.empty(n_paths) for c in sorted(set(checkpoints))}
-    weights = None
-    if discount_rate is not None:
-        weights = np.exp(-discount_rate * grid.times()[:-1]) * grid.dt
-        w_list = weights.tolist()
-        sum_x, sum_x2 = np.zeros((2, n_paths))
-        sum_zx, sum_z, sum_z2 = np.zeros((3, n_paths)) if action_noise else (None,) * 3
+    def __init__(self, model: LqModel, policy: AffineGaussianPolicy, x0: float,
+                 grid: PathGrid, seed: int, n_paths: int, checkpoints: tuple = (),
+                 discount_rate: float | None = None, action_noise: bool = False):
+        _check_batch(n_paths, x0)
+        if action_noise and discount_rate is None:
+            raise ValueError("action_noise=True requires discount_rate")
+        if discount_rate is not None and not 0 <= discount_rate < math.inf:
+            raise ValueError(f"discount_rate must be finite and >= 0, got {discount_rate!r}")
+        k_steps = grid.n_steps
+        if not all(rng.is_integer(c) and 0 <= c <= k_steps for c in checkpoints):
+            raise ValueError(f"checkpoints must be integer nodes in [0, {k_steps}]: {checkpoints}")
+        self.x0, self.grid, self.seed, self.n_paths = x0, grid, seed, n_paths
+        self.action_noise = action_noise
+        self.endpoints = np.empty(n_paths)
+        self.diverged = np.zeros(n_paths, dtype=bool)
+        self.div_step = np.full(n_paths, -1, dtype=np.int64)
+        self.cp_states = {int(c): np.empty(n_paths) for c in sorted(set(checkpoints))}
+        self.weights = self.w_list = None
+        if discount_rate is not None:
+            self.weights = np.exp(-discount_rate * grid.times()[:-1]) * grid.dt
+            self.w_list = self.weights.tolist()
+            self.sums = np.zeros((5 if action_noise else 2, n_paths))
+        coeffs = derived_coeffs(model, policy)
+        # 0-d float64 operands: a ufunc call costs less with one than with a
+        # Python float, for the same result.
+        self.operands = tuple(
+            np.array(v, dtype=np.float64) for v in
+            (coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1, grid.dt, 1.0))
 
-    sq_dt = math.sqrt(grid.dt)
-    coeffs = derived_coeffs(model, policy)
-    # 0-d float64 operands: a ufunc call costs less with one than with a
-    # Python float, for the same result.
-    a1, a2, b1, b2, c1, dt, one = (
-        np.array(v, dtype=np.float64) for v in
-        (coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.c1, grid.dt, 1.0))
-
-    def run_chunk(lo: int, hi: int) -> None:
+    def step(self, lo: int, hi: int, nodes: np.ndarray | None = None) -> None:
         m = hi - lo
+        x0, seed, k_steps = self.x0, self.seed, self.grid.n_steps
+        sq_dt = math.sqrt(self.grid.dt)
+        a1, a2, b1, b2, c1, dt, one = self.operands
+        action_noise, cp_states = self.action_noise, self.cp_states
+        weights, w_list = self.weights, self.w_list
         blocks = _noise_blocks(seed, lo, m, k_steps)
         if action_noise:
             action_blocks = _noise_blocks(seed, lo, m, k_steps, rng.ACTION_STREAM)
@@ -304,11 +322,12 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
         frozen = False
         dstep = np.full(m, -1, dtype=np.int64)
         if weights is not None:
-            s_x, s_x2 = sum_x[lo:hi], sum_x2[lo:hi]
+            s_x, s_x2 = self.sums[:2, lo:hi]
             if action_noise:
-                s_zx, s_z, s_z2 = sum_zx[lo:hi], sum_z[lo:hi], sum_z2[lo:hi]
-        if record_paths:
-            states[lo:hi, 0] = x
+                s_zx, s_z, s_z2 = self.sums[2:, lo:hi]
+        record = nodes is not None
+        if record:
+            nodes[:, 0] = x
         for k0, z in blocks:
             z *= sq_dt                        # the increments z sqrt(dt)
             if action_noise:
@@ -355,27 +374,76 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
                         alive &= ~bad
                         frozen = True
                     np.copyto(x, xn, where=alive)
-                if record_paths:
-                    states[lo:hi, k + 1] = x
+                if record:
+                    nodes[:, k + 1] = x
         if k_steps in cp_states:
             cp_states[k_steps][lo:hi] = x
-        endpoints[lo:hi] = x
-        diverged[lo:hi] = ~alive
-        div_step[lo:hi] = dstep
+        self.endpoints[lo:hi] = x
+        self.diverged[lo:hi] = ~alive
+        self.div_step[lo:hi] = dstep
 
-    # One call per chunk, so a chunk's noise buffers are freed before
+    def batch(self, states: np.ndarray | None = None) -> TrajectoryBatch:
+        sums = None
+        if self.weights is not None:
+            sums = DiscountedSums(float(self.weights.sum()), *self.sums)
+        return TrajectoryBatch(
+            grid=self.grid, n_paths=self.n_paths, endpoints=self.endpoints,
+            diverged=self.diverged, divergence_step=self.div_step, states=states,
+            checkpoint_states=self.cp_states, sums=sums)
+
+
+def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
+                         x0: float, grid: PathGrid, seed: int, n_paths: int, *,
+                         record_paths: bool = True,
+                         checkpoints: tuple = (),
+                         discount_rate: float | None = None,
+                         action_noise: bool = False,
+                         parallelism: int = 1) -> TrajectoryBatch:
+    """Euler-Maruyama batch of the policy-averaged (exploratory) dynamics
+    dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW, coefficients from
+    :func:`~exploratory_lq.model.derived_coeffs`.  A policy with variance
+    zero gives c1 = 0: the classical SDE under u(x) = slope*x + intercept.
+
+    ``record_paths`` keeps every node in ``states`` (ExploratoryLqError,
+    before any noise is drawn, when that array cannot be allocated) and
+    ``checkpoints`` the listed nodes in ``checkpoint_states``;
+    ``discount_rate`` adds the :class:`DiscountedSums`, and
+    ``action_noise`` (which needs it) their sums over an independent
+    per-path action stream.  ``parallelism`` is accepted for
+    compatibility and has no effect.
+    """
+    run = _EulerBatch(model, policy, x0, grid, seed, n_paths, checkpoints,
+                      discount_rate, action_noise)
+    states = _node_array(n_paths, grid.n_steps) if record_paths else None
+    # One chunk at a time, so a chunk's noise buffers are freed before
     # the next chunk's are allocated.
-    for lo, hi in _chunk_ranges(n_paths):
-        run_chunk(lo, hi)
+    for lo, hi in _chunk_ranges(n_paths, _CHUNK):
+        run.step(lo, hi, None if states is None else states[lo:hi])
+    return run.batch(states)
 
-    sums = None
-    if weights is not None:
-        sums = DiscountedSums(
-            weight_total=float(weights.sum()),
-            x=sum_x, x2=sum_x2, zx=sum_zx, z=sum_z, z2m1=sum_z2)
-    return TrajectoryBatch(
-        grid=grid, n_paths=n_paths, endpoints=endpoints, diverged=diverged,
-        divergence_step=div_step, states=states, checkpoint_states=cp_states, sums=sums)
+
+def simulate_to_csv(model: LqModel, policy: AffineGaussianPolicy, x0: float,
+                    grid: PathGrid, seed: int, n_paths: int, path) -> TrajectoryBatch:
+    """The batch of :func:`simulate_exploratory` with ``record_paths``,
+    its nodes written to the file ``path`` as
+    :meth:`TrajectoryBatch.write_csv` writes them, byte for byte; the
+    returned batch keeps no ``states``.
+
+    Paths are stepped _RECORD_CHUNK at a time into one reused node
+    buffer, and each chunk's rows are written before the next chunk is
+    stepped, so memory grows with n_steps, not with n_paths.  The inputs
+    and the room for that buffer (ExploratoryLqError) are checked before
+    any noise is drawn and before the file is created.
+    """
+    run = _EulerBatch(model, policy, x0, grid, seed, n_paths)
+    buf = _node_array(min(_RECORD_CHUNK, n_paths), grid.n_steps)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_rows = _csv_writer(fh, grid)
+        for lo, hi in _chunk_ranges(n_paths, _RECORD_CHUNK):
+            nodes = buf[:hi - lo]
+            run.step(lo, hi, nodes)
+            write_rows(lo, nodes)
+    return run.batch()
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +482,15 @@ def _brownian_blocks(blocks, dt: float):
 
 
 def _d0_builder(model: LqModel, x0: float, grid: PathGrid):
-    """Exact solution on the Brownian node values,
+    """Order-1 reference path: the exact solution on the Brownian node
+    values,
 
     X_t = x0 e^{theta t + s|c| W_t}
           - (bq/n) int_0^t e^{theta (t-u) + s|c|(W_t - W_u)} du,
     theta = a - c^2/2, s = +1 on the {x0 >= 0, bq <= 0} branch and
     s = -1 on the mirror branch; the time integral uses the trapezoid
-    rule on the grid nodes.  Every node, node 0 and each block's first
+    rule on the grid nodes, whose Brownian-bridge error makes the path
+    pathwise order 1 in dt.  Every node, node 0 and each block's first
     included, comes from the formula.
     """
     if abs(model.d) > ABS_TOL:
@@ -472,8 +542,8 @@ def _c0_builder(model: LqModel, x0: float, grid: PathGrid):
     """Ornstein-Uhlenbeck recursion with exact Gaussian transitions.
 
     The per-step update scales the standardized Brownian increment by
-    the exact transition standard deviation, so marginals are exact at
-    every node while the noise stays coupled to the Euler scheme.
+    the exact transition standard deviation, so the path is exact in law
+    at every node while the noise stays coupled to the Euler scheme.
     """
     if abs(model.c) > ABS_TOL:
         raise ValueError("the c0 exact path requires c = 0")
@@ -554,8 +624,9 @@ class DossSaussmanTransform:
 
 
 def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
-    """Integrate Y per path (RK4, ODE_SUBSTEPS steps per grid step, W
-    linearly interpolated inside steps) and map nodes through F.
+    """Order-1 reference path: integrate Y per path (RK4, ODE_SUBSTEPS
+    steps per grid step, W linearly interpolated inside steps, which
+    makes the path pathwise order 1 in dt) and map nodes through F.
     Verifies the defining diffusion ODE of F at every node to
     DS_DEFECT_TOL, and raises NumericalError on a larger or non-finite
     defect.
@@ -682,7 +753,7 @@ def _exact_builder(model: LqModel, x0: float, grid: PathGrid, method: str, value
 def _exact_blocks(build, seed: int, n_paths: int, n_steps: int):
     """Yield (lo, k0, nodes) per chunk and noise block: the builder's
     nodes k0..k0+n of paths lo..lo+m-1, in a buffer it reuses."""
-    for lo, hi in _chunk_ranges(n_paths):
+    for lo, hi in _chunk_ranges(n_paths, _CHUNK):
         for k0, nodes in build(_noise_blocks(seed, lo, hi - lo, n_steps)):
             yield lo, k0, nodes
 

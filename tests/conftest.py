@@ -1,6 +1,8 @@
-"""Shared reference models and the randomized valid-model generator."""
+"""Shared reference models, the randomized valid-model generator and a
+traced-memory helper."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,3 +65,16 @@ def random_valid_model(rng: np.random.Generator, *, state_dependent=True,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated while ``call()`` runs, as ``tracemalloc``
+    sees them (NumPy reports its arrays to it).  Compare two peaks of the
+    same call at two sizes rather than one peak with a fixed bound: the
+    baseline depends on the interpreter and the library versions."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -8,7 +8,7 @@ import pytest
 import exploratory_lq as xlq
 from exploratory_lq import LqModel, cli, closed_form, config
 from exploratory_lq.errors import ConfigError
-from conftest import D0_MODEL, DS_MODEL
+from conftest import D0_MODEL, DS_MODEL, traced_peak
 
 S1_CONFIG = """\
 # reference model
@@ -252,13 +252,14 @@ class TestInputChecks:
         assert not (tmp_path / "out").exists()
 
     def test_unallocatable_recorded_paths_exit_3(self, tmp_path, capsys):
-        # 1000 x (1e17 + 1) recorded nodes exceed any address space.
+        # simulate records 256 paths at a time, and even one such chunk
+        # of 1e17 + 1 nodes exceeds any address space.
         rc = self.run(tmp_path, S1_CONFIG, "simulate",
                       keys={"sim.n_steps": "100000000000000000",
                             "sim.n_paths": "1000"})
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: 1000 paths x 100000000000000001 nodes")
+        assert err.startswith("error: 256 paths x 100000000000000001 nodes")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -403,6 +404,26 @@ class TestStochasticCommands:
             assert rc == 0
             outs.append((out / "trajectories.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.slow
+    def test_simulate_memory_does_not_grow_with_the_path_count(self, tmp_path):
+        # At 1000 nodes per path the 2100 extra paths would take 16.8 MB
+        # of recorded nodes; streamed 256 paths at a time to the CSV,
+        # the traced peak grows by far less than an eighth of that.
+        text = "".join(f"{key} = {getattr(DS_MODEL, field)!r}\n"
+                       for key, field in config.MODEL_KEYS.items())
+        peaks = []
+        for n_paths in (300, 2400):
+            cfg = write_config(tmp_path, text + "sim.dt = 0.01\nsim.n_steps = 999\n"
+                               f"sim.n_paths = {n_paths}\n", name=f"{n_paths}.cfg")
+            out = tmp_path / str(n_paths)
+            peaks.append(traced_peak(lambda: cli.main([
+                "--config", cfg, "--command", "simulate", "--seed", "5",
+                "--out", str(out)])))
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["n_paths"] == n_paths and summary["diverged"] == 0
+        extra_nodes = 2100 * 1000 * 8
+        assert peaks[1] - peaks[0] < extra_nodes / 8
 
     def test_evaluate(self, tmp_path):
         cfg = write_config(tmp_path, S1_CONFIG + "sim.dt = 0.001\n"

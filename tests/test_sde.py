@@ -13,9 +13,10 @@ import io
 import math
 import multiprocessing
 import sys
+import tempfile
 import threading
-import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from scipy import special, stats
 import exploratory_lq as xlq
 from exploratory_lq import cli, sde
 from exploratory_lq.constants import ABS_TOL, DIVERGENCE_THRESHOLD, ODE_SUBSTEPS
-from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1
+from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1, traced_peak
 
 # Explosive multiplicative noise: the Euler state grows by a random
 # factor of about 2.5 per step at dt = 0.05, so paths cross the
@@ -288,12 +289,8 @@ class TestRandomStreams:
         # A full 2048 x 512 block (8 MB) converts its raw bits in place
         # in row tiles, without a block-sized temporary.
         out = np.empty((sde._CHUNK, sde._STEP_BLOCK))
-        tracemalloc.start()
-        try:
-            xlq.rng.normal_block(3, 0, sde._CHUNK, sde._STEP_BLOCK, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: xlq.rng.normal_block(3, 0, sde._CHUNK, sde._STEP_BLOCK, out=out))
         assert peak < 1e6
 
     def test_noise_block_rows_not_a_multiple_of_4096_bytes(self):
@@ -705,6 +702,84 @@ class TestWriteCsv:
                                          1.0, grid, 3, 2, record_paths=False)
         with pytest.raises(ValueError, match="not recorded"):
             batch.write_csv(io.StringIO())
+
+
+def cli_files(path, batch):
+    """The bytes of the trajectory CSV at ``path`` and of ``batch``'s
+    summary.json as the CLI writes it (where every path diverged, the
+    error's text in its place)."""
+    try:
+        cli._write_json(path.with_suffix(".json"), batch.summary())
+        summary = path.with_suffix(".json").read_bytes()
+    except xlq.SimulationDivergedError as exc:
+        summary = str(exc).encode()
+    return path.read_bytes(), summary
+
+
+def recorded_files(directory, model, policy, grid, seed, n_paths):
+    """:func:`cli_files` of ``simulate_exploratory(record_paths=True)`` +
+    ``write_csv`` + ``summary()``: the batch recorded whole."""
+    batch = xlq.simulate_exploratory(model, policy, 1.0, grid, seed, n_paths)
+    with open(directory / "recorded.csv", "w", encoding="utf-8") as fh:
+        batch.write_csv(fh)
+    return cli_files(directory / "recorded.csv", batch)
+
+
+class TestSimulateToCsv:
+    """The CLI's simulate steps _RECORD_CHUNK paths at a time and writes
+    each chunk's rows before stepping the next: the bytes of the batch
+    recorded whole."""
+
+    @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 549])
+    @pytest.mark.parametrize("case", ["ds", "explosive"])
+    def test_bytes_equal_the_recorded_batch(self, tmp_path, case, n_paths):
+        # EULER_STEPS spans two noise blocks and is not a multiple of 4;
+        # the explosive batch diverges in every chunk of 256 but the
+        # single-path one.
+        if case == "ds":
+            model, policy, dt, seed = DS_MODEL, xlq.solve(DS_MODEL).policy, 0.01, 11
+        else:
+            model, policy, dt, seed = EXPLOSIVE, EXPLOSIVE_POLICY, 0.002, 5
+        grid = xlq.PathGrid(dt=dt, n_steps=EULER_STEPS)
+        batch = sde.simulate_to_csv(model, policy, 1.0, grid, seed, n_paths,
+                                    tmp_path / "streamed.csv")
+        streamed = cli_files(tmp_path / "streamed.csv", batch)
+        assert streamed == recorded_files(tmp_path, model, policy, grid, seed, n_paths)
+        assert len(streamed[0].splitlines()) == 1 + n_paths * (EULER_STEPS + 1)
+        assert (batch.n_diverged > 0) == (case == "explosive" and n_paths > 1)
+
+    def test_one_chunk_of_nodes_and_no_batch_array(self, tmp_path, monkeypatch):
+        # Every node array is one chunk wide: the batch's nodes are never
+        # held at once, and simulate_exploratory is never called.
+        shapes = []
+        real = sde._node_array
+
+        def recording(n_paths, n_steps):
+            shapes.append((n_paths, n_steps))
+            return real(n_paths, n_steps)
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("simulate_exploratory was called")
+
+        monkeypatch.setattr(sde, "_node_array", recording)
+        monkeypatch.setattr(sde, "simulate_exploratory", unavailable)
+        grid = xlq.PathGrid(dt=0.01, n_steps=20)
+        batch = sde.simulate_to_csv(DS_MODEL, xlq.solve(DS_MODEL).policy, 1.0, grid,
+                                    3, 600, tmp_path / "t.csv")
+        assert shapes == [(sde._RECORD_CHUNK, 20)]
+        assert batch.states is None and batch.n_paths == 600
+
+    def test_unallocatable_chunk_rejected_before_the_file(self, tmp_path, monkeypatch):
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
+        grid = xlq.PathGrid(dt=0.01, n_steps=10 ** 17)
+        with pytest.raises(xlq.ExploratoryLqError,
+                           match="^256 paths x 100000000000000001 nodes"):
+            sde.simulate_to_csv(C0_MODEL, xlq.state_independent_policy(C0_MODEL),
+                                1.0, grid, 7, 1000, tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestExactPathD0:
@@ -1133,6 +1208,27 @@ class TestChunkWidths:
         assert np.array_equal(default[0], narrow[0])
         assert default[1] == narrow[1]
 
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(["ds", "explosive"]),
+           n_paths=st.integers(1, 40), n_steps=st.integers(1, 40),
+           chunk=st.integers(1, 16), step_block=st.integers(1, 16))
+    def test_streamed_bytes_independent_of_record_chunk_width(
+            self, case, n_paths, n_steps, chunk, step_block):
+        if case == "ds":
+            model, policy, dt = DS_MODEL, xlq.solve(DS_MODEL).policy, 0.05
+        else:  # most paths diverge, at steps 14-17
+            model, policy, dt = EXPLOSIVE, EXPLOSIVE_POLICY, 0.2
+        grid = xlq.PathGrid(dt=dt, n_steps=n_steps)
+        with tempfile.TemporaryDirectory() as name:
+            directory = Path(name)
+            default = recorded_files(directory, model, policy, grid, 9, n_paths)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sde, "_RECORD_CHUNK", chunk)
+                mp.setattr(sde, "_STEP_BLOCK", step_block)
+                batch = sde.simulate_to_csv(model, policy, 1.0, grid, 9, n_paths,
+                                            directory / "streamed.csv")
+            assert cli_files(directory / "streamed.csv", batch) == default
+
 
 class TestStrongErrors:
     def test_equals_the_deviation_of_explicitly_paired_batches(self):
@@ -1198,15 +1294,10 @@ class TestStrongErrors:
         # 200 paths; walked one noise block at a time, the traced peak
         # grows by far less than an eighth of that.
         value = xlq.solve(model).value if method == "doss_saussman" else None
-        peaks = []
-        for n_steps in (1000, 10000):
-            grid = xlq.PathGrid(dt=1e-4, n_steps=n_steps)
-            tracemalloc.start()
-            try:
-                xlq.strong_errors(model, 1.0, grid, 3, 200, method, value)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(lambda: xlq.strong_errors(
+                     model, 1.0, xlq.PathGrid(dt=1e-4, n_steps=n_steps), 3, 200,
+                     method, value))
+                 for n_steps in (1000, 10000)]
         extra_nodes = 200 * 9000 * 8
         assert peaks[1] - peaks[0] < extra_nodes / 8
 
