@@ -9,7 +9,6 @@ every closed form.
 from .closed_form import (
     QuadraticValue,
     Solution,
-    SweepPoint,
     classical_solution,
     exploration_cost,
     exploratory_solution,
@@ -19,13 +18,9 @@ from .closed_form import (
     k2_residual,
     lambda_sweep,
     policy_from_value,
-    riccati_roots,
     softmax_density,
     solution_record,
     solve,
-    solve_k0,
-    solve_k1,
-    solve_k2,
     value_gap,
 )
 from .errors import (
@@ -70,7 +65,6 @@ from .sde import (
     TrajectoryBatch,
     exact_batch,
     simulate_exploratory,
-    state_independent_policy,
     strong_errors,
 )
 

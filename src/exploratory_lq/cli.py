@@ -8,7 +8,9 @@ violated condition on standard error.  Outputs are byte-identical
 across repeated runs with the same inputs.  ``--seed`` and
 ``--parallelism`` override ``sim.seed`` and ``sim.parallelism`` and
 meet the same checks in :func:`config.sim_settings`; the parallelism
-must be >= 1 and has no effect: paths are simulated serially.
+must be >= 1 and has no effect: ``simulate`` splits its paths between
+one process per usable CPU (see :func:`sde.simulate_to_csv`), and the
+other commands run in one.
 """
 
 from __future__ import annotations

@@ -20,10 +20,14 @@ from step 0 puts in those columns.
 Normal variates use one fixed, documented transform so independent
 implementations can reproduce them exactly:
 
-    u = ((raw >> 11) + 0.5) * 2**-53        raw: uint64 from Philox
+    v = min((raw >> 11) + 0.5, 2**53 - 1)   raw: uint64 from Philox
+    u = v * 2**-53
     z = ndtri(u)                            inverse standard-normal CDF
 
-u lies strictly inside (0, 1), so z is always finite.
+In float64, (2**53 - 1) + 0.5 rounds to 2**53 (ties to even), which
+would give u = 1 and z = +inf; the clamp maps that one raw value to
+u = 1 - 2**-53 (z = 8.2095...) and leaves every other value as it is.
+So u lies strictly inside (0, 1), and z is always finite.
 
 ``normal_block`` writes each row's raw Philox bits straight into its
 float64 output (viewed as uint64), so a row costs only the re-key and
@@ -53,6 +57,8 @@ STATE_STREAM = 0
 ACTION_STREAM = 0x9E3779B97F4A7C15  # fixed odd salt, splitmix64 constant
 
 _INV_2_53 = 2.0 ** -53
+# The largest (raw >> 11) + 0.5 that keeps u below 1 (see above).
+_TOP = 2.0 ** 53 - 1
 # Rows per uint64 -> float64 conversion in normal_block.
 _TILE_ROWS = 64
 
@@ -121,6 +127,7 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
         raw, z = bits[rows], out[rows]
         np.right_shift(raw, np.uint64(11), out=raw)
         np.add(raw, 0.5, out=z)
+        np.minimum(z, _TOP, out=z)
         z *= _INV_2_53
         ndtri(z, out=z)
 

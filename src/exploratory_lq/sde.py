@@ -43,18 +43,28 @@ does not grow with the number of paths.  The Euler step writes
 every temporary into a preallocated (paths,) buffer through ufunc
 ``out=`` and swaps the old and new state buffers; each noise block is
 scaled by sqrt(dt) once, in place.  Both keep the arithmetic of the
-plain recursion op for op, so the bits do not depend on them.  Chunks
-run serially: the per-step work is short NumPy calls that hold the
-interpreter lock, so threads do not speed the step up.  Noise is
-another matter: ``rng.normal_block`` converts a block's finished row
-tiles on a helper thread, which releases the lock, while the caller
-draws the next rows.
+plain recursion op for op, so the bits do not depend on them.  The
+per-step work is short NumPy calls, and formatting the CSV is float
+``repr``; both hold the interpreter lock, so threads do not speed them
+up.  :func:`simulate_to_csv` therefore splits its record chunks into
+one contiguous part per usable CPU and forks a process for each part
+but the first, which the caller walks itself; the caller then appends
+each child's rows in path order.  ``rng.normal_block`` converts a
+block's finished row tiles on a helper thread, which releases the
+lock, while the caller draws the next rows.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import shutil
+import signal
 import sys
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,15 +220,18 @@ class TrajectoryBatch:
         """
         if self.states is None:
             raise ValueError("paths were not recorded in this batch")
-        _csv_writer(fh, self.grid)(0, self.states)
+        fh.write(_CSV_HEADER)
+        _row_writer(fh, self.grid)(0, self.states)
 
 
-def _csv_writer(fh, grid: PathGrid):
-    """Write the trajectory table's header to fh and return
-    ``write_rows(lo, nodes)``, which writes the rows of paths lo, lo + 1,
-    ... from the rows of ``nodes``, one ``fh.write`` per path."""
+_CSV_HEADER = "t,path_id,x\n"
+
+
+def _row_writer(fh, grid: PathGrid):
+    """``write_rows(lo, nodes)``, which writes the trajectory table's rows
+    of paths lo, lo + 1, ... from the rows of ``nodes`` to fh, one
+    ``fh.write`` per path."""
     heads = [f"{_F64_OPEN}{t!r}{_F64_CLOSE}," for t in grid.times().tolist()]
-    fh.write("t,path_id,x\n")
 
     def write_rows(lo: int, nodes: np.ndarray) -> None:
         for p, row in enumerate(nodes, lo):
@@ -434,16 +447,137 @@ def simulate_to_csv(model: LqModel, policy: AffineGaussianPolicy, x0: float,
     stepped, so memory grows with n_steps, not with n_paths.  The inputs
     and the room for that buffer (ExploratoryLqError) are checked before
     any noise is drawn and before the file is created.
+
+    The chunks are split into contiguous parts (:func:`_record_parts`).
+    The caller walks the first part into ``path``; a forked child walks
+    each later part into an unlinked temporary file beside it and sends
+    back its paths' endpoints and divergence flags, and the caller then
+    appends the parts in path order.  A path's values depend only on
+    (seed, path), so the split does not change a byte.  Every child is
+    reaped before this returns or raises; a child's failure raises
+    ExploratoryLqError with the child's message, and any exception in
+    the caller kills the children.
     """
     run = _EulerBatch(model, policy, x0, grid, seed, n_paths)
     buf = _node_array(min(_RECORD_CHUNK, n_paths), grid.n_steps)
-    with open(path, "w", encoding="utf-8") as fh:
-        write_rows = _csv_writer(fh, grid)
-        for lo, hi in _chunk_ranges(n_paths, _RECORD_CHUNK):
+
+    def walk(fh, chunks):
+        write_rows = _row_writer(fh, grid)
+        for lo, hi in chunks:
             nodes = buf[:hi - lo]
             run.step(lo, hi, nodes)
             write_rows(lo, nodes)
+
+    first, *rest = _record_parts(n_paths)
+    children = [_PartChild(chunks) for chunks in rest]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_CSV_HEADER)
+        try:
+            directory = os.path.dirname(os.path.abspath(path))
+            for child in children:
+                child.start(walk, run, directory, fh)
+            walk(fh, first)
+            fh.flush()
+            for child in children:
+                child.append_to(fh.buffer, run)
+        finally:
+            for child in children:
+                child.close()
     return run.batch()
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _record_parts(n_paths: int) -> list:
+    """The record chunks of n_paths paths, split into contiguous parts:
+    one per usable CPU and at most one per chunk, or a single part where
+    the process cannot fork (no ``os.fork``, or another Python thread
+    running)."""
+    chunks = _chunk_ranges(n_paths, _RECORD_CHUNK)
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    n = min(_usable_cpus(), len(chunks)) if forkable else 1
+    return [chunks[i * len(chunks) // n:(i + 1) * len(chunks) // n] for i in range(n)]
+
+
+class _PartChild:
+    """A forked process that walks one part of :func:`simulate_to_csv`'s
+    chunks: ``start`` forks it, ``append_to`` waits for it and takes its
+    results, ``close`` kills it if it was not reaped and frees its pipe
+    and file."""
+
+    def __init__(self, chunks: list):
+        self.chunks = chunks
+        self.paths = slice(chunks[0][0], chunks[-1][1])
+        self.name = f"the process simulating paths {self.paths.start}-{self.paths.stop - 1}"
+        self.pid = self.pipe = self.rows = None
+
+    def start(self, walk, run: _EulerBatch, directory: str, fh) -> None:
+        self.rows = tempfile.TemporaryFile(dir=directory)
+        self.pipe, send = os.pipe()
+        # Flushed, so no buffered text is inherited by the child.
+        for stream in (fh, sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork while any OS thread runs, a
+                # BLAS library's idle pool included; the child calls no BLAS.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+            if self.pid == 0:
+                self._serve(walk, run, send)
+        finally:
+            os.close(send)
+
+    def _serve(self, walk, run: _EulerBatch, send: int) -> None:
+        """The child: walk the part into the file, send its paths'
+        results (or the error's text) through the pipe and leave through
+        ``os._exit``, never returning to the caller's frames."""
+        code = 1
+        try:
+            try:
+                with open(self.rows.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+                    walk(fh, self.chunks)
+                result = tuple(a[self.paths] for a in (run.endpoints, run.diverged,
+                                                       run.div_step))
+            except BaseException as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            with open(send, "wb", closefd=False) as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def append_to(self, out, run: _EulerBatch) -> None:
+        """Wait for the child, put its paths' results into ``run`` and
+        copy its rows to the binary file ``out``."""
+        with open(self.pipe, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if status:
+            raise ExploratoryLqError(f"{self.name} ended with status {status}")
+        result = pickle.loads(payload)
+        if isinstance(result, str):
+            raise ExploratoryLqError(f"{self.name} failed: {result}")
+        for a, part in zip((run.endpoints, run.diverged, run.div_step), result):
+            a[self.paths] = part
+        self.rows.seek(0)
+        shutil.copyfileobj(self.rows, out)
+
+    def close(self) -> None:
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        if self.pipe is not None:
+            os.close(self.pipe)
+        if self.rows is not None:
+            self.rows.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
-"""Shared reference models, the randomized valid-model generator and a
-traced-memory helper."""
+"""Shared reference models, the randomized valid-model generator, a
+traced-memory helper, and a check that no test leaves a child process
+or a noise helper thread behind."""
 
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -60,6 +64,23 @@ def random_valid_model(rng: np.random.Generator, *, state_dependent=True,
         lam = rng.uniform(0.05, 2.0)
     return LqModel(a=a, b=b, c=c, d=d, m=m, n=n, r=r, p=p, q=q,
                    rho=float(rho), lam=float(lam))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_or_helper_thread_left():
+    """After every test: no multiprocessing child, no child process of
+    any kind (running, or exited and not reaped), and no
+    ``normal_block`` helper thread alive."""
+    yield
+    assert multiprocessing.active_children() == []
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        pass
+    else:
+        pytest.fail(f"a child process was left behind (waitpid: pid {pid}, "
+                    f"status {status}; pid 0 is one still running)")
+    assert [t for t in threading.enumerate() if t.name == "normal_block"] == []
 
 
 @pytest.fixture

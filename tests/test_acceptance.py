@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import exploratory_lq as xlq
+from exploratory_lq.closed_form import solve_k0, solve_k1, solve_k2
 from exploratory_lq.model import DerivedCoeffs
 from conftest import BENCH_SI, C0_MODEL, D0_MODEL, DS_MODEL, S1, random_valid_model
 
@@ -35,9 +36,9 @@ def test_01_riccati_and_hjb_residuals():
     worst_sys = worst_hjb = 0.0
     for i in range(1000):
         model = random_valid_model(rng, state_dependent=(i % 4 != 0))
-        k2 = xlq.solve_k2(model)
-        k1 = xlq.solve_k1(model, k2)
-        k0 = xlq.solve_k0(model, k2, k1)
+        k2 = solve_k2(model)
+        k1 = solve_k1(model, k2)
+        k0 = solve_k0(model, k2, k1)
         worst_sys = max(
             worst_sys,
             abs(xlq.k2_residual(model, k2)) / max(1.0, abs(k2)),
@@ -263,7 +264,7 @@ def test_08_vanishing_exploration():
     small = [p for p in points if p.lam <= 1e-2]
     gaps_small = np.abs([p.value_gap for p in small])
     mono = bool(np.all(np.diff(gaps_small) < 0)) and gaps[-1] < 1e-5
-    k2 = xlq.solve_k2(S1)
+    k2 = solve_k2(S1)
     n2 = S1.n - k2 * S1.d ** 2
     linear = all(p.variance == p.lam / n2 for p in points)
     means = {p.mean_at_probe for p in points}

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import exploratory_lq as xlq
+from exploratory_lq.closed_form import riccati_roots, solve_k0, solve_k1, solve_k2
 from exploratory_lq.constants import ABS_TOL
 from conftest import DS_MODEL, S1, random_valid_model
 
@@ -56,24 +57,24 @@ def concave_root_decimal(model, digits=50):
 
 class TestSolveK2:
     def test_s1_golden_ratio_root(self):
-        k2 = xlq.solve_k2(S1)
+        k2 = solve_k2(S1)
         assert k2 == pytest.approx(GOLDEN, abs=1e-14)
         oracle = quadratic_roots_oracle(S1)
         assert k2 == pytest.approx(oracle[0], abs=1e-12)
 
     def test_s1_with_rho_two(self):
         model = S1.__class__(**{**S1.__dict__, "rho": 2.0})
-        assert xlq.solve_k2(model) == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-14)
+        assert solve_k2(model) == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-14)
 
     def test_state_independent_collapses_to_zero(self):
         model = xlq.LqModel(a=0.3, b=1, c=0.2, d=0.5, m=0, n=1, r=0, p=0,
                             q=0.7, rho=1, lam=0.2)
-        assert xlq.solve_k2(model) == 0.0
+        assert solve_k2(model) == 0.0
 
     def test_concave_root_selection(self, rng):
         for _ in range(300):
             model = random_valid_model(rng)
-            k2 = xlq.solve_k2(model)
+            k2 = solve_k2(model)
             assert k2 < 0  # m > 0 forces strict concavity
             oracle = quadratic_roots_oracle(model)
             assert k2 == pytest.approx(oracle[0], rel=1e-9, abs=1e-9)
@@ -82,9 +83,9 @@ class TestSolveK2:
 
     def test_convex_root_is_diagnostic_only(self, rng):
         model = random_valid_model(rng)
-        concave, convex = xlq.riccati_roots(model)
+        concave, convex = riccati_roots(model)
         assert concave < 0 < convex
-        assert xlq.solve_k2(model) == concave
+        assert solve_k2(model) == concave
         assert abs(xlq.k2_residual(model, convex)) < 1e-9
 
     def test_small_quadratic_term_does_not_cancel(self):
@@ -99,7 +100,7 @@ class TestSolveK2:
                                     * 10.0 ** rng.uniform(-6.0, -2.0)),
                             rho=float(rng.uniform(5.0, 60.0)))
             assert xlq.check_model(model) == []
-            k2 = xlq.solve_k2(model)
+            k2 = solve_k2(model)
             ref = concave_root_decimal(model)
             assert k2 < 0
             worst = max(worst, abs(k2 - ref) / abs(ref))
@@ -126,7 +127,7 @@ class TestSolveK2:
         model = xlq.LqModel(a=1, b=1, c=0, d=0, m=0, n=1, r=1, p=0, q=0,
                             rho=0, lam=1)
         with pytest.raises(xlq.NoConcaveRootError, match="negative discriminant"):
-            xlq.riccati_roots(model)
+            riccati_roots(model)
 
     def test_degenerate_curvature_equation_has_no_concave_root(self):
         # b = c = d = 0 and rho = 2a: both the quadratic and the linear
@@ -134,31 +135,31 @@ class TestSolveK2:
         model = xlq.LqModel(a=0.5, b=0, c=0, d=0, m=1, n=1, r=0, p=0, q=0,
                             rho=1, lam=1)
         with pytest.raises(xlq.NoConcaveRootError, match="degenerate"):
-            xlq.riccati_roots(model)
+            riccati_roots(model)
 
 
 class TestSolveK1:
     def test_s1_has_no_linear_term(self):
-        assert xlq.solve_k1(S1, xlq.solve_k2(S1)) == 0.0
+        assert solve_k1(S1, solve_k2(S1)) == 0.0
 
     def test_s1_with_state_linear_reward(self):
         model = xlq.LqModel(a=0, b=1, c=0, d=0, m=1, n=1, r=0, p=1, q=0,
                             rho=1, lam=0.2)
-        k2 = xlq.solve_k2(model)
-        k1 = xlq.solve_k1(model, k2)
+        k2 = solve_k2(model)
+        k1 = solve_k1(model, k2)
         assert k1 == pytest.approx(1.0 / (k2 - 1.0), abs=1e-14)
         assert abs(xlq.k1_residual(model, k2, k1)) < 1e-12
 
     def test_state_independent_is_zero(self):
         model = xlq.LqModel(a=0.4, b=1, c=0, d=0, m=0, n=2, r=0, p=0, q=1,
                             rho=1.5, lam=0.2)
-        assert xlq.solve_k1(model, 0.0) == 0.0
+        assert solve_k1(model, 0.0) == 0.0
 
     def test_residual_on_random_models(self, rng):
         for _ in range(300):
             model = random_valid_model(rng)
-            k2 = xlq.solve_k2(model)
-            k1 = xlq.solve_k1(model, k2)
+            k2 = solve_k2(model)
+            k1 = solve_k1(model, k2)
             assert abs(xlq.k1_residual(model, k2, k1)) < 1e-10 * max(1, abs(k1))
 
     def test_denominator_is_bounded_away_from_zero_when_valid(self, rng):
@@ -166,7 +167,7 @@ class TestSolveK1:
         exponent forces A1 < rho/2, so no validated model degenerates."""
         for _ in range(200):
             model = random_valid_model(rng)
-            k2 = xlq.solve_k2(model)
+            k2 = solve_k2(model)
             n2 = model.n - k2 * model.d ** 2
             beta = model.b + model.c * model.d
             den = k2 * model.b * beta + (model.a - model.rho) * n2 - model.b * model.r
@@ -177,20 +178,20 @@ class TestSolveK1:
         model = xlq.LqModel(a=1.0, b=0, c=0, d=0, m=0, n=1, r=0, p=1, q=0,
                             rho=1.0, lam=0.2)
         with pytest.raises(xlq.DegenerateLinearTermError):
-            xlq.solve_k1(model, 0.0)
+            solve_k1(model, 0.0)
 
 
 class TestSolveK0:
     def test_s1_entropy_annuity(self):
         # 0.1 (ln(0.4 pi e) - 1) = 0.1 ln(0.4 pi), high-precision frozen.
-        k0 = xlq.solve_k0(S1, GOLDEN, 0.0)
+        k0 = solve_k0(S1, GOLDEN, 0.0)
         assert k0 == pytest.approx(0.022843915397524511, abs=1e-15)
 
     def test_state_independent_benchmark(self):
         # q^2/(2 rho n) + (lam/2rho)(ln(2 pi e lam/n) - 1) = 0.5 + ln(pi e) - 1
         model = xlq.LqModel(a=0, b=1, c=0, d=0, m=0, n=2, r=0, p=0, q=1,
                             rho=0.5, lam=1.0)
-        k0 = xlq.solve_k0(model, 0.0, 0.0)
+        k0 = solve_k0(model, 0.0, 0.0)
         assert k0 == pytest.approx(0.5 + math.log(math.pi), abs=1e-14)
         assert k0 == pytest.approx(1.6447298858494002, abs=1e-14)
 
@@ -198,23 +199,23 @@ class TestSolveK0:
         # Choose lam so ln(2 pi e lam/(n - k2 d^2)) = 1: lam = n2/(2 pi).
         model = xlq.LqModel(a=0, b=1, c=0, d=0, m=1, n=1, r=0, p=0, q=0.3,
                             rho=1, lam=1.0 / (2 * math.pi))
-        k2 = xlq.solve_k2(model)
+        k2 = solve_k2(model)
         assert model.n - k2 * model.d ** 2 == 1.0
-        k1 = xlq.solve_k1(model, k2)
-        k0 = xlq.solve_k0(model, k2, k1)
+        k1 = solve_k1(model, k2)
+        k0 = solve_k0(model, k2, k1)
         expected = (k1 * model.b - model.q) ** 2 / (2 * model.rho)
         assert k0 == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_nonpositive_denominator(self):
         with pytest.raises(xlq.NonIntegrableDensityError):
-            xlq.solve_k0(S1.__class__(**{**S1.__dict__, "d": 2.0}), 1.0, 0.0)
+            solve_k0(S1.__class__(**{**S1.__dict__, "d": 2.0}), 1.0, 0.0)
 
     def test_residual_on_random_models(self, rng):
         for _ in range(300):
             model = random_valid_model(rng)
-            k2 = xlq.solve_k2(model)
-            k1 = xlq.solve_k1(model, k2)
-            k0 = xlq.solve_k0(model, k2, k1)
+            k2 = solve_k2(model)
+            k1 = solve_k1(model, k2)
+            k0 = solve_k0(model, k2, k1)
             assert abs(xlq.k0_residual(model, k2, k1, k0)) < 1e-10 * max(1, abs(k0))
 
 

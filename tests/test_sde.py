@@ -12,9 +12,12 @@ import hashlib
 import io
 import math
 import multiprocessing
+import os
+import signal
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import exploratory_lq as xlq
-from exploratory_lq import cli, sde
+from exploratory_lq import cli, config, sde
 from exploratory_lq.constants import ABS_TOL, DIVERGENCE_THRESHOLD, ODE_SUBSTEPS
 from conftest import C0_MODEL, D0_MODEL, DS_MODEL, S1, traced_peak
 
@@ -405,6 +408,27 @@ class TestRandomStreams:
                 child.join()
         assert child.exitcode == 0
 
+    # One tile converted on the caller's thread, and three shared with the
+    # helper.
+    @pytest.mark.parametrize("n_paths", [2, 130])
+    def test_the_top_raw_words_give_finite_normals(self, monkeypatch, n_paths):
+        # raw >> 11 = 2**53 - 1 would round up to u = 1 (z = +inf): it is
+        # clamped to u = 1 - 2**-53.  The next value down, 2**53 - 2, keeps
+        # its unclamped normal, the largest one before the clamp.
+        below = ((2 ** 53 - 2) << 11) | 0x7FF
+        cases = ((2 ** 64 - 1, special.ndtri(1.0 - 2.0 ** -53)),
+                 (below, special.ndtri(((below >> 11) + 0.5) * 2.0 ** -53)))
+        assert cases[0][1] == pytest.approx(8.2095361516, abs=1e-9)
+        assert cases[1][1] == pytest.approx(8.1258906647, abs=1e-9)
+        for word, expected in cases:
+            class FakePhilox(np.random.Philox):
+                def random_raw(self, size=None, output=True):
+                    return np.full(size, word, dtype=np.uint64)
+
+            monkeypatch.setattr(np.random, "Philox", FakePhilox)
+            z = xlq.rng.normal_block(1, 0, n_paths, 5, first_step=2)
+            assert (z == expected).all()
+
     def test_concurrent_calls_draw_their_own_bits(self):
         # Four callers and their helpers on a short switch interval: a
         # tile claimed twice or never would change its bits.
@@ -595,14 +619,14 @@ class TestEulerMaruyama:
         # A float where an integer belongs is rejected, not truncated.
         args = {**dict(x0=1.0, seed=1, n_paths=2), **bad}
         grid = xlq.PathGrid(dt=0.1, n_steps=4)
-        policy = xlq.state_independent_policy(C0_MODEL)
+        policy = sde.state_independent_policy(C0_MODEL)
         with pytest.raises(ValueError, match=f"^{name} "):
             xlq.simulate_exploratory(C0_MODEL, policy, grid=grid, **args)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):
         grid = xlq.PathGrid(dt=0.1, n_steps=2)
-        policy = xlq.state_independent_policy(C0_MODEL)
+        policy = sde.state_independent_policy(C0_MODEL)
         calls = (
             lambda: xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, seed, 2),
             lambda: xlq.exact_batch(C0_MODEL, 1.0, grid, seed, 2, method="c0"),
@@ -777,12 +801,148 @@ class TestSimulateToCsv:
         grid = xlq.PathGrid(dt=0.01, n_steps=10 ** 17)
         with pytest.raises(xlq.ExploratoryLqError,
                            match="^256 paths x 100000000000000001 nodes"):
-            sde.simulate_to_csv(C0_MODEL, xlq.state_independent_policy(C0_MODEL),
+            sde.simulate_to_csv(C0_MODEL, sde.state_independent_policy(C0_MODEL),
                                 1.0, grid, 7, 1000, tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
 
 
+def counting_forks(monkeypatch):
+    """Count the os.fork calls made from now on (in this process)."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def step_failing_in(monkeypatch, where, fail):
+    """Make _EulerBatch.step first raise ``fail`` (an exception) or call
+    it, in the child processes (``where="child"``) or in this process
+    (``"parent"``)."""
+    parent, real = os.getpid(), sde._EulerBatch.step
+
+    def step(self, *args):
+        if (os.getpid() == parent) == (where == "parent"):
+            if isinstance(fail, BaseException):
+                raise fail
+            fail()
+        return real(self, *args)
+
+    monkeypatch.setattr(sde._EulerBatch, "step", step)
+
+
+class TestSimulateToCsvParts:
+    """simulate_to_csv walks the first part of its record chunks itself
+    and forks a child for each later part: the bytes, the summary and
+    the batch do not depend on the part count, and no child or
+    temporary file outlives the call."""
+
+    @pytest.mark.parametrize("n_paths", [1, 256, 257, 512, 513, 549])
+    @pytest.mark.parametrize("case", ["ds", "explosive"])
+    def test_bytes_and_batch_equal_the_recorded_batch(self, tmp_path, monkeypatch,
+                                                      case, n_paths):
+        if case == "ds":
+            model, policy, dt = DS_MODEL, xlq.solve(DS_MODEL).policy, 0.05
+        else:  # most paths diverge, at steps 14-17
+            model, policy, dt = EXPLOSIVE, EXPLOSIVE_POLICY, 0.2
+        grid = xlq.PathGrid(dt=dt, n_steps=20)
+        recorded = xlq.simulate_exploratory(model, policy, 1.0, grid, 4, n_paths)
+        expected = recorded_files(tmp_path, model, policy, grid, 4, n_paths)
+        n_chunks = -(-n_paths // sde._RECORD_CHUNK)
+        forks = counting_forks(monkeypatch)
+        for n_parts in (1, 2, 3):
+            monkeypatch.setattr(sde, "_usable_cpus", lambda: n_parts)
+            forks.clear()
+            out = tmp_path / f"{n_parts}.csv"
+            batch = sde.simulate_to_csv(model, policy, 1.0, grid, 4, n_paths, out)
+            assert len(forks) == min(n_parts, n_chunks) - 1
+            assert cli_files(out, batch) == expected
+            for name in ("endpoints", "diverged", "divergence_step"):
+                assert getattr(batch, name).tobytes() == getattr(recorded, name).tobytes()
+        assert (recorded.n_diverged > 0) == (case == "explosive")
+
+    def test_parts_are_contiguous_runs_of_whole_chunks(self, monkeypatch):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        assert sde._record_parts(1000) == [[(0, 256)], [(256, 512)],
+                                           [(512, 768), (768, 1000)]]
+        assert sde._record_parts(300) == [[(0, 256)], [(256, 300)]]
+
+    def test_one_part_without_fork_or_beside_another_thread(self, monkeypatch):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 4)
+        assert len(within(HANG_S, sde._record_parts, 1000)) == 1
+        monkeypatch.delattr(os, "fork")
+        assert len(sde._record_parts(1000)) == 1
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failure_leaves_no_child_and_no_temporary_file(self, tmp_path, monkeypatch,
+                                                            where):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        step_failing_in(monkeypatch, where, RuntimeError("step failed here"))
+        grid = xlq.PathGrid(dt=0.01, n_steps=20)
+        expected = xlq.ExploratoryLqError if where == "child" else RuntimeError
+        match = ("^the process simulating paths 256-511 failed: RuntimeError: "
+                 if where == "child" else "^") + "step failed here$"
+        with pytest.raises(expected, match=match):
+            sde.simulate_to_csv(DS_MODEL, xlq.solve(DS_MODEL).policy, 1.0, grid, 3,
+                                700, tmp_path / "t.csv")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_an_interrupt_in_the_caller_kills_the_children(self, tmp_path, monkeypatch):
+        # The children would step for 10 HANG_S: they must be killed, not
+        # waited for.
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        step_failing_in(monkeypatch, "child", lambda: time.sleep(10 * HANG_S))
+        step_failing_in(monkeypatch, "parent", KeyboardInterrupt())
+        forks = counting_forks(monkeypatch)
+        grid = xlq.PathGrid(dt=0.01, n_steps=20)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sde.simulate_to_csv(DS_MODEL, xlq.solve(DS_MODEL).policy, 1.0, grid, 3,
+                                768, tmp_path / "t.csv")
+        assert time.monotonic() - start < HANG_S
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_a_child_killed_by_a_signal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        step_failing_in(monkeypatch, "child",
+                        lambda: os.kill(os.getpid(), signal.SIGKILL))
+        grid = xlq.PathGrid(dt=0.01, n_steps=20)
+        with pytest.raises(xlq.ExploratoryLqError,
+                           match="^the process simulating paths 256-299 ended with "
+                                 f"status -{int(signal.SIGKILL)}$"):
+            sde.simulate_to_csv(DS_MODEL, xlq.solve(DS_MODEL).policy, 1.0, grid, 3,
+                                300, tmp_path / "t.csv")
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_cli_reports_a_child_failure_on_one_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        step_failing_in(monkeypatch, "child", ValueError("bad step"))
+        cfg = tmp_path / "ds.cfg"
+        cfg.write_text("".join(f"{key} = {getattr(DS_MODEL, name)!r}\n"
+                               for key, name in config.MODEL_KEYS.items())
+                       + "sim.n_steps = 20\nsim.n_paths = 300\n", encoding="utf-8")
+        rc = cli.main(["--config", str(cfg), "--command", "simulate", "--seed", "3",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == ("error: the process simulating paths 256-299 failed: "
+                       "ValueError: bad step\n")
+        assert os.listdir(tmp_path / "out") == ["trajectories.csv"]
+
+
 class TestExactPathD0:
+
     def test_gbm_reduction(self):
         model = xlq.LqModel(a=0, b=1, c=1, d=0, m=0, n=1, r=0, p=0, q=0,
                             rho=1, lam=0.2)
@@ -837,7 +997,7 @@ class TestExactPathC0:
         target = model.d ** 2 * model.lam / (2.0 * model.n)
         var = exact[:, -1].var(ddof=1)
         assert var == pytest.approx(target, rel=0.05)
-        coeffs = xlq.derived_coeffs(model, xlq.state_independent_policy(model))
+        coeffs = xlq.derived_coeffs(model, sde.state_independent_policy(model))
         m_inf = float(xlq.second_moment_curve(coeffs, 1.0, 60.0))
         n_inf = float(xlq.mean_curve(coeffs, 1.0, 60.0))
         assert m_inf - n_inf ** 2 == pytest.approx(target, rel=1e-6)
@@ -845,7 +1005,7 @@ class TestExactPathC0:
     def test_endpoint_distribution_kolmogorov_smirnov(self):
         grid = xlq.PathGrid(dt=1 / 16, n_steps=16)
         exact = xlq.exact_batch(C0_MODEL, 1.0, grid, 5, 100000, method="c0")
-        coeffs = xlq.derived_coeffs(C0_MODEL, xlq.state_independent_policy(C0_MODEL))
+        coeffs = xlq.derived_coeffs(C0_MODEL, sde.state_independent_policy(C0_MODEL))
         mean = float(xlq.mean_curve(coeffs, 1.0, 1.0))
         m2 = float(xlq.second_moment_curve(coeffs, 1.0, 1.0))
         ks = stats.kstest(exact[:, -1], "norm",
@@ -1156,7 +1316,7 @@ class TestExactBatch:
 
         monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
         grid = xlq.PathGrid(dt=0.01, n_steps=10 ** 17)
-        policy = xlq.state_independent_policy(C0_MODEL)
+        policy = sde.state_independent_policy(C0_MODEL)
         calls = (
             lambda: xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 1000, "c0"),
             lambda: xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, 7, 1000),
@@ -1239,7 +1399,7 @@ class TestStrongErrors:
                               ("doss_saussman", DS_MODEL)):
             sol = xlq.solve(model)
             value, policy = ((sol.value, sol.policy) if method == "doss_saussman"
-                             else (None, xlq.state_independent_policy(model)))
+                             else (None, sde.state_independent_policy(model)))
             euler = xlq.simulate_exploratory(model, policy, 1.0, grid, 3, 16)
             exact = xlq.exact_batch(model, 1.0, grid, 3, 16, method, value)
             d = euler.endpoints - exact[:, -1]
@@ -1260,7 +1420,7 @@ class TestStrongErrors:
                               ("doss_saussman", DS_MODEL)):
             sol = xlq.solve(model)
             value, policy = ((sol.value, sol.policy) if method == "doss_saussman"
-                             else (None, xlq.state_independent_policy(model)))
+                             else (None, sde.state_independent_policy(model)))
             euler = xlq.simulate_exploratory(model, policy, 1.0, grid, 3, 16)
             exact = xlq.exact_batch(model, 1.0, grid, 3, 16, method, value)
             d = euler.endpoints - exact[:, -1]
