@@ -8,9 +8,11 @@ violated condition on standard error.  Outputs are byte-identical
 across repeated runs with the same inputs.  ``--seed`` and
 ``--parallelism`` override ``sim.seed`` and ``sim.parallelism`` and
 meet the same checks in :func:`config.sim_settings`; the parallelism
-must be >= 1 and has no effect: ``simulate`` splits its paths between
-one process per usable CPU (see :func:`sde.simulate_to_csv`), and the
-other commands run in one.
+must be >= 1 and has no effect.  Two commands fork by themselves, one
+process per usable CPU at most (see :func:`sde.fork_parts`):
+``simulate`` splits its paths between them (see
+:func:`sde.simulate_to_csv`), and ``exact-vs-euler`` its dt levels,
+the finest in the caller.  The other commands run in one process.
 """
 
 from __future__ import annotations
@@ -221,12 +223,26 @@ def _cmd_exact_vs_euler(spec: RunSpec) -> None:
         method = "c0"
     else:
         method, value = "doss_saussman", _solve(spec).value
-    rows = []
-    for dt in CONVERGENCE_DTS:
-        grid = sde.PathGrid(dt=dt, n_steps=int(round(CONVERGENCE_HORIZON / dt)))
-        rows.append((dt, *sde.strong_errors(
-            model, spec.sim["x0"], grid, spec.sim["seed"], spec.sim["n_paths"],
-            method, value), method, spec.sim["n_paths"]))
+
+    def measure(dts):
+        rows = []
+        for dt in dts:
+            grid = sde.PathGrid(dt=dt, n_steps=int(round(CONVERGENCE_HORIZON / dt)))
+            rows.append((dt, *sde.strong_errors(
+                model, spec.sim["x0"], grid, spec.sim["seed"], spec.sim["n_paths"],
+                method, value), method, spec.sim["n_paths"]))
+        return rows
+
+    # The levels run side by side.  The finest, nearly all the work, stays
+    # in this process; forked children run the others.
+    parts = sde.split_parts(CONVERGENCE_DTS)
+    if len(parts) > 1:
+        *coarse, finest = CONVERGENCE_DTS
+        parts = [*sde.split_parts(coarse, len(parts) - 1), [finest]]
+    measured = sde.fork_parts(
+        measure, parts, lambda dts: "the process measuring dt " + ", ".join(map(repr, dts)),
+        mine=len(parts) - 1)
+    rows = [row for part in measured for row in part]
     path = _write_table(
         spec.out_dir / "convergence", spec.fmt,
         ["dt", "rms_endpoint_error", "max_endpoint_error",

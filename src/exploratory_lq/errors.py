@@ -25,6 +25,10 @@ class ModelValidationError(ExploratoryLqError):
         lines = "; ".join(v.describe() for v in self.violations)
         super().__init__(f"model validation failed: {lines}")
 
+    def __reduce__(self):
+        # Pickled as its records, so a forked child can send it back whole.
+        return type(self), (self.violations,)
+
 
 class NumericalError(ExploratoryLqError):
     """Base class for numerical failures (degeneracy, divergence)."""

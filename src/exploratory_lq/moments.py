@@ -112,26 +112,50 @@ def integrate_moment_ode(a1, a2, b1, b2, c1, x0, t) -> tuple[np.ndarray, np.ndar
     batch of coefficient sets, of end times, or of both integrates in
     one pass; every element takes RK_STEPS steps of size t/RK_STEPS.
     Returns (n(t), m(t)) in the broadcast shape.
+
+    The state and every stage live in preallocated (2, ...) buffers: the
+    right-hand side is slope * state (rows a1 and alpha), plus 2 beta n
+    in row 1, plus const (rows a2 and gamma), op for op the sum
+    (a1 n + a2, alpha m + 2 beta n + gamma).
     """
     a1, a2, b1, b2, c1, t = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (a1, a2, b1, b2, c1, t)))
-    alpha = 2.0 * a1 + b1 * b1
-    beta = a2 + b1 * b2
-    gamma = b2 * b2 + c1
-
-    def rhs(state):
-        n, m = state
-        return np.stack([a1 * n + a2, alpha * m + 2.0 * beta * n + gamma])
-
+    slope = np.stack([a1, 2.0 * a1 + b1 * b1])
+    two_beta = 2.0 * (a2 + b1 * b2)
+    const = np.stack([a2, b2 * b2 + c1])
     h = t / RK_STEPS
-    state = np.stack([np.broadcast_to(np.asarray(x0, dtype=float), a1.shape),
-                      np.broadcast_to(np.asarray(x0, dtype=float) ** 2, a1.shape)]).copy()
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    x0 = np.asarray(x0, dtype=float)
+    state = np.stack([np.broadcast_to(x0, a1.shape), np.broadcast_to(x0 ** 2, a1.shape)])
+    k1, k2, k3, k4, y = (np.empty_like(state) for _ in range(5))
+    tmp = np.empty_like(state[:1])
+    add, mul = np.add, np.multiply
+
+    def rhs(s, out):
+        # Rows are sliced, not indexed, so a 0-d t still gives views.
+        mul(slope, s, out)
+        mul(two_beta, s[:1], tmp)
+        add(out[1:], tmp, out[1:])
+        add(out, const, out)
+
     for _ in range(RK_STEPS):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(state, k1)
+        mul(half_h, k1, y)
+        add(state, y, y)
+        rhs(y, k2)
+        mul(half_h, k2, y)
+        add(state, y, y)
+        rhs(y, k3)
+        mul(h, k3, y)
+        add(state, y, y)
+        rhs(y, k4)
+        mul(k2, 2.0, k2)
+        add(k1, k2, k1)
+        mul(k3, 2.0, k3)
+        add(k1, k3, k1)
+        add(k1, k4, k1)
+        mul(sixth_h, k1, k1)
+        add(state, k1, state)
     return state[0], state[1]
 
 

@@ -46,16 +46,20 @@ scaled by sqrt(dt) once, in place.  Both keep the arithmetic of the
 plain recursion op for op, so the bits do not depend on them.  The
 per-step work is short NumPy calls, and formatting the CSV is float
 ``repr``; both hold the interpreter lock, so threads do not speed them
-up.  :func:`simulate_to_csv` therefore splits its record chunks into
-one contiguous part per usable CPU and forks a process for each part
-but the first, which the caller walks itself; the caller then appends
-each child's rows in path order.  ``rng.normal_block`` converts a
-block's finished row tiles on a helper thread, which releases the
-lock, while the caller draws the next rows.
+up, but processes do.  :func:`fork_parts`, the one fork helper, runs a
+list of parts side by side: the caller runs one, a forked child each
+of the others, and the results come back in part order.
+:func:`simulate_to_csv` hands it one contiguous part of its record
+chunks per usable CPU, walks the first itself and appends each child's
+rows in path order; ``explq exact-vs-euler`` hands it its dt levels and
+keeps the finest.  ``rng.normal_block`` converts a block's finished row
+tiles on a helper thread, which releases the lock, while the caller
+draws the next rows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -448,42 +452,54 @@ def simulate_to_csv(model: LqModel, policy: AffineGaussianPolicy, x0: float,
     and the room for that buffer (ExploratoryLqError) are checked before
     any noise is drawn and before the file is created.
 
-    The chunks are split into contiguous parts (:func:`_record_parts`).
-    The caller walks the first part into ``path``; a forked child walks
-    each later part into an unlinked temporary file beside it and sends
-    back its paths' endpoints and divergence flags, and the caller then
-    appends the parts in path order.  A path's values depend only on
-    (seed, path), so the split does not change a byte.  Every child is
-    reaped before this returns or raises; a child's failure raises
-    ExploratoryLqError with the child's message, and any exception in
-    the caller kills the children.
+    The chunks are split into contiguous parts (:func:`_record_parts`),
+    which :func:`fork_parts` walks side by side: the caller walks the
+    first part into ``path``, a forked child each later part into an
+    unlinked temporary file beside it, and sends back its paths'
+    endpoints and divergence flags; the caller then appends the parts in
+    path order.  A path's values depend only on (seed, path), so the
+    split does not change a byte.
     """
     run = _EulerBatch(model, policy, x0, grid, seed, n_paths)
     buf = _node_array(min(_RECORD_CHUNK, n_paths), grid.n_steps)
+    per_path = (run.endpoints, run.diverged, run.div_step)
+    parts = _record_parts(n_paths)
 
-    def walk(fh, chunks):
+    def walk(chunks, fh):
         write_rows = _row_writer(fh, grid)
         for lo, hi in chunks:
             nodes = buf[:hi - lo]
             run.step(lo, hi, nodes)
             write_rows(lo, nodes)
 
-    first, *rest = _record_parts(n_paths)
-    children = [_PartChild(chunks) for chunks in rest]
-    with open(path, "w", encoding="utf-8") as fh:
+    def walk_part(i):
+        if i == 0:
+            return walk(parts[0], fh)
+        with open(rows[i].fileno(), "w", encoding="utf-8", closefd=False) as out:
+            walk(parts[i], out)
+        return tuple(a[_paths_of(parts[i])] for a in per_path)
+
+    def describe(i):
+        paths = _paths_of(parts[i])
+        return f"the process simulating paths {paths.start}-{paths.stop - 1}"
+
+    directory = os.path.dirname(os.path.abspath(path))
+    with open(path, "w", encoding="utf-8") as fh, contextlib.ExitStack() as files:
         fh.write(_CSV_HEADER)
-        try:
-            directory = os.path.dirname(os.path.abspath(path))
-            for child in children:
-                child.start(walk, run, directory, fh)
-            walk(fh, first)
-            fh.flush()
-            for child in children:
-                child.append_to(fh.buffer, run)
-        finally:
-            for child in children:
-                child.close()
+        rows = [None, *(files.enter_context(tempfile.TemporaryFile(dir=directory))
+                        for _ in parts[1:])]
+        returned = fork_parts(walk_part, range(len(parts)), describe)
+        fh.flush()
+        for i in range(1, len(parts)):
+            for a, values in zip(per_path, returned[i]):
+                a[_paths_of(parts[i])] = values
+            rows[i].seek(0)
+            shutil.copyfileobj(rows[i], fh.buffer)
     return run.batch()
+
+
+def _paths_of(chunks: list) -> slice:
+    return slice(chunks[0][0], chunks[-1][1])
 
 
 def _usable_cpus() -> int:
@@ -493,34 +509,74 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _record_parts(n_paths: int) -> list:
-    """The record chunks of n_paths paths, split into contiguous parts:
-    one per usable CPU and at most one per chunk, or a single part where
-    the process cannot fork (no ``os.fork``, or another Python thread
-    running)."""
-    chunks = _chunk_ranges(n_paths, _RECORD_CHUNK)
+def split_parts(items, n_parts: int | None = None) -> list:
+    """``items`` in contiguous parts, the later ones the larger: n_parts
+    of them, or by default one per usable CPU and at most one per item.
+    Where the process cannot fork (no ``os.fork``, or another Python
+    thread running) there is a single part."""
+    items = list(items)
     forkable = hasattr(os, "fork") and threading.active_count() == 1
-    n = min(_usable_cpus(), len(chunks)) if forkable else 1
-    return [chunks[i * len(chunks) // n:(i + 1) * len(chunks) // n] for i in range(n)]
+    if n_parts is None:
+        n_parts = min(_usable_cpus(), len(items))
+    n = n_parts if forkable else 1
+    return [items[i * len(items) // n:(i + 1) * len(items) // n] for i in range(n)]
+
+
+def _record_parts(n_paths: int) -> list:
+    """:func:`simulate_to_csv`'s record chunks of n_paths paths, in
+    :func:`split_parts`."""
+    return split_parts(_chunk_ranges(n_paths, _RECORD_CHUNK))
+
+
+def fork_parts(work, parts, describe, mine: int = 0) -> list:
+    """``[work(part) for part in parts]``, the parts run side by side:
+    the caller runs ``parts[mine]`` and a forked child each other part,
+    and the results come back in part order.  A single part runs in the
+    caller alone.
+
+    The parts are in the order a serial loop would run them, and a
+    failure raises what that loop would have: the error of the first
+    part that fails.  A child's library error (ExploratoryLqError) is
+    raised as it is; any other exception in a child, or a child that
+    ends abnormally, raises ExploratoryLqError naming ``describe(part)``.
+    Every child is reaped before this returns or raises, and any
+    exception in the caller that is not a library error, an interrupt
+    included, kills the children first.
+    """
+    parts = list(parts)
+    children = [None if i == mine else _PartChild(describe(part))
+                for i, part in enumerate(parts)]
+    try:
+        for child, part in zip(children, parts):
+            if child is not None:
+                child.start(work, part)
+        try:
+            own = work(parts[mine])
+        except ExploratoryLqError:
+            for child in children[:mine]:   # parts a serial loop runs first
+                child.result()
+            raise
+        return [own if child is None else child.result() for child in children]
+    finally:
+        for child in children:
+            if child is not None:
+                child.close()
 
 
 class _PartChild:
-    """A forked process that walks one part of :func:`simulate_to_csv`'s
-    chunks: ``start`` forks it, ``append_to`` waits for it and takes its
-    results, ``close`` kills it if it was not reaped and frees its pipe
-    and file."""
+    """A forked process that runs ``work(part)`` for :func:`fork_parts`:
+    ``start`` forks it, ``result`` waits for it and returns its result
+    or raises its error, ``close`` kills it if it was not reaped and
+    frees its pipe."""
 
-    def __init__(self, chunks: list):
-        self.chunks = chunks
-        self.paths = slice(chunks[0][0], chunks[-1][1])
-        self.name = f"the process simulating paths {self.paths.start}-{self.paths.stop - 1}"
-        self.pid = self.pipe = self.rows = None
+    def __init__(self, name: str):
+        self.name = name
+        self.pid = self.pipe = None
 
-    def start(self, walk, run: _EulerBatch, directory: str, fh) -> None:
-        self.rows = tempfile.TemporaryFile(dir=directory)
+    def start(self, work, part) -> None:
         self.pipe, send = os.pipe()
         # Flushed, so no buffered text is inherited by the child.
-        for stream in (fh, sys.stdout, sys.stderr):
+        for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
         try:
@@ -530,45 +586,42 @@ class _PartChild:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 self.pid = os.fork()
             if self.pid == 0:
-                self._serve(walk, run, send)
+                self._serve(work, part, send)
         finally:
             os.close(send)
 
-    def _serve(self, walk, run: _EulerBatch, send: int) -> None:
-        """The child: walk the part into the file, send its paths'
-        results (or the error's text) through the pipe and leave through
-        ``os._exit``, never returning to the caller's frames."""
+    @staticmethod
+    def _serve(work, part, send: int) -> None:
+        """The child: run the part, send (True, result), (False, library
+        error) or (False, the error's text) through the pipe and leave
+        through ``os._exit``, never returning to the caller's frames."""
         code = 1
         try:
             try:
-                with open(self.rows.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-                    walk(fh, self.chunks)
-                result = tuple(a[self.paths] for a in (run.endpoints, run.diverged,
-                                                       run.div_step))
+                payload = pickle.dumps((True, work(part)))
+            except ExploratoryLqError as exc:
+                payload = pickle.dumps((False, exc))
             except BaseException as exc:
-                result = f"{type(exc).__name__}: {exc}"
+                payload = pickle.dumps((False, f"{type(exc).__name__}: {exc}"))
             with open(send, "wb", closefd=False) as pipe:
-                pickle.dump(result, pipe)
+                pipe.write(payload)
             code = 0
         finally:
             os._exit(code)
 
-    def append_to(self, out, run: _EulerBatch) -> None:
-        """Wait for the child, put its paths' results into ``run`` and
-        copy its rows to the binary file ``out``."""
+    def result(self):
         with open(self.pipe, "rb", closefd=False) as pipe:
             payload = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
         if status:
             raise ExploratoryLqError(f"{self.name} ended with status {status}")
-        result = pickle.loads(payload)
-        if isinstance(result, str):
-            raise ExploratoryLqError(f"{self.name} failed: {result}")
-        for a, part in zip((run.endpoints, run.diverged, run.div_step), result):
-            a[self.paths] = part
-        self.rows.seek(0)
-        shutil.copyfileobj(self.rows, out)
+        ok, value = pickle.loads(payload)
+        if ok:
+            return value
+        if isinstance(value, ExploratoryLqError):
+            raise value
+        raise ExploratoryLqError(f"{self.name} failed: {value}")
 
     def close(self) -> None:
         if self.pid:
@@ -576,8 +629,6 @@ class _PartChild:
             os.waitpid(self.pid, 0)
         if self.pipe is not None:
             os.close(self.pipe)
-        if self.rows is not None:
-            self.rows.close()
 
 
 # ---------------------------------------------------------------------------
@@ -790,27 +841,32 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     # for substep j of S, shared between neighbouring substeps.
     fractions = (np.arange(2 * ODE_SUBSTEPS + 1) * 0.5 / ODE_SUBSTEPS)[:, None]
 
+    # Every ufunc call below passes its output positionally, through a
+    # local name: cheaper than an ``np.`` lookup or an in-place operator.
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    asinh, cosh, sinh, sqrt = np.arcsinh, np.cosh, np.sinh, np.sqrt
+
     def stage(acw, y, out, t_w, t_f):
         """out = G(W, y) for acw = |b1| W; t_w and t_f are work buffers."""
-        np.add(y, shift, t_w)
-        t_w *= to_w                       # w = |b1|/sqrt(c1) (y + b2/b1)
-        np.arcsinh(t_w, t_f)
-        t_f += acw                        # arg = |b1| W + asinh(w)
-        np.cosh(t_f, out)
-        np.sinh(t_f, t_f)
-        t_f *= to_f
-        t_f -= shift                      # F
-        t_w *= t_w
-        t_w += one
-        np.sqrt(t_w, t_w)
-        out /= t_w                        # dF/dy = cosh(arg) / sqrt(1 + w^2)
-        np.multiply(t_f, b1, t_w)
-        t_w += b2
-        t_w *= half_b1
-        t_f *= a1
-        t_f += a2
-        t_f -= t_w                        # a1 F + a2 - b1/2 (b1 F + b2)
-        np.divide(t_f, out, out)
+        add(y, shift, t_w)
+        mul(t_w, to_w, t_w)               # w = |b1|/sqrt(c1) (y + b2/b1)
+        asinh(t_w, t_f)
+        add(t_f, acw, t_f)                # arg = |b1| W + asinh(w)
+        cosh(t_f, out)
+        sinh(t_f, t_f)
+        mul(t_f, to_f, t_f)
+        sub(t_f, shift, t_f)              # F
+        mul(t_w, t_w, t_w)
+        add(t_w, one, t_w)
+        sqrt(t_w, t_w)
+        div(out, t_w, out)                # dF/dy = cosh(arg) / sqrt(1 + w^2)
+        mul(t_f, b1, t_w)
+        add(t_w, b2, t_w)
+        mul(t_w, half_b1, t_w)
+        mul(t_f, a1, t_f)
+        add(t_f, a2, t_f)
+        sub(t_f, t_w, t_f)                # a1 F + a2 - b1/2 (b1 F + b2)
+        div(t_f, out, out)
 
     def build(blocks):
         buf = None
@@ -827,29 +883,29 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
                 buf[:, 0] = nodes[:, -1]
             nodes = buf[:, :n + 1]
             for k in range(n):
-                np.subtract(w[:, k + 1], w[:, k], dw)
-                np.multiply(dw, fractions, acw)
-                acw += w[:, k]
-                acw *= ac
+                sub(w[:, k + 1], w[:, k], dw)
+                mul(dw, fractions, acw)
+                add(acw, w[:, k], acw)
+                mul(acw, ac, acw)
                 for j in range(0, 2 * ODE_SUBSTEPS, 2):
                     zh = acw[j + 1]
                     stage(acw[j], y, k1, t_w, t_f)
-                    np.multiply(k1, half_h, y_in)
-                    y_in += y
+                    mul(k1, half_h, y_in)
+                    add(y_in, y, y_in)
                     stage(zh, y_in, k2, t_w, t_f)
-                    np.multiply(k2, half_h, y_in)
-                    y_in += y
+                    mul(k2, half_h, y_in)
+                    add(y_in, y, y_in)
                     stage(zh, y_in, k3, t_w, t_f)
-                    np.multiply(k3, h, y_in)
-                    y_in += y
+                    mul(k3, h, y_in)
+                    add(y_in, y, y_in)
                     stage(acw[j + 2], y_in, k4, t_w, t_f)
-                    k2 *= two
-                    k1 += k2
-                    k3 *= two
-                    k1 += k3
-                    k1 += k4
-                    k1 *= sixth_h
-                    y += k1
+                    mul(k2, two, k2)
+                    add(k1, k2, k1)
+                    mul(k3, two, k3)
+                    add(k1, k3, k1)
+                    add(k1, k4, k1)
+                    mul(k1, sixth_h, k1)
+                    add(y, k1, y)
                 nodes[:, k + 1] = y           # replaced by X below
             # F and the defect check in row tiles, so their temporaries
             # stay small; np.max keeps a NaN tile maximum.

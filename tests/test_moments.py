@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import exploratory_lq as xlq
+from exploratory_lq.constants import RK_STEPS
 from exploratory_lq.model import DerivedCoeffs
 from conftest import DS_MODEL, S1, random_valid_model
 
@@ -215,7 +216,62 @@ class TestSecondMomentClosedForms:
         assert tag == "a" and not near
 
 
+def reference_moment_ode(a1, a2, b1, b2, c1, x0, t):
+    """The RK4 loop before it stepped in preallocated buffers, one
+    np.stack per stage: the integrator must keep its bits."""
+    a1, a2, b1, b2, c1, t = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a1, a2, b1, b2, c1, t)))
+    alpha = 2.0 * a1 + b1 * b1
+    beta = a2 + b1 * b2
+    gamma = b2 * b2 + c1
+
+    def rhs(state):
+        n, m = state
+        return np.stack([a1 * n + a2, alpha * m + 2.0 * beta * n + gamma])
+
+    h = t / RK_STEPS
+    state = np.stack([np.broadcast_to(np.asarray(x0, dtype=float), a1.shape),
+                      np.broadcast_to(np.asarray(x0, dtype=float) ** 2, a1.shape)]).copy()
+    for _ in range(RK_STEPS):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return state[0], state[1]
+
+
+def assert_same_bits(got, want):
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+    assert [np.shape(v) for v in got] == [np.shape(v) for v in want]
+
+
 class TestIntegrator:
+    def test_cli_nearband_curves_keep_their_bits(self):
+        # The two curves `explq moments` integrates on the near-band model
+        # (S1 with c = 1e-7), at its 41 nodes of dt 5e-4 x 4000 steps.
+        model = replace(S1, c=1e-7)
+        sol = xlq.solve(model)
+        grid = xlq.PathGrid(dt=5e-4, n_steps=4000)
+        times = grid.times()[np.unique(np.linspace(0, 4000, 41).astype(int))]
+        for policy in (sol.policy, sol.classical_policy):
+            c = xlq.derived_coeffs(model, policy)
+            assert xlq.classify_case(c)[1]
+            args = (c.a1, c.a2, c.b1, c.b2, c.c1, 1.0, times)
+            assert_same_bits(xlq.integrate_moment_ode(*args), reference_moment_ode(*args))
+
+    def test_a_batch_of_coefficient_sets_keeps_its_bits(self, rng):
+        coeffs = [rng.uniform(-1.0, 1.0, 500) for _ in range(4)]
+        args = (*coeffs, rng.uniform(0.0, 1.0, 500), rng.uniform(-2.0, 2.0),
+                rng.uniform(0.0, 5.0, 500))
+        assert_same_bits(xlq.integrate_moment_ode(*args), reference_moment_ode(*args))
+
+    def test_scalar_time_keeps_its_bits(self):
+        args = (-0.3, 0.4, 0.6, -0.2, 0.3, 1.1, 2.5)
+        got = xlq.integrate_moment_ode(*args)
+        assert all(np.ndim(v) == 0 for v in got)
+        assert_same_bits(got, reference_moment_ode(*args))
+
     def test_time_broadcasts_against_coefficients(self):
         a1 = np.array([[-0.5], [0.2], [-1.0]])
         ts = np.array([0.0, 0.3, 1.0, 4.0])

@@ -941,6 +941,178 @@ class TestSimulateToCsvParts:
         assert os.listdir(tmp_path / "out") == ["trajectories.csv"]
 
 
+def ds_config(tmp_path) -> str:
+    """A config file of DS_MODEL at 20 paths."""
+    cfg = tmp_path / "ds.cfg"
+    cfg.write_text("".join(f"{key} = {getattr(DS_MODEL, name)!r}\n"
+                           for key, name in config.MODEL_KEYS.items())
+                   + "sim.n_paths = 20\n", encoding="utf-8")
+    return str(cfg)
+
+
+def run_exact_vs_euler(cfg, out, capsys) -> tuple[int, str, bytes | None]:
+    """(exit code, stderr, convergence.csv or None) of one run."""
+    rc = cli.main(["--config", cfg, "--command", "exact-vs-euler", "--seed", "12",
+                   "--out", str(out)])
+    table = out / "convergence.csv"
+    return rc, capsys.readouterr().err, table.read_bytes() if table.exists() else None
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestExactVsEulerLevels:
+    """`explq exact-vs-euler` runs its dt levels side by side through
+    fork_parts, the finest in this process: the table, the exit code and
+    the error line do not depend on how many processes ran them."""
+
+    DTS = (0.05, 0.01, 0.002)
+
+    @pytest.fixture(autouse=True)
+    def short_ladder(self, monkeypatch):
+        monkeypatch.setattr(cli, "CONVERGENCE_DTS", self.DTS)
+
+    def test_levels_split_with_the_finest_in_the_caller(self, tmp_path, monkeypatch):
+        calls = []
+        real = sde.fork_parts
+
+        def fork_parts(work, parts, describe, mine=0):
+            calls.append((parts, mine))
+            return real(work, parts, describe, mine)
+
+        monkeypatch.setattr(sde, "fork_parts", fork_parts)
+        cfg = ds_config(tmp_path)
+        for n_cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(sde, "_usable_cpus", lambda: n_cpus)
+            assert cli.main(["--config", cfg, "--command", "exact-vs-euler",
+                             "--seed", "12", "--out", str(tmp_path / "out")]) == 0
+        assert calls == [([[0.05, 0.01, 0.002]], 0), ([[0.05, 0.01], [0.002]], 1),
+                         ([[0.05], [0.01], [0.002]], 2), ([[0.05], [0.01], [0.002]], 2)]
+
+    def test_table_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch, capsys):
+        cfg = ds_config(tmp_path)
+        forks = counting_forks(monkeypatch)
+        tables = {}
+        for n_cpus in (1, 2, 3):
+            monkeypatch.setattr(sde, "_usable_cpus", lambda: n_cpus)
+            forks.clear()
+            rc, err, tables[n_cpus] = run_exact_vs_euler(cfg, tmp_path / str(n_cpus), capsys)
+            assert (rc, err, len(forks)) == (0, "", n_cpus - 1)
+        # Beside another Python thread, one process runs every level.
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        forks.clear()
+        rc, err, tables["thread"] = within(
+            HANG_S, run_exact_vs_euler, cfg, tmp_path / "thread", capsys)
+        assert (rc, err, len(forks)) == (0, "", 0)
+        assert len(set(tables.values())) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", DTS, ids=["first", "middle", "last"])
+    def test_a_failing_level_gives_the_serial_error_line(self, tmp_path, monkeypatch,
+                                                         capsys, failing):
+        real = sde.strong_errors
+
+        def strong_errors(model, x0, grid, *args):
+            if grid.dt == failing:
+                raise xlq.NumericalError(f"level dt={grid.dt!r} failed")
+            return real(model, x0, grid, *args)
+
+        monkeypatch.setattr(sde, "strong_errors", strong_errors)
+        cfg = ds_config(tmp_path)
+        results = []
+        for n_cpus in (1, 2, 3):
+            monkeypatch.setattr(sde, "_usable_cpus", lambda: n_cpus)
+            results.append(run_exact_vs_euler(cfg, tmp_path / str(n_cpus), capsys))
+            assert_no_child_left()
+        assert results == [(3, f"numerical error: level dt={failing!r} failed\n",
+                            None)] * 3
+
+    def test_the_first_failing_level_wins(self, tmp_path, monkeypatch, capsys):
+        # The finest level, in this process, fails too: the serial loop
+        # would have stopped at the coarser one a child ran.
+        real = sde.strong_errors
+
+        def strong_errors(model, x0, grid, *args):
+            if grid.dt in (0.01, 0.002):
+                raise xlq.SimulationDivergedError(f"level dt={grid.dt!r} diverged")
+            return real(model, x0, grid, *args)
+
+        monkeypatch.setattr(sde, "strong_errors", strong_errors)
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        assert run_exact_vs_euler(ds_config(tmp_path), tmp_path / "out", capsys) == (
+            3, "numerical error: level dt=0.01 diverged\n", None)
+        assert_no_child_left()
+
+    def test_another_exception_in_a_child_comes_back_wrapped(self, tmp_path, monkeypatch,
+                                                              capsys):
+        parent, real = os.getpid(), sde.strong_errors
+
+        def strong_errors(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(sde, "strong_errors", strong_errors)
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        assert run_exact_vs_euler(ds_config(tmp_path), tmp_path / "out", capsys) == (
+            3, "error: the process measuring dt 0.05, 0.01 failed: RuntimeError: boom\n",
+            None)
+        assert_no_child_left()
+
+
+class TestForkParts:
+    """fork_parts, the one fork helper: results in part order, errors as
+    the serial loop would raise them, and no child left behind."""
+
+    @staticmethod
+    def describe(part):
+        return f"part {part}"
+
+    @pytest.mark.parametrize("mine", [0, 1, 2])
+    def test_results_come_back_in_part_order(self, monkeypatch, mine):
+        forks = counting_forks(monkeypatch)
+        got = sde.fork_parts(lambda part: (part, os.getpid()), ["a", "b", "c"],
+                             self.describe, mine)
+        assert [part for part, _ in got] == ["a", "b", "c"]
+        pids = [pid for _, pid in got]
+        assert pids[mine] == os.getpid() and sorted(pids[:mine] + pids[mine + 1:]) == sorted(forks)
+        assert_no_child_left()
+
+    def test_a_library_error_comes_back_as_it_is(self):
+        def work(part):
+            if part == "b":
+                raise xlq.ModelValidationError(
+                    [xlq.Violation("n > 0", "n = -1"), xlq.Violation("lam > 0", "lam = 0")])
+            return part
+
+        with pytest.raises(xlq.ModelValidationError) as caught:
+            sde.fork_parts(work, ["a", "b"], self.describe)
+        assert caught.value.violations == [xlq.Violation("n > 0", "n = -1"),
+                                           xlq.Violation("lam > 0", "lam = 0")]
+        assert str(caught.value) == "model validation failed: n > 0: n = -1; lam > 0: lam = 0"
+        assert_no_child_left()
+
+    def test_the_callers_error_waits_only_for_earlier_parts(self):
+        # Part c (a child) would run for 10 HANG_S; the caller's part b
+        # fails after part a succeeded, so c is killed, not waited for.
+        parent = os.getpid()
+
+        def work(part):
+            if part == "c" and os.getpid() != parent:
+                time.sleep(10 * HANG_S)
+            if part == "b":
+                raise xlq.NumericalError("b failed")
+            return part
+
+        start = time.monotonic()
+        with pytest.raises(xlq.NumericalError, match="^b failed$"):
+            sde.fork_parts(work, ["a", "b", "c"], self.describe, mine=1)
+        assert time.monotonic() - start < HANG_S
+        assert_no_child_left()
+
+
 class TestExactPathD0:
 
     def test_gbm_reduction(self):
