@@ -8,11 +8,11 @@ violated condition on standard error.  Outputs are byte-identical
 across repeated runs with the same inputs.  ``--seed`` and
 ``--parallelism`` override ``sim.seed`` and ``sim.parallelism`` and
 meet the same checks in :func:`config.sim_settings`; the parallelism
-must be >= 1 and has no effect.  Two commands fork by themselves, one
-process per usable CPU at most (see :func:`sde.fork_parts`):
-``simulate`` splits its paths between them (see
-:func:`sde.simulate_to_csv`), and ``exact-vs-euler`` its dt levels,
-the finest in the caller.  The other commands run in one process.
+must be >= 1 and has no effect.  Two commands fork by themselves
+(see :func:`sde.fork_parts`): ``simulate`` splits its paths between
+one process per usable CPU (see :func:`sde.simulate_to_csv`), and
+``exact-vs-euler`` runs its finest dt level in the caller and the
+others in one child.  The other commands run in one process.
 """
 
 from __future__ import annotations
@@ -233,12 +233,12 @@ def _cmd_exact_vs_euler(spec: RunSpec) -> None:
                 method, value), method, spec.sim["n_paths"]))
         return rows
 
-    # The levels run side by side.  The finest, nearly all the work, stays
-    # in this process; forked children run the others.
-    parts = sde.split_parts(CONVERGENCE_DTS)
-    if len(parts) > 1:
+    # Where it can fork, the finest level, nearly all the work, runs in
+    # this process and one forked child runs the others beside it.
+    parts = [list(CONVERGENCE_DTS)]
+    if len(sde.split_parts(CONVERGENCE_DTS)) > 1:
         *coarse, finest = CONVERGENCE_DTS
-        parts = [*sde.split_parts(coarse, len(parts) - 1), [finest]]
+        parts = [coarse, [finest]]
     measured = sde.fork_parts(
         measure, parts, lambda dts: "the process measuring dt " + ", ".join(map(repr, dts)),
         mine=len(parts) - 1)

@@ -486,6 +486,7 @@ def simulate_to_csv(model: LqModel, policy: AffineGaussianPolicy, x0: float,
     directory = os.path.dirname(os.path.abspath(path))
     with open(path, "w", encoding="utf-8") as fh, contextlib.ExitStack() as files:
         fh.write(_CSV_HEADER)
+        fh.flush()                      # so no child inherits the header
         rows = [None, *(files.enter_context(tempfile.TemporaryFile(dir=directory))
                         for _ in parts[1:])]
         returned = fork_parts(walk_part, range(len(parts)), describe)
@@ -509,16 +510,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def split_parts(items, n_parts: int | None = None) -> list:
-    """``items`` in contiguous parts, the later ones the larger: n_parts
-    of them, or by default one per usable CPU and at most one per item.
-    Where the process cannot fork (no ``os.fork``, or another Python
-    thread running) there is a single part."""
+def split_parts(items) -> list:
+    """``items`` in contiguous parts, the later ones the larger: one per
+    usable CPU and at most one per item, or a single part where the
+    process cannot fork (no ``os.fork``, or another Python thread
+    running)."""
     items = list(items)
     forkable = hasattr(os, "fork") and threading.active_count() == 1
-    if n_parts is None:
-        n_parts = min(_usable_cpus(), len(items))
-    n = n_parts if forkable else 1
+    n = min(_usable_cpus(), len(items)) if forkable else 1
     return [items[i * len(items) // n:(i + 1) * len(items) // n] for i in range(n)]
 
 
@@ -841,32 +840,27 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     # for substep j of S, shared between neighbouring substeps.
     fractions = (np.arange(2 * ODE_SUBSTEPS + 1) * 0.5 / ODE_SUBSTEPS)[:, None]
 
-    # Every ufunc call below passes its output positionally, through a
-    # local name: cheaper than an ``np.`` lookup or an in-place operator.
-    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
-    asinh, cosh, sinh, sqrt = np.arcsinh, np.cosh, np.sinh, np.sqrt
-
     def stage(acw, y, out, t_w, t_f):
         """out = G(W, y) for acw = |b1| W; t_w and t_f are work buffers."""
-        add(y, shift, t_w)
-        mul(t_w, to_w, t_w)               # w = |b1|/sqrt(c1) (y + b2/b1)
-        asinh(t_w, t_f)
-        add(t_f, acw, t_f)                # arg = |b1| W + asinh(w)
-        cosh(t_f, out)
-        sinh(t_f, t_f)
-        mul(t_f, to_f, t_f)
-        sub(t_f, shift, t_f)              # F
-        mul(t_w, t_w, t_w)
-        add(t_w, one, t_w)
-        sqrt(t_w, t_w)
-        div(out, t_w, out)                # dF/dy = cosh(arg) / sqrt(1 + w^2)
-        mul(t_f, b1, t_w)
-        add(t_w, b2, t_w)
-        mul(t_w, half_b1, t_w)
-        mul(t_f, a1, t_f)
-        add(t_f, a2, t_f)
-        sub(t_f, t_w, t_f)                # a1 F + a2 - b1/2 (b1 F + b2)
-        div(t_f, out, out)
+        np.add(y, shift, t_w)
+        t_w *= to_w                       # w = |b1|/sqrt(c1) (y + b2/b1)
+        np.arcsinh(t_w, t_f)
+        t_f += acw                        # arg = |b1| W + asinh(w)
+        np.cosh(t_f, out)
+        np.sinh(t_f, t_f)
+        t_f *= to_f
+        t_f -= shift                      # F
+        t_w *= t_w
+        t_w += one
+        np.sqrt(t_w, t_w)
+        out /= t_w                        # dF/dy = cosh(arg) / sqrt(1 + w^2)
+        np.multiply(t_f, b1, t_w)
+        t_w += b2
+        t_w *= half_b1
+        t_f *= a1
+        t_f += a2
+        t_f -= t_w                        # a1 F + a2 - b1/2 (b1 F + b2)
+        np.divide(t_f, out, out)
 
     def build(blocks):
         buf = None
@@ -883,29 +877,29 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
                 buf[:, 0] = nodes[:, -1]
             nodes = buf[:, :n + 1]
             for k in range(n):
-                sub(w[:, k + 1], w[:, k], dw)
-                mul(dw, fractions, acw)
-                add(acw, w[:, k], acw)
-                mul(acw, ac, acw)
+                np.subtract(w[:, k + 1], w[:, k], dw)
+                np.multiply(dw, fractions, acw)
+                acw += w[:, k]
+                acw *= ac
                 for j in range(0, 2 * ODE_SUBSTEPS, 2):
                     zh = acw[j + 1]
                     stage(acw[j], y, k1, t_w, t_f)
-                    mul(k1, half_h, y_in)
-                    add(y_in, y, y_in)
+                    np.multiply(k1, half_h, y_in)
+                    y_in += y
                     stage(zh, y_in, k2, t_w, t_f)
-                    mul(k2, half_h, y_in)
-                    add(y_in, y, y_in)
+                    np.multiply(k2, half_h, y_in)
+                    y_in += y
                     stage(zh, y_in, k3, t_w, t_f)
-                    mul(k3, h, y_in)
-                    add(y_in, y, y_in)
+                    np.multiply(k3, h, y_in)
+                    y_in += y
                     stage(acw[j + 2], y_in, k4, t_w, t_f)
-                    mul(k2, two, k2)
-                    add(k1, k2, k1)
-                    mul(k3, two, k3)
-                    add(k1, k3, k1)
-                    add(k1, k4, k1)
-                    mul(k1, sixth_h, k1)
-                    add(y, k1, y)
+                    k2 *= two
+                    k1 += k2
+                    k3 *= two
+                    k1 += k3
+                    k1 += k4
+                    k1 *= sixth_h
+                    y += k1
                 nodes[:, k + 1] = y           # replaced by X below
             # F and the defect check in row tiles, so their temporaries
             # stay small; np.max keeps a NaN tile maximum.

@@ -988,8 +988,7 @@ class TestExactVsEulerLevels:
             monkeypatch.setattr(sde, "_usable_cpus", lambda: n_cpus)
             assert cli.main(["--config", cfg, "--command", "exact-vs-euler",
                              "--seed", "12", "--out", str(tmp_path / "out")]) == 0
-        assert calls == [([[0.05, 0.01, 0.002]], 0), ([[0.05, 0.01], [0.002]], 1),
-                         ([[0.05], [0.01], [0.002]], 2), ([[0.05], [0.01], [0.002]], 2)]
+        assert calls == [([[0.05, 0.01, 0.002]], 0)] + [([[0.05, 0.01], [0.002]], 1)] * 3
 
     def test_table_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch, capsys):
         cfg = ds_config(tmp_path)
@@ -999,7 +998,7 @@ class TestExactVsEulerLevels:
             monkeypatch.setattr(sde, "_usable_cpus", lambda: n_cpus)
             forks.clear()
             rc, err, tables[n_cpus] = run_exact_vs_euler(cfg, tmp_path / str(n_cpus), capsys)
-            assert (rc, err, len(forks)) == (0, "", n_cpus - 1)
+            assert (rc, err, len(forks)) == (0, "", min(n_cpus - 1, 1))
         # Beside another Python thread, one process runs every level.
         monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
         forks.clear()
