@@ -15,6 +15,7 @@ Doss-Saussmann) and returns the gap's (rms, max, mean).
 import math
 
 import exploratory_lq as xlq
+from exploratory_lq.sde import doss_saussman_terms
 
 D0 = xlq.LqModel(a=0.2, b=1, c=0.8, d=0, m=0, n=1, r=0, p=0, q=-0.5,
                  rho=2, lam=0.3)
@@ -43,13 +44,11 @@ ladder(DS, "doss_saussman")
 
 # The transform F satisfies dF/dz = sqrt((b1 F + b2)^2 + c1), with the
 # coefficients of the optimal policy.
-value, _ = xlq.exploratory_solution(DS)
-tr = xlq.DossSaussmanTransform.from_solution(DS, value)
+c = xlq.derived_coeffs(DS, xlq.solve(DS).policy)
 z, y = 0.8, -1.1
 h = 1e-6
-fd = (tr.terms(z + h, y)[0] - tr.terms(z - h, y)[0]) / (2 * h)
-f, df_dz, _ = tr.terms(z, y)
+fd = (doss_saussman_terms(c, z + h, y)[0] - doss_saussman_terms(c, z - h, y)[0]) / (2 * h)
+f, df_dz, _ = doss_saussman_terms(c, z, y)
 print("\nF'(z) by finite differences:", fd)
 print("dF/dz from the transform:    ", df_dz)
-c = tr.coeffs
 print("sqrt((b1 F + b2)^2 + c1):    ", math.sqrt((c.b1 * f + c.b2) ** 2 + c.c1))

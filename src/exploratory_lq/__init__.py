@@ -60,7 +60,6 @@ from .policy_eval import (
     truncation_bound,
 )
 from .sde import (
-    DossSaussmanTransform,
     PathGrid,
     TrajectoryBatch,
     exact_batch,

@@ -65,8 +65,8 @@ _TILE_ROWS = 64
 
 def is_integer(x) -> bool:
     """A Python or NumPy integer: the one test for every count, index and
-    seed, so a float is rejected rather than truncated."""
-    return isinstance(x, (int, np.integer))
+    seed, so a float or a bool is rejected rather than truncated."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def valid_seed(seed: int) -> bool:

@@ -760,60 +760,35 @@ def _c0_builder(model: LqModel, x0: float, grid: PathGrid):
     return build
 
 
-@dataclass(frozen=True)
-class DossSaussmanTransform:
-    """Pathwise transform X = F(W, Y) for the optimal state SDE
-    dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW, whose
-    coefficients are :func:`~exploratory_lq.model.derived_coeffs` under
-    the optimal policy.
+def doss_saussman_terms(coeffs: DerivedCoeffs, z, y):
+    """(F, dF/dz, dF/dy) at (z, y) from one arcsinh, sinh and cosh: the
+    pathwise transform X = F(W, Y) for the state SDE
+    dX = (a1 X + a2) dt + sqrt((b1 X + b2)^2 + c1) dW with ``coeffs``,
+    which needs c1 > 0 and b1 != 0.
 
     F(z, y) = (sqrt(c1)/|b1|) sinh(|b1| z + asinh((|b1|/sqrt(c1)) (y + b2/b1))) - b2/b1
     satisfies dF/dz = sqrt((b1 F + b2)^2 + c1) with F(0, y) = y,
     and Y follows the per-path ODE dY/dt = G(W_t, Y_t) with
     G = (a1 F + a2 - b1/2 (b1 F + b2)) / (dF/dy).
     """
-
-    coeffs: DerivedCoeffs
-
-    @classmethod
-    def from_solution(cls, model: LqModel, value) -> "DossSaussmanTransform":
-        """Transform of the process driven by the optimal policy under v.
-
-        Requires d != 0 and a positive noise injection c1 (else
-        ValueError) and a nonvanishing effective volatility slope b1
-        (else UnsupportedRegimeError); callers must fall back to the
-        other exact constructions otherwise.
-        """
-        coeffs = derived_coeffs(model, policy_from_value(model, value))
-        if abs(model.d) <= ABS_TOL or coeffs.c1 <= 0:
-            raise ValueError("Doss-Saussmann path requires d != 0")
-        if abs(coeffs.b1) <= ABS_TOL:
-            raise UnsupportedRegimeError(
-                "effective volatility slope vanishes; use the c = 0 exact path")
-        return cls(coeffs)
-
-    def _scales(self) -> tuple[float, float, float]:
-        """(sqrt(c1), |b1|, b2/b1), the constants F is built from."""
-        c = self.coeffs
-        return math.sqrt(c.c1), abs(c.b1), c.b2 / c.b1
-
-    def terms(self, z, y):
-        """(F, dF/dz, dF/dy) at (z, y) from one arcsinh, sinh and cosh."""
-        root, ac, shift = self._scales()
-        w = ac / root * (y + shift)
-        arg = ac * z + np.arcsinh(w)
-        cosh = np.cosh(arg)
-        return (root / ac * np.sinh(arg) - shift, root * cosh,
-                cosh / np.sqrt(1.0 + w * w))
+    root, ac, shift = math.sqrt(coeffs.c1), abs(coeffs.b1), coeffs.b2 / coeffs.b1
+    w = ac / root * (y + shift)
+    arg = ac * z + np.arcsinh(w)
+    cosh = np.cosh(arg)
+    return (root / ac * np.sinh(arg) - shift, root * cosh,
+            cosh / np.sqrt(1.0 + w * w))
 
 
-def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
-    """Order-1 reference path: integrate Y per path (RK4, ODE_SUBSTEPS
-    steps per grid step, W linearly interpolated inside steps, which
-    makes the path pathwise order 1 in dt) and map nodes through F.
-    Verifies the defining diffusion ODE of F at every node to
-    DS_DEFECT_TOL, and raises NumericalError on a larger or non-finite
-    defect.
+def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid,
+                           policy: AffineGaussianPolicy):
+    """Order-1 reference path of the process under the optimal
+    ``policy``: integrate Y per path (RK4, ODE_SUBSTEPS steps per grid
+    step, W linearly interpolated inside steps, which makes the path
+    pathwise order 1 in dt) and map nodes through F.  Raises ValueError
+    unless d != 0 and c1 > 0, and UnsupportedRegimeError for a vanishing
+    volatility slope b1.  Verifies the defining diffusion ODE of F at
+    every node to DS_DEFECT_TOL, and raises NumericalError on a larger
+    or non-finite defect.
 
     Each step interpolates every |b1| W its RK4 stages read in one pass,
     and each stage is a few NumPy calls into preallocated (n_paths,)
@@ -822,12 +797,14 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
     of all its tiles.  The arithmetic is the per-node recursion's, op
     for op.
     """
-    if value is None:
-        raise ValueError("doss_saussman batch needs the value function")
-    transform = DossSaussmanTransform.from_solution(model, value)
-    c = transform.coeffs
+    c = derived_coeffs(model, policy)
+    if abs(model.d) <= ABS_TOL or c.c1 <= 0:
+        raise ValueError("Doss-Saussmann path requires d != 0")
+    if abs(c.b1) <= ABS_TOL:
+        raise UnsupportedRegimeError(
+            "effective volatility slope vanishes; use the c = 0 exact path")
     a1, a2, b1, b2 = c.a1, c.a2, c.b1, c.b2
-    root, ac, shift = transform._scales()
+    root, ac, shift = math.sqrt(c.c1), abs(b1), b2 / b1
     to_w, to_f, half_b1 = ac / root, root / ac, b1 / 2.0
     h = grid.dt / ODE_SUBSTEPS
     half_h, sixth_h = 0.5 * h, h / 6.0
@@ -907,7 +884,7 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid: PathGrid, value):
             worst = np.empty(len(tiles))
             for i, r0 in enumerate(tiles):
                 rows = slice(r0, r0 + _CHECK_ROWS)
-                x, dfz, _ = transform.terms(w[rows, 1:], nodes[rows, 1:])
+                x, dfz, _ = doss_saussman_terms(c, w[rows, 1:], nodes[rows, 1:])
                 defect = np.abs(dfz - np.sqrt((b1 * x + b2) ** 2 + c.c1))
                 worst[i] = (defect / np.maximum(1.0, np.abs(dfz))).max()
                 nodes[rows, 1:] = x
@@ -929,8 +906,10 @@ def _exact_builder(model: LqModel, x0: float, grid: PathGrid, method: str, value
     if method == "c0":
         return _c0_builder(model, x0, grid), state_independent_policy(model)
     if method == "doss_saussman":
-        return (_doss_saussman_builder(model, x0, grid, value),
-                policy_from_value(model, value))
+        if value is None:
+            raise ValueError("doss_saussman batch needs the value function")
+        policy = policy_from_value(model, value)
+        return _doss_saussman_builder(model, x0, grid, policy), policy
     raise ValueError(f"unknown exact-path method {method!r}")
 
 

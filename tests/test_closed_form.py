@@ -286,8 +286,8 @@ class TestSolution:
             assert sol.classical_policy.mean(x) == sol.policy.mean(x)  # same floats
         coeffs = xlq.derived_coeffs(model, sol.policy)
         if abs(model.d) > ABS_TOL and abs(coeffs.b1) > ABS_TOL:
-            tr = xlq.DossSaussmanTransform.from_solution(model, sol.value)
-            assert tr.coeffs == coeffs
+            assert xlq.derived_coeffs(
+                model, xlq.policy_from_value(model, sol.value)) == coeffs
 
 
 class TestClassicalSolution:

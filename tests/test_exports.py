@@ -1,0 +1,38 @@
+"""The package's exported names, pinned: adding or removing one means
+editing this list on purpose."""
+
+import types
+
+import exploratory_lq as xlq
+
+EXPORTS = [
+    # closed_form
+    "QuadraticValue", "Solution", "classical_solution", "exploration_cost",
+    "exploratory_solution", "hjb_residual", "k0_residual", "k1_residual",
+    "k2_residual", "lambda_sweep", "policy_from_value", "softmax_density",
+    "solution_record", "solve", "value_gap",
+    # errors
+    "ConfigError", "DegenerateLinearTermError", "ExploratoryLqError",
+    "ModelValidationError", "NoConcaveRootError", "NonIntegrableDensityError",
+    "NumericalError", "SimulationDivergedError", "UnsupportedRegimeError",
+    # model
+    "AffineGaussianPolicy", "DerivedCoeffs", "LqModel", "Violation",
+    "assumption_bound", "check_model", "derived_coeffs", "validate",
+    # moments
+    "admissibility_decay", "classify_case", "decay_exponent_from_riccati",
+    "integrate_moment_ode", "mean_curve", "second_moment_curve",
+    # policy_eval
+    "ValueEstimate", "integrand_coefficients", "mc_exploration_cost", "mc_value",
+    "truncation_bound",
+    # sde
+    "PathGrid", "TrajectoryBatch", "exact_batch", "simulate_exploratory",
+    "strong_errors",
+]
+
+
+def test_exported_names_are_the_pinned_48():
+    exported = sorted(name for name, obj in vars(xlq).items()
+                      if not name.startswith("__")
+                      and not isinstance(obj, types.ModuleType))
+    assert len(EXPORTS) == len(set(EXPORTS)) == 48
+    assert exported == sorted(EXPORTS)

@@ -151,6 +151,22 @@ class TestGridAndBrownian:
         assert grid.horizon == 2.0
         assert np.allclose(grid.times(), [0, 0.5, 1.0, 1.5, 2.0])
 
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda n: xlq.PathGrid(dt=0.01, n_steps=n), id="n_steps"),
+        pytest.param(lambda n: xlq.simulate_exploratory(
+            C0_MODEL, sde.state_independent_policy(C0_MODEL), 1.0,
+            xlq.PathGrid(dt=0.01, n_steps=10), 7, n), id="n_paths"),
+        pytest.param(lambda n: xlq.simulate_exploratory(
+            C0_MODEL, sde.state_independent_policy(C0_MODEL), 1.0,
+            xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, checkpoints=(n,)),
+            id="checkpoints"),
+        pytest.param(lambda n: xlq.rng.normal_block(n, 0, 1, 2), id="seed")])
+    def test_a_bool_is_not_an_integer(self, call, flag):
+        # bool subclasses int: True would pass as 1 and False as 0.
+        with pytest.raises(ValueError, match="integer"):
+            call(flag)
+
     def test_brownian_reproducible_and_scaled(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=500)
         w = brownian(grid, 42, 9)
@@ -1194,36 +1210,41 @@ class TestExactPathC0:
         assert math.log10(errors[0] / errors[1]) >= 0.4
 
 
+def ds_coeffs(model):
+    """The derived coefficients of ``model``'s optimal policy: those its
+    Doss-Saussmann transform is built from."""
+    value = xlq.exploratory_solution(model)[0]
+    return xlq.derived_coeffs(model, xlq.policy_from_value(model, value))
+
+
 class TestDossSaussman:
     def test_initial_condition(self):
-        value, _ = xlq.exploratory_solution(DS_MODEL)
-        transform = xlq.DossSaussmanTransform.from_solution(DS_MODEL, value)
+        c = ds_coeffs(DS_MODEL)
         for y in (-3.0, -0.2, 0.0, 1.7, 8.0):
-            assert transform.terms(0.0, y)[0] == pytest.approx(y, abs=1e-12)
+            assert sde.doss_saussman_terms(c, 0.0, y)[0] == pytest.approx(y, abs=1e-12)
 
     def test_dfdz_finite_difference(self, rng):
-        value, _ = xlq.exploratory_solution(DS_MODEL)
-        transform = xlq.DossSaussmanTransform.from_solution(DS_MODEL, value)
+        c = ds_coeffs(DS_MODEL)
         h = 1e-6
         for _ in range(50):
             z = rng.uniform(-2, 2)
             y = rng.uniform(-3, 3)
-            fd = (transform.terms(z + h, y)[0] - transform.terms(z - h, y)[0]) / (2 * h)
-            c = transform.coeffs
-            f, df_dz, _ = transform.terms(z, y)
+            fd = (sde.doss_saussman_terms(c, z + h, y)[0]
+                  - sde.doss_saussman_terms(c, z - h, y)[0]) / (2 * h)
+            f, df_dz, _ = sde.doss_saussman_terms(c, z, y)
             target = math.sqrt((c.b1 * f + c.b2) ** 2 + c.c1)
             assert fd == pytest.approx(target, abs=1e-6, rel=1e-6)
             assert df_dz == pytest.approx(target, abs=1e-10)
 
     def test_dfdy_finite_difference(self, rng):
-        value, _ = xlq.exploratory_solution(DS_MODEL)
-        transform = xlq.DossSaussmanTransform.from_solution(DS_MODEL, value)
+        c = ds_coeffs(DS_MODEL)
         h = 1e-6
         for _ in range(20):
             z = rng.uniform(-2, 2)
             y = rng.uniform(-3, 3)
-            fd = (transform.terms(z, y + h)[0] - transform.terms(z, y - h)[0]) / (2 * h)
-            assert transform.terms(z, y)[2] == pytest.approx(fd, rel=1e-6)
+            fd = (sde.doss_saussman_terms(c, z, y + h)[0]
+                  - sde.doss_saussman_terms(c, z, y - h)[0]) / (2 * h)
+            assert sde.doss_saussman_terms(c, z, y)[2] == pytest.approx(fd, rel=1e-6)
 
     def test_strong_convergence_against_euler(self):
         errors = rms_ladder(DS_MODEL, "doss_saussman",
@@ -1243,18 +1264,33 @@ class TestDossSaussman:
         with pytest.raises(ValueError):
             exact_row(S1, 1.0, grid, 7, 0, "doss_saussman", value)
 
+    @pytest.mark.parametrize("call", [xlq.exact_batch, xlq.strong_errors])
+    @pytest.mark.parametrize("model, with_value, error, message", [
+        (S1, True, ValueError, "requires d != 0"),
+        (C0_MODEL, True, xlq.UnsupportedRegimeError, "volatility slope vanishes"),
+        (DS_MODEL, False, ValueError, "needs the value function")],
+        ids=["d_zero", "b1_vanishes", "no_value"])
+    def test_regime_and_value_checked_before_noise(self, monkeypatch, call, model,
+                                                    with_value, error, message):
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
+        value = xlq.exploratory_solution(model)[0] if with_value else None
+        grid = xlq.PathGrid(dt=0.01, n_steps=10)
+        with pytest.raises(error, match=message):
+            call(model, 1.0, grid, 7, 4, "doss_saussman", value)
+
 
 def per_node_doss_saussman(model, x0, grid, seed, n_paths):
     """Reference Doss-Saussmann batch, one grid node at a time: each RK4
     substep interpolates W anew and evaluates the drift of Y,
     G(z, y) = (a1 F + a2 - b1/2 (b1 F + b2)) / (dF/dy), through
-    ``terms``."""
-    value = xlq.exploratory_solution(model)[0]
-    transform = xlq.DossSaussmanTransform.from_solution(model, value)
-    c = transform.coeffs
+    :func:`sde.doss_saussman_terms`."""
+    c = ds_coeffs(model)
 
     def g(z, y):
-        fv, _, dfy = transform.terms(z, y)
+        fv, _, dfy = sde.doss_saussman_terms(c, z, y)
         num = c.a1 * fv + c.a2 - c.b1 / 2.0 * (c.b1 * fv + c.b2)
         return num / dfy
 
@@ -1275,7 +1311,7 @@ def per_node_doss_saussman(model, x0, grid, seed, n_paths):
             k3 = g(zh, y + 0.5 * h * k2)
             k4 = g(z1, y + h * k3)
             y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, k + 1] = transform.terms(w[:, k + 1], y)[0]
+        out[:, k + 1] = sde.doss_saussman_terms(c, w[:, k + 1], y)[0]
     return out
 
 
@@ -1362,8 +1398,7 @@ class TestDossSaussmanBlocks:
             assert_same_bits(exact, reference(model, 0.4, grid, 3, 7))
             return
         value = xlq.exploratory_solution(model)[0]
-        b1 = xlq.DossSaussmanTransform.from_solution(model, value).coeffs.b1
-        assert math.copysign(1.0, b1) == sign
+        assert math.copysign(1.0, ds_coeffs(model).b1) == sign
         exact = xlq.exact_batch(model, -0.4, grid, 3, 7, "doss_saussman", value)
         assert_same_bits(exact, per_node_doss_saussman(model, -0.4, grid, 3, 7))
 
