@@ -19,8 +19,9 @@ and ``sim.parallelism``, so a flag meets the same check as its key.
 :class:`~exploratory_lq.sde.PathGrid` owns the grid rules (0 < dt < inf,
 1 <= n_steps within float range, a finite horizon dt * n_steps),
 ``sde._check_batch`` the path count's and x0's, ``rng.valid_seed`` the
-seed's, and :func:`~exploratory_lq.model.check_model` the model's,
-finiteness included.  :func:`sweep_lambdas` requires each temperature
+seed's (``_check_batch`` checks it again, as every batch does), and
+:func:`~exploratory_lq.model.check_model` the model's, finiteness
+included.  :func:`sweep_lambdas` requires each temperature
 to be positive and finite.
 """
 
@@ -127,7 +128,8 @@ def sim_settings(mapping: dict[str, str]) -> dict:
         raise ConfigError(
             f"sim.parallelism (--parallelism) must be >= 1, got {parallelism}")
     try:
-        _check_batch(n_paths, x0)
+        # The seed was checked above; a missing one is the CLI's to report.
+        _check_batch(n_paths, x0, 0 if seed is None else seed)
         grid = PathGrid(dt=_float(mapping, "sim.dt") if "sim.dt" in mapping else 1e-2,
                         n_steps=_int(mapping, "sim.n_steps", 1000))
     except ValueError as exc:

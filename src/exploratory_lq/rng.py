@@ -74,6 +74,12 @@ def valid_seed(seed: int) -> bool:
     return is_integer(seed) and 0 <= seed < 2 ** 64
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError, naming the seed, unless :func:`valid_seed`."""
+    if not valid_seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
                  stream: int = STATE_STREAM, first_step: int = 0,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -82,8 +88,7 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
     are independent streams, so any chunking of paths or steps
     reproduces the same entries.  ``out``, if given, is filled and
     returned."""
-    if not valid_seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    check_seed(seed)
     for name, value in (("first_path", first_path), ("first_step", first_step),
                         ("n_paths", n_paths), ("n_steps", n_steps)):
         if not (is_integer(value) and value >= 0):

@@ -28,10 +28,12 @@ so a path's values depend only on (seed, path_index), never on the
 batch size or the chunk it was stepped in.  Every sample path, Euler or
 exact, is walked the same way: 2048 paths per chunk, wide enough that
 NumPy's per-call overhead is small against each step's work, with their
-noise drawn in blocks of 512 steps into one reused buffer per stream
-(at most about 8 MB of normals).  The buffer's rows are padded by 8
-columns: a step reads one column of the block, and with rows of exactly
-4096 B every element of that column would fall in the same cache set.
+noise drawn in blocks of 512 steps into one reused buffer per stream.
+An Euler walk that also draws action noise steps 1024 paths per chunk,
+so its two streams' buffers together hold what one holds: at most about
+8 MB of normals in all.  The buffer's rows are padded by 8 columns: a
+step reads one column of the block, and with rows of exactly 4096 B
+every element of that column would fall in the same cache set.
 The exact builders carry what crosses a block edge and yield each
 block's nodes in one buffer per chunk, reused across blocks:
 :func:`exact_batch` copies them into its read-only array, and
@@ -81,15 +83,16 @@ from .errors import (ExploratoryLqError, NumericalError, SimulationDivergedError
 from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 
 # Paths per chunk, and steps per noise block within a chunk, for Euler
-# and exact paths alike: a block holds at most 2048 x 512 normals (8 MB)
-# per stream.
+# and exact paths alike: a chunk's noise blocks hold at most 2048 x 512
+# normals (8 MB) in all, so a walk that draws two streams steps
+# _CHUNK // 2 paths per chunk.
 _CHUNK = 2048
 _STEP_BLOCK = 512
 # Paths per chunk when simulate_to_csv hands each chunk's nodes to the
 # writer: it holds 256 x (n_steps + 1) nodes, whatever n_paths.
 _RECORD_CHUNK = 256
 # Paths per tile of the Doss-Saussmann node check.
-_CHECK_ROWS = 64
+_CHECK_ROWS = 16
 
 # The text NumPy wraps around a float64's Python repr: ("np.float64(", ")")
 # on NumPy 2, ("", "") on 1.x.
@@ -104,8 +107,13 @@ class PathGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
+        # bool subclasses int: True would pass as a step of 1.
+        if isinstance(self.dt, bool):
+            raise ValueError(f"dt must be a number, not a bool, got {self.dt!r}")
+        if not 0 < self.dt <= sys.float_info.max:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        # Stored as a float, so an integer dt gives float times() and horizon.
+        object.__setattr__(self, "dt", float(self.dt))
         # An int beyond float range would overflow the product dt * n_steps.
         if not (rng.is_integer(self.n_steps) and 1 <= self.n_steps <= sys.float_info.max):
             raise ValueError("n_steps must be >= 1 and within float range, and an "
@@ -246,13 +254,19 @@ def _row_writer(fh, grid: PathGrid):
     return write_rows
 
 
-def _check_batch(n_paths: int, x0: float) -> None:
+def _check_batch(n_paths: int, x0: float, seed: int) -> None:
+    """The checks every batch makes before it allocates, creates or
+    draws anything."""
     if not rng.is_integer(n_paths):
         raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    # bool subclasses int: True would pass as 1.0.
+    if isinstance(x0, bool):
+        raise ValueError(f"x0 must be a number, not a bool, got {x0!r}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
+    rng.check_seed(seed)
 
 
 def _node_array(n_paths: int, n_steps: int) -> np.ndarray:
@@ -295,7 +309,7 @@ class _EulerBatch:
     def __init__(self, model: LqModel, policy: AffineGaussianPolicy, x0: float,
                  grid: PathGrid, seed: int, n_paths: int, checkpoints: tuple = (),
                  discount_rate: float | None = None, action_noise: bool = False):
-        _check_batch(n_paths, x0)
+        _check_batch(n_paths, x0, seed)
         if action_noise and discount_rate is None:
             raise ValueError("action_noise=True requires discount_rate")
         if discount_rate is not None and not 0 <= discount_rate < math.inf:
@@ -433,8 +447,10 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
                       discount_rate, action_noise)
     states = _node_array(n_paths, grid.n_steps) if record_paths else None
     # One chunk at a time, so a chunk's noise buffers are freed before
-    # the next chunk's are allocated.
-    for lo, hi in _chunk_ranges(n_paths, _CHUNK):
+    # the next chunk's are allocated; their width shares _CHUNK's budget
+    # among the streams the walk draws.
+    streams = 2 if action_noise else 1
+    for lo, hi in _chunk_ranges(n_paths, max(1, _CHUNK // streams)):
         run.step(lo, hi, None if states is None else states[lo:hi])
     return run.batch(states)
 
@@ -931,7 +947,7 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     node are checked before any noise is drawn.  Besides that array, the
     builder holds one noise block's nodes per chunk at a time.
     """
-    _check_batch(n_paths, x0)
+    _check_batch(n_paths, x0, seed)
     build, _ = _exact_builder(model, x0, grid, method, value)
     states = _node_array(n_paths, grid.n_steps)
     for lo, k0, nodes in _exact_blocks(build, seed, n_paths, grid.n_steps):
@@ -954,7 +970,7 @@ def strong_errors(model: LqModel, x0: float, grid: PathGrid, seed: int,
     paths are walked one noise block per chunk at a time and only their
     endpoints kept, so memory does not grow with n_steps.
     """
-    _check_batch(n_paths, x0)
+    _check_batch(n_paths, x0, seed)
     build, policy = _exact_builder(model, x0, grid, method, value)
     euler = simulate_exploratory(model, policy, x0, grid, seed, n_paths,
                                  record_paths=False)

@@ -45,7 +45,8 @@ DS_MIRROR = replace(DS_MODEL, c=-DS_MODEL.c, d=-DS_MODEL.d)
 
 
 # Path counts: BIG spans three chunks and SMALL two, neither a multiple
-# of the chunk width.
+# of the chunk width; a walk that draws action noise steps half as many
+# paths per chunk, so there BIG spans five chunks and SMALL three.
 BIG, SMALL = 2 * sde._CHUNK + 276, sde._CHUNK + 188
 # Two noise blocks, the second 30 steps long (not a multiple of the 4
 # steps one Philox block yields).
@@ -166,6 +167,28 @@ class TestGridAndBrownian:
         # bool subclasses int: True would pass as 1 and False as 0.
         with pytest.raises(ValueError, match="integer"):
             call(flag)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("name, call", [
+        pytest.param("dt", lambda v: xlq.PathGrid(dt=v, n_steps=3), id="dt"),
+        pytest.param("x0", lambda v: xlq.simulate_exploratory(
+            C0_MODEL, sde.state_independent_policy(C0_MODEL), v,
+            xlq.PathGrid(dt=0.01, n_steps=10), 7, 4), id="x0-euler"),
+        pytest.param("x0", lambda v: xlq.exact_batch(
+            C0_MODEL, v, xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, "c0"),
+            id="x0-exact")])
+    def test_a_bool_is_not_a_number(self, name, call, flag):
+        # True would pass as a step or a start of 1.0.
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool"):
+            call(flag)
+
+    def test_an_integer_dt_is_stored_as_a_float(self):
+        grid = xlq.PathGrid(dt=2, n_steps=3)
+        assert type(grid.dt) is float and type(grid.horizon) is float
+        assert grid.times().dtype == np.float64
+        assert grid == xlq.PathGrid(dt=2.0, n_steps=3)
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            xlq.PathGrid(dt=10 ** 400, n_steps=3)
 
     def test_brownian_reproducible_and_scaled(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=500)
@@ -620,8 +643,9 @@ class TestEulerMaruyama:
         # exercised on both sides of a block boundary.
         (EXPLOSIVE, EXPLOSIVE_POLICY, 0.002)])
     def test_rows_independent_of_chunking(self, model, policy, dt):
-        # BIG paths span three chunks, SMALL two, and both
-        # step through two noise blocks; shared rows agree.
+        # With action noise drawn, BIG paths span five chunks and SMALL
+        # three, and both step through two noise blocks; shared rows
+        # agree.
         grid = xlq.PathGrid(dt=dt, n_steps=EULER_STEPS)
         nodes = (0, 10, sde._STEP_BLOCK, EULER_STEPS)
         big = euler_with_sums(model, policy, grid, BIG, nodes)
@@ -651,6 +675,40 @@ class TestEulerMaruyama:
         for call in calls:
             with pytest.raises(ValueError, match=str(seed)):
                 call()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
+    def test_bad_seed_rejected_before_any_allocation_or_file(
+            self, tmp_path, monkeypatch, seed):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("a node array was allocated")
+
+        monkeypatch.setattr(sde, "_node_array", unavailable)
+        grid = xlq.PathGrid(dt=0.1, n_steps=2)
+        policy = sde.state_independent_policy(C0_MODEL)
+        calls = (
+            lambda: sde.simulate_to_csv(C0_MODEL, policy, 1.0, grid, seed, 2,
+                                        tmp_path / "t.csv"),
+            lambda: xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, seed, 2),
+            lambda: xlq.exact_batch(C0_MODEL, 1.0, grid, seed, 2, method="c0"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+                call()
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_action_noise_adds_under_1_mb(self):
+        # A walk that draws action noise steps half-width chunks, so its
+        # state and action blocks together hold one stream's 2048 x 512
+        # normals; at full width they would add another 8.5 MB.
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        grid = xlq.PathGrid(dt=0.01, n_steps=600)
+        peaks = [traced_peak(lambda: xlq.simulate_exploratory(
+                     DS_MODEL, policy, 1.0, grid, 3, 2 * sde._CHUNK,
+                     record_paths=False, discount_rate=DS_MODEL.rho,
+                     action_noise=action_noise))
+                 for action_noise in (False, True)]
+        assert peaks[1] - peaks[0] < 1e6
 
     def test_checkpoints_and_discounted_sums(self):
         _, policy = xlq.exploratory_solution(S1)
