@@ -69,6 +69,9 @@ class AffineGaussianPolicy:
     variance: float
 
     def __post_init__(self):
+        for name in ("slope", "intercept", "variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"policy {name} must be finite, got {getattr(self, name)}")
         if self.variance < 0:
             raise ValueError(f"policy variance must be >= 0, got {self.variance}")
 

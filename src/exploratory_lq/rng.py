@@ -35,18 +35,20 @@ the draw.  It converts the block in place in tiles of 64 rows: one
 in-place uint64 -> float64 pass over a whole block makes NumPy copy the
 overlap first (8.5 MB for 2048 x 512), while a tile's copy is 0.26 MB.
 
-The calling thread draws every row.  In a block of two or more tiles,
-one helper thread, started and joined within the call, converts each
-tile as soon as its rows are drawn: the conversion and ``ndtri``
-release the interpreter lock, the row loop holds it.  Once every row
-is drawn, the caller converts the tiles the helper has not claimed.
-Conversion is elementwise and each row's stream is fixed by its
-counter, so which thread converts a tile does not change a bit.
+The calling thread draws every row and puts each tile on a queue once
+its rows are drawn.  In a block of two or more tiles, one helper
+thread, started and joined within the call, takes tiles from the queue
+and converts them: the conversion and ``ndtri`` release the
+interpreter lock, the row loop holds it.  Once every row is drawn, the
+caller converts the tiles still on the queue.  Conversion is
+elementwise and each row's stream is fixed by its counter, so which
+thread converts a tile does not change a bit.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
+import queue
 import threading
 
 import numpy as np
@@ -70,7 +72,7 @@ def is_integer(x) -> bool:
 
 
 def valid_seed(seed: int) -> bool:
-    """Seeds are unsigned 64-bit integers: they fill one Philox key word."""
+    """Seeds and stream labels: unsigned 64-bit integers, one Philox word each."""
     return is_integer(seed) and 0 <= seed < 2 ** 64
 
 
@@ -88,7 +90,9 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
     are independent streams, so any chunking of paths or steps
     reproduces the same entries.  ``out``, if given, is filled and
     returned."""
-    check_seed(seed)
+    for name, word in (("seed", seed), ("stream", stream)):
+        if not valid_seed(word):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {word!r}")
     for name, value in (("first_path", first_path), ("first_step", first_step),
                         ("n_paths", n_paths), ("n_steps", n_steps)):
         if not (is_integer(value) and value >= 0):
@@ -120,12 +124,6 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
     # re-key and the draw.
     bits = out.view(np.uint64)
 
-    def draw(tile):
-        for i in range(tile * _TILE_ROWS, min((tile + 1) * _TILE_ROWS, n_paths)):
-            key[1] = first_path + i
-            gen.state = state
-            bits[i] = gen.random_raw(skip + n_steps)[skip:]
-
     def convert(tile):
         # In tiles of rows, so NumPy's copy of the overlap stays small.
         rows = slice(tile * _TILE_ROWS, (tile + 1) * _TILE_ROWS)
@@ -136,55 +134,37 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
         z *= _INV_2_53
         ndtri(z, out=z)
 
+    # Each tile goes on the queue once, when its rows are drawn, and the
+    # thread that takes it converts it.  The None queued in ``finally``
+    # stops the helper after a return or a raise alike.
     n_tiles = -(-n_paths // _TILE_ROWS)
-    if n_tiles < 2:
-        for tile in range(n_tiles):
-            draw(tile)
-            convert(tile)
-        return out
-    # Both threads take tiles to convert from one counter (``next`` on
-    # an ``itertools.count`` is atomic under the interpreter lock), so
-    # each tile is converted once; the helper waits until a tile's rows
-    # are drawn.  An error on either thread sets ``abort`` and stops the
-    # other.
-    claims = itertools.count()
-    drawn = [threading.Event() for _ in range(n_tiles)]
-    abort = threading.Event()
+    drawn = queue.SimpleQueue()
     helper_error = []
 
-    def convert_claimed(wait):
-        for tile in claims:
-            if tile >= n_tiles:
-                return
-            if wait:
-                drawn[tile].wait()
-            if abort.is_set():
-                return
-            convert(tile)
-
-    def helper():
+    def convert_drawn():
         try:
-            convert_claimed(wait=True)
+            for tile in iter(drawn.get, None):
+                convert(tile)
         except BaseException as exc:  # re-raised on the caller
             helper_error.append(exc)
-            abort.set()
 
-    thread = threading.Thread(target=helper, name="normal_block", daemon=True)
-    thread.start()
+    helper = threading.Thread(target=convert_drawn, name="normal_block", daemon=True)
+    if n_tiles > 1:
+        helper.start()
     try:
         for tile in range(n_tiles):
-            if abort.is_set():
-                break
-            draw(tile)
-            drawn[tile].set()
-        convert_claimed(wait=False)
-    except BaseException:
-        abort.set()
-        raise
+            for i in range(tile * _TILE_ROWS, min((tile + 1) * _TILE_ROWS, n_paths)):
+                key[1] = first_path + i
+                gen.state = state
+                bits[i] = gen.random_raw(skip + n_steps)[skip:]
+            drawn.put(tile)
+        with contextlib.suppress(queue.Empty):
+            while True:
+                convert(drawn.get_nowait())
     finally:
-        for event in drawn:
-            event.set()
-        thread.join()
+        drawn.put(None)
+        if n_tiles > 1:
+            helper.join()
     if helper_error:
         raise helper_error[0]
     return out

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import pickle
 import shutil
@@ -264,6 +265,8 @@ def _check_batch(n_paths: int, x0: float, seed: int) -> None:
     # bool subclasses int: True would pass as 1.0.
     if isinstance(x0, bool):
         raise ValueError(f"x0 must be a number, not a bool, got {x0!r}")
+    if not isinstance(x0, numbers.Real):
+        raise ValueError(f"x0 must be a real number, got {x0!r}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
     rng.check_seed(seed)
@@ -312,6 +315,9 @@ class _EulerBatch:
         _check_batch(n_paths, x0, seed)
         if action_noise and discount_rate is None:
             raise ValueError("action_noise=True requires discount_rate")
+        # bool subclasses int: True would pass as a rate of 1.
+        if isinstance(discount_rate, bool):
+            raise ValueError(f"discount_rate must be a number, not a bool, got {discount_rate!r}")
         if discount_rate is not None and not 0 <= discount_rate < math.inf:
             raise ValueError(f"discount_rate must be finite and >= 0, got {discount_rate!r}")
         k_steps = grid.n_steps

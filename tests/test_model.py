@@ -196,6 +196,15 @@ class TestDerivedCoeffs:
         with pytest.raises(ValueError):
             AffineGaussianPolicy(0.0, 0.0, -1e-3)
 
+    @pytest.mark.parametrize("field", ["slope", "intercept", "variance"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_field(self, field, bad):
+        # A NaN variance would give a NaN entropy and NaN Monte Carlo
+        # paths instead of an error naming the input.
+        fields = {**dict(slope=-0.5, intercept=0.3, variance=0.7), field: bad}
+        with pytest.raises(ValueError, match=f"^policy {field} must be finite"):
+            AffineGaussianPolicy(**fields)
+
 
 class TestPolicy:
     def test_density_integrates_to_one(self):

@@ -176,11 +176,28 @@ class TestGridAndBrownian:
             xlq.PathGrid(dt=0.01, n_steps=10), 7, 4), id="x0-euler"),
         pytest.param("x0", lambda v: xlq.exact_batch(
             C0_MODEL, v, xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, "c0"),
-            id="x0-exact")])
+            id="x0-exact"),
+        pytest.param("discount_rate", lambda v: xlq.simulate_exploratory(
+            C0_MODEL, sde.state_independent_policy(C0_MODEL), 1.0,
+            xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, discount_rate=v),
+            id="discount_rate")])
     def test_a_bool_is_not_a_number(self, name, call, flag):
-        # True would pass as a step or a start of 1.0.
+        # True would pass as a step, a start or a rate of 1.0.
         with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool"):
             call(flag)
+
+    @pytest.mark.parametrize("x0", ["1.0", np.array([1.0]), None, 1 + 0j])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda v: xlq.simulate_exploratory(
+            C0_MODEL, sde.state_independent_policy(C0_MODEL), v,
+            xlq.PathGrid(dt=0.01, n_steps=10), 7, 4), id="euler"),
+        pytest.param(lambda v: xlq.exact_batch(
+            C0_MODEL, v, xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, "c0"),
+            id="exact")])
+    def test_x0_must_be_a_real_number(self, call, x0):
+        # math.isfinite would raise TypeError on these, not name x0.
+        with pytest.raises(ValueError, match="^x0 must be a real number"):
+            call(x0)
 
     def test_an_integer_dt_is_stored_as_a_float(self):
         grid = xlq.PathGrid(dt=2, n_steps=3)
@@ -317,7 +334,14 @@ class TestRandomStreams:
         (dict(first_step=2 ** 66), "first_step"),
         (dict(first_step=2 ** 64 - 4), "first_step"),
         # A broadcast view is read-only.
-        (dict(out=np.broadcast_to(np.empty(5), (2, 5))), "out")])
+        (dict(out=np.broadcast_to(np.empty(5), (2, 5))), "out"),
+        # A stream label fills one 64-bit counter word; a float or a bool
+        # would draw another stream's normals.
+        (dict(stream=1.5), "stream"),
+        (dict(stream=True), "stream"),
+        (dict(stream=-1), "stream"),
+        (dict(stream=2 ** 64), "stream"),
+        (dict(stream=None), "stream")])
     def test_bad_block_rejected_before_any_philox(self, monkeypatch, bad, name):
         def no_philox(*args, **kwargs):
             raise AssertionError("a Philox was built")
@@ -363,6 +387,41 @@ class TestRandomStreams:
         within(HANG_S, xlq.rng.normal_block, *args, first_step=8 + skip,
                out=padded)
         assert np.array_equal(padded.view(np.uint64), expected)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    @pytest.mark.parametrize("n_paths, helpers", [
+        (1, 0), (64, 0), (65, 1), (300, 1)])
+    def test_one_helper_only_beyond_one_tile_and_none_left(
+            self, monkeypatch, n_paths, helpers, fail):
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        class FailOnLastRow(np.random.Philox):
+            rows = 0
+
+            def random_raw(self, size=None, output=True):
+                FailOnLastRow.rows += 1
+                if fail and FailOnLastRow.rows == n_paths:
+                    raise RuntimeError("last row failed")
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(xlq.rng.threading, "Thread", CountedThread)
+        monkeypatch.setattr(np.random, "Philox", FailOnLastRow)
+        threads = threading.active_count()
+        if fail:
+            with pytest.raises(RuntimeError, match="last row failed"):
+                within(HANG_S, xlq.rng.normal_block, 5, 0, n_paths, 40)
+        else:
+            within(HANG_S, xlq.rng.normal_block, 5, 0, n_paths, 40)
+        # ``within`` runs the call on a thread of its own.
+        helper = [t for t in started if t.name == "normal_block"]
+        assert len(helper) == helpers
+        assert not any(t.is_alive() for t in started)
+        assert threading.active_count() == threads
 
     def test_row_failure_reaches_the_caller_and_stops_the_helper(self, monkeypatch):
         class FailOnRow100(np.random.Philox):
