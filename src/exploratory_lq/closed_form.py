@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import rng
 from .constants import ABS_TOL
 from .errors import (
     DegenerateLinearTermError,
@@ -380,8 +381,8 @@ def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0, *,
     """
     out = []
     for lam in lambdas:
-        if lam <= 0:
-            raise ValueError(f"sweep temperatures must be positive, got {lam}")
+        if not rng.is_real(lam) or lam <= 0:
+            raise ValueError(f"sweep temperatures must be positive, and real numbers, got {lam!r}")
         m = replace(model, lam=float(lam))
         sol = solve(m, allow_assumption_violation=allow_assumption_violation)
         out.append(SweepPoint(

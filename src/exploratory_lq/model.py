@@ -12,7 +12,8 @@ discounted at rate ``rho`` and regularized by differential entropy with
 temperature ``lam``.  Randomized feedback controls are affine Gaussians
 N(slope*x + intercept, variance); averaging the dynamics over the
 control distribution gives an effective affine diffusion whose
-coefficients are collected in :class:`DerivedCoeffs`.
+coefficients are collected in :class:`DerivedCoeffs`.  Each constant and
+policy field must be a finite real number (``rng.is_real``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .constants import ABS_TOL
 from .errors import ModelValidationError
 
@@ -69,11 +71,11 @@ class AffineGaussianPolicy:
     variance: float
 
     def __post_init__(self):
-        for name in ("slope", "intercept", "variance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"policy {name} must be finite, got {getattr(self, name)}")
+        for name, value in vars(self).items():
+            if not (rng.is_real(value) and math.isfinite(value)):
+                raise ValueError(f"policy {name} must be finite, and a real number, got {value!r}")
         if self.variance < 0:
-            raise ValueError(f"policy variance must be >= 0, got {self.variance}")
+            raise ValueError(f"policy variance must be >= 0, got {self.variance!r}")
 
     def mean(self, x):
         return self.slope * x + self.intercept
@@ -145,14 +147,14 @@ def assumption_bound(model: LqModel) -> float:
 def check_model(model: LqModel) -> list[Violation]:
     """Collect every violated invariant; empty list means valid.
 
-    A non-finite constant is reported alone, naming every such constant:
-    the other invariants mean nothing on NaN or infinity.  The
+    A constant that is not a finite real number is reported alone, naming
+    every such constant: the other invariants mean nothing on it.  The
     discount-rate bound is only required when m > 0; the boundary
     configuration m = r = 0 (state-independent-type reward) is admitted
     without it.
     """
     bad = [f"{name}={value!r}" for name, value in vars(model).items()
-           if not math.isfinite(value)]
+           if not (rng.is_real(value) and math.isfinite(value))]
     if bad:
         return [Violation("finite", " ".join(bad))]
     out = []

@@ -48,6 +48,7 @@ thread converts a tile does not change a bit.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import queue
 import threading
 
@@ -71,15 +72,15 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """A Python or NumPy real number, not a bool (``np.bool_`` is not a
+    ``numbers.Real``): the one test for every real-number input."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def valid_seed(seed: int) -> bool:
     """Seeds and stream labels: unsigned 64-bit integers, one Philox word each."""
     return is_integer(seed) and 0 <= seed < 2 ** 64
-
-
-def check_seed(seed) -> None:
-    """Raise ValueError, naming the seed, unless :func:`valid_seed`."""
-    if not valid_seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,

@@ -29,11 +29,12 @@ batch size or the chunk it was stepped in.  Every sample path, Euler or
 exact, is walked the same way: 2048 paths per chunk, wide enough that
 NumPy's per-call overhead is small against each step's work, with their
 noise drawn in blocks of 512 steps into one reused buffer per stream.
-An Euler walk that also draws action noise steps 1024 paths per chunk,
-so its two streams' buffers together hold what one holds: at most about
-8 MB of normals in all.  The buffer's rows are padded by 8 columns: a
-step reads one column of the block, and with rows of exactly 4096 B
-every element of that column would fall in the same cache set.
+An Euler walk with zero volatility (b1 = b2 = c1 = 0) draws no state
+noise; one that draws both state and action noise steps 1024 paths per
+chunk, so its two streams' buffers together hold what one holds: at
+most about 8 MB of normals in all.  The buffer's rows are padded by 8
+columns: a step reads one column of the block, and with rows of exactly
+4096 B every element of that column would fall in the same cache set.
 The exact builders carry what crosses a block edge and yield each
 block's nodes in one buffer per chunk, reused across blocks:
 :func:`exact_batch` copies them into its read-only array, and
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 import pickle
 import shutil
@@ -85,7 +85,7 @@ from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
 
 # Paths per chunk, and steps per noise block within a chunk, for Euler
 # and exact paths alike: a chunk's noise blocks hold at most 2048 x 512
-# normals (8 MB) in all, so a walk that draws two streams steps
+# normals (8 MB) in all, so a walk that draws both streams steps
 # _CHUNK // 2 paths per chunk.
 _CHUNK = 2048
 _STEP_BLOCK = 512
@@ -108,11 +108,8 @@ class PathGrid:
     n_steps: int
 
     def __post_init__(self):
-        # bool subclasses int: True would pass as a step of 1.
-        if isinstance(self.dt, bool):
-            raise ValueError(f"dt must be a number, not a bool, got {self.dt!r}")
-        if not 0 < self.dt <= sys.float_info.max:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (rng.is_real(self.dt) and 0 < self.dt <= sys.float_info.max):
+            raise ValueError(f"dt must be positive and finite, and a real number, got {self.dt!r}")
         # Stored as a float, so an integer dt gives float times() and horizon.
         object.__setattr__(self, "dt", float(self.dt))
         # An int beyond float range would overflow the product dt * n_steps.
@@ -262,14 +259,10 @@ def _check_batch(n_paths: int, x0: float, seed: int) -> None:
         raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    # bool subclasses int: True would pass as 1.0.
-    if isinstance(x0, bool):
-        raise ValueError(f"x0 must be a number, not a bool, got {x0!r}")
-    if not isinstance(x0, numbers.Real):
-        raise ValueError(f"x0 must be a real number, got {x0!r}")
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    rng.check_seed(seed)
+    if not (rng.is_real(x0) and math.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, and a real number, got {x0!r}")
+    if not rng.valid_seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _node_array(n_paths: int, n_steps: int) -> np.ndarray:
@@ -315,11 +308,10 @@ class _EulerBatch:
         _check_batch(n_paths, x0, seed)
         if action_noise and discount_rate is None:
             raise ValueError("action_noise=True requires discount_rate")
-        # bool subclasses int: True would pass as a rate of 1.
-        if isinstance(discount_rate, bool):
-            raise ValueError(f"discount_rate must be a number, not a bool, got {discount_rate!r}")
-        if discount_rate is not None and not 0 <= discount_rate < math.inf:
-            raise ValueError(f"discount_rate must be finite and >= 0, got {discount_rate!r}")
+        if discount_rate is not None and not (rng.is_real(discount_rate)
+                                              and 0 <= discount_rate < math.inf):
+            raise ValueError("discount_rate must be finite and >= 0, and a real "
+                             f"number, got {discount_rate!r}")
         k_steps = grid.n_steps
         if not all(rng.is_integer(c) and 0 <= c <= k_steps for c in checkpoints):
             raise ValueError(f"checkpoints must be integer nodes in [0, {k_steps}]: {checkpoints}")
@@ -335,6 +327,11 @@ class _EulerBatch:
             self.w_list = self.weights.tolist()
             self.sums = np.zeros((5 if action_noise else 2, n_paths))
         coeffs = derived_coeffs(model, policy)
+        # With b1 = b2 = c1 = 0 the volatility term is +-0.0, and adding it
+        # moves a node only when x + drift is -0.0, which needs x = -0.0: a
+        # walk from x0 = -0.0.  Any other such walk draws no state noise.
+        self.state_noise = (not coeffs.b1 == coeffs.b2 == coeffs.c1 == 0
+                            or (x0 == 0 and math.copysign(1.0, x0) < 0))
         # 0-d float64 operands: a ufunc call costs less with one than with a
         # Python float, for the same result.
         self.operands = tuple(
@@ -346,9 +343,10 @@ class _EulerBatch:
         x0, seed, k_steps = self.x0, self.seed, self.grid.n_steps
         sq_dt = math.sqrt(self.grid.dt)
         a1, a2, b1, b2, c1, dt, one = self.operands
-        action_noise, cp_states = self.action_noise, self.cp_states
-        weights, w_list = self.weights, self.w_list
-        blocks = _noise_blocks(seed, lo, m, k_steps)
+        state_noise, action_noise = self.state_noise, self.action_noise
+        cp_states, weights, w_list = self.cp_states, self.weights, self.w_list
+        if state_noise:
+            blocks = _noise_blocks(seed, lo, m, k_steps)
         if action_noise:
             action_blocks = _noise_blocks(seed, lo, m, k_steps, rng.ACTION_STREAM)
         # x holds node k and xn receives node k + 1; every other per-step
@@ -365,11 +363,13 @@ class _EulerBatch:
         record = nodes is not None
         if record:
             nodes[:, 0] = x
-        for k0, z in blocks:
-            z *= sq_dt                        # the increments z sqrt(dt)
+        for k0 in range(0, k_steps, _STEP_BLOCK):
+            if state_noise:
+                z = next(blocks)[1]
+                z *= sq_dt                    # the increments z sqrt(dt)
             if action_noise:
                 za = next(action_blocks)[1]
-            for j in range(z.shape[1]):
+            for j in range(min(_STEP_BLOCK, k_steps - k0)):
                 k = k0 + j
                 if k in cp_states:
                     cp_states[k][lo:hi] = x
@@ -393,13 +393,14 @@ class _EulerBatch:
                 drift += a2
                 drift *= dt
                 np.add(x, drift, xn)          # x + (a1 x + a2) dt
-                np.multiply(x, b1, vol)
-                vol += b2
-                np.multiply(vol, vol, vol)
-                vol += c1
-                np.sqrt(vol, vol)
-                vol *= z[:, j]
-                xn += vol
+                if state_noise:
+                    np.multiply(x, b1, vol)
+                    vol += b2
+                    np.multiply(vol, vol, vol)
+                    vol += c1
+                    np.sqrt(vol, vol)
+                    vol *= z[:, j]
+                    xn += vol
                 np.abs(xn, t)
                 # A NaN fails the max test too and takes the full path.
                 if not frozen and t.max() <= DIVERGENCE_THRESHOLD:
@@ -453,10 +454,10 @@ def simulate_exploratory(model: LqModel, policy: AffineGaussianPolicy,
                       discount_rate, action_noise)
     states = _node_array(n_paths, grid.n_steps) if record_paths else None
     # One chunk at a time, so a chunk's noise buffers are freed before
-    # the next chunk's are allocated; their width shares _CHUNK's budget
-    # among the streams the walk draws.
-    streams = 2 if action_noise else 1
-    for lo, hi in _chunk_ranges(n_paths, max(1, _CHUNK // streams)):
+    # the next chunk's are allocated; a walk that draws both streams
+    # shares _CHUNK's budget between them.
+    width = max(1, _CHUNK // 2) if run.state_noise and action_noise else _CHUNK
+    for lo, hi in _chunk_ranges(n_paths, width):
         run.step(lo, hi, None if states is None else states[lo:hi])
     return run.batch(states)
 

@@ -113,6 +113,14 @@ class TestValidate:
         assert {"n>0", "rho>0", "lambda>0"} <= names
         assert any("0.0" in v.message for v in violations)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, 1 + 0j,
+                                     np.array([1.0]), math.nan])
+    def test_a_constant_that_is_not_a_finite_real_is_reported_alone(self, bad):
+        # Named by check_model instead of a TypeError from a comparison;
+        # n = -1 is not reported beside it.
+        violations = check_model(mk(c=bad, n=-1.0))
+        assert [(v.condition, v.message) for v in violations] == [("finite", f"c={bad!r}")]
+
     def test_acceptance_matches_solvability(self, rng):
         """validate() accepts exactly the models the solver pipeline
         accepts, and state-dependent acceptance implies k2 < 0."""

@@ -53,15 +53,60 @@ BIG, SMALL = 2 * sde._CHUNK + 276, sde._CHUNK + 188
 EULER_STEPS = sde._STEP_BLOCK + 30
 
 
-def euler_with_sums(model, policy, grid, n_paths, nodes):
-    """Seed-9 Euler batch from x0 = 1 with checkpoints at ``nodes`` and
-    all five discounted sums (action noise drawn)."""
+# Every real-number input of the library: (error, pattern, call), where
+# ``call(v)`` passes v to the input and the error's message starts with
+# ``pattern``, the input's name.  A model field raises
+# ModelValidationError through solve and validate, the others ValueError.
+REAL_INPUTS = {
+    "dt": (ValueError, "dt", lambda v: xlq.PathGrid(dt=v, n_steps=3)),
+    "x0-euler": (ValueError, "x0", lambda v: xlq.simulate_exploratory(
+        C0_MODEL, sde.state_independent_policy(C0_MODEL), v,
+        xlq.PathGrid(dt=0.01, n_steps=10), 7, 4)),
+    "x0-exact": (ValueError, "x0", lambda v: xlq.exact_batch(
+        C0_MODEL, v, xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, "c0")),
+    "discount_rate": (ValueError, "discount_rate", lambda v: xlq.simulate_exploratory(
+        C0_MODEL, sde.state_independent_policy(C0_MODEL), 1.0,
+        xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, discount_rate=v)),
+    "slope": (ValueError, "policy slope", lambda v: xlq.AffineGaussianPolicy(v, 0.0, 0.1)),
+    "intercept": (ValueError, "policy intercept",
+                  lambda v: xlq.AffineGaussianPolicy(0.0, v, 0.1)),
+    "variance": (ValueError, "policy variance",
+                 lambda v: xlq.AffineGaussianPolicy(0.0, 0.0, v)),
+    "model-solve": (xlq.ModelValidationError, "model validation failed: finite: a",
+                    lambda v: xlq.solve(replace(S1, a=v))),
+    "model-validate": (xlq.ModelValidationError, "model validation failed: finite: a",
+                       lambda v: xlq.validate(replace(S1, a=v))),
+    "lambda_sweep": (ValueError, "sweep temperatures",
+                     lambda v: xlq.lambda_sweep(S1, [0.1, v])),
+}
+
+
+def assert_refused_by_name(error, pattern, call, value):
+    """``call(value)`` raises ``error``, its message starting with
+    ``pattern`` and ending with the value's repr."""
+    with pytest.raises(error, match=f"^{pattern}") as info:
+        call(value)
+    assert str(info.value).endswith(repr(value))
+
+
+@pytest.fixture
+def no_noise(monkeypatch):
+    """``rng.normal_block`` fails the test if it is called."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(xlq.rng, "normal_block", drawn)
+
+
+def euler_with_sums(model, policy, grid, n_paths, nodes, x0=1.0):
+    """Seed-9 Euler batch from x0 (default 1) with checkpoints at
+    ``nodes`` and all five discounted sums (action noise drawn)."""
     return xlq.simulate_exploratory(
-        model, policy, 1.0, grid, 9, n_paths, checkpoints=nodes,
+        model, policy, x0, grid, 9, n_paths, checkpoints=nodes,
         discount_rate=model.rho, action_noise=True)
 
 
-def written_out_euler(model, policy, grid, n_paths, nodes):
+def written_out_euler(model, policy, grid, n_paths, nodes, x0=1.0):
     """Reference for :func:`euler_with_sums`: the Euler recursion one
     step at a time on each path's whole horizon of state and action
     normals, freezing a path once |X| exceeds the divergence threshold,
@@ -71,7 +116,7 @@ def written_out_euler(model, policy, grid, n_paths, nodes):
     z = xlq.rng.normal_block(9, 0, n_paths, n_steps)
     za = xlq.rng.normal_block(9, 0, n_paths, n_steps, stream=xlq.rng.ACTION_STREAM)
     weights = np.exp(-model.rho * grid.times()[:-1]) * dt
-    x = np.full(n_paths, 1.0)
+    x = np.full(n_paths, x0)
     alive = np.ones(n_paths, dtype=bool)
     dstep = np.full(n_paths, -1, dtype=np.int64)
     sums = {name: np.zeros(n_paths) for name in ("x", "x2", "zx", "z", "z2m1")}
@@ -168,36 +213,35 @@ class TestGridAndBrownian:
         with pytest.raises(ValueError, match="integer"):
             call(flag)
 
-    @pytest.mark.parametrize("flag", [True, False])
-    @pytest.mark.parametrize("name, call", [
-        pytest.param("dt", lambda v: xlq.PathGrid(dt=v, n_steps=3), id="dt"),
-        pytest.param("x0", lambda v: xlq.simulate_exploratory(
-            C0_MODEL, sde.state_independent_policy(C0_MODEL), v,
-            xlq.PathGrid(dt=0.01, n_steps=10), 7, 4), id="x0-euler"),
-        pytest.param("x0", lambda v: xlq.exact_batch(
-            C0_MODEL, v, xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, "c0"),
-            id="x0-exact"),
-        pytest.param("discount_rate", lambda v: xlq.simulate_exploratory(
-            C0_MODEL, sde.state_independent_policy(C0_MODEL), 1.0,
-            xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, discount_rate=v),
-            id="discount_rate")])
-    def test_a_bool_is_not_a_number(self, name, call, flag):
-        # True would pass as a step, a start or a rate of 1.0.
-        with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool"):
-            call(flag)
+    @pytest.mark.parametrize("flag", [True, False, pytest.param(np.True_, id="np.True_"),
+                                      pytest.param(np.False_, id="np.False_")])
+    @pytest.mark.parametrize("error, pattern, call", [
+        pytest.param(*spec, id=name) for name, spec in REAL_INPUTS.items()])
+    def test_a_bool_is_not_a_number(self, no_noise, error, pattern, call, flag):
+        # True would pass as a step, a start, a rate, a field or a
+        # temperature of 1.0.
+        assert_refused_by_name(error, pattern, call, flag)
 
     @pytest.mark.parametrize("x0", ["1.0", np.array([1.0]), None, 1 + 0j])
     @pytest.mark.parametrize("call", [
-        pytest.param(lambda v: xlq.simulate_exploratory(
-            C0_MODEL, sde.state_independent_policy(C0_MODEL), v,
-            xlq.PathGrid(dt=0.01, n_steps=10), 7, 4), id="euler"),
-        pytest.param(lambda v: xlq.exact_batch(
-            C0_MODEL, v, xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, "c0"),
-            id="exact")])
-    def test_x0_must_be_a_real_number(self, call, x0):
+        pytest.param(REAL_INPUTS["x0-euler"][2], id="euler"),
+        pytest.param(REAL_INPUTS["x0-exact"][2], id="exact")])
+    def test_x0_must_be_a_real_number(self, no_noise, call, x0):
         # math.isfinite would raise TypeError on these, not name x0.
-        with pytest.raises(ValueError, match="^x0 must be a real number"):
-            call(x0)
+        assert_refused_by_name(ValueError, "x0", call, x0)
+
+    # x0's cases are test_x0_must_be_a_real_number's, and a None
+    # discount_rate means no discounting.
+    @pytest.mark.parametrize("error, pattern, call, value", [
+        pytest.param(*REAL_INPUTS[name], value, id=f"{name}-{label}")
+        for name in REAL_INPUTS if not name.startswith("x0")
+        for label, value in (("str", "0.5"), ("None", None), ("complex", 1 + 0j),
+                             ("array", np.array([1.0])))
+        if not (name == "discount_rate" and value is None)])
+    def test_a_real_input_must_be_a_real_number(self, no_noise, error, pattern,
+                                                call, value):
+        # Comparing or math.isfinite would raise TypeError on these.
+        assert_refused_by_name(error, pattern, call, value)
 
     def test_an_integer_dt_is_stored_as_a_float(self):
         grid = xlq.PathGrid(dt=2, n_steps=3)
@@ -644,6 +688,55 @@ class TestEulerMaruyama:
                     == expected["checkpoints"][node].tobytes()), node
         for name in ("x", "x2", "zx", "z", "z2m1"):
             assert getattr(batch.sums, name).tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("policy, x0", [
+        (xlq.solve(S1).policy, 1.0),
+        (xlq.solve(S1).policy, -0.0),
+        # a1 >= 0 and a2 = -0.0 from x0 = -0.0: the nodes stay -0.0 until
+        # the state noise's sign moves them, so the walk must draw it.
+        (xlq.AffineGaussianPolicy(0.5, -0.0, 0.1), -0.0),
+        (xlq.AffineGaussianPolicy(0.5, -0.0, 0.1), 0.0),
+        (xlq.AffineGaussianPolicy(-0.0, -0.0, 0.3), -0.0)])
+    def test_zero_volatility_batch_is_the_written_out_euler_loop(self, policy, x0):
+        # S1 has c = d = 0, so b1 = b2 = c1 = 0 under every policy: the
+        # walk that skips the volatility term keeps the bits, signed
+        # zeros included, of the loop that adds it.
+        grid = xlq.PathGrid(dt=0.002, n_steps=EULER_STEPS)
+        nodes = (0, 10, sde._STEP_BLOCK, EULER_STEPS)
+        batch = euler_with_sums(S1, policy, grid, 40, nodes, x0)
+        expected = written_out_euler(S1, policy, grid, 40, nodes, x0)
+        for name in ("states", "endpoints", "diverged", "divergence_step"):
+            assert getattr(batch, name).tobytes() == expected[name].tobytes(), name
+        for name in ("x", "x2", "zx", "z", "z2m1"):
+            assert getattr(batch.sums, name).tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("model, x0, action_noise, drawn", [
+        pytest.param(S1, 1.0, True, [("action", sde._CHUNK), ("action", 188)],
+                     id="zero-volatility-sampled"),
+        pytest.param(S1, 1.0, False, [], id="zero-volatility"),
+        pytest.param(S1, -0.0, False, [("state", sde._CHUNK), ("state", 188)],
+                     id="zero-volatility-from-minus-zero"),
+        pytest.param(DS_MODEL, 1.0, True, [("state", sde._CHUNK // 2),
+                                           ("action", sde._CHUNK // 2)] * 2
+                     + [("state", 188), ("action", 188)], id="ds-sampled")])
+    def test_a_walk_draws_only_the_noise_that_can_move_it(self, monkeypatch, model, x0,
+                                                          action_noise, drawn):
+        # SMALL paths: a walk that draws one stream, or none, steps
+        # _CHUNK paths per chunk, one that draws two half as many.
+        calls = []
+        normal_block = xlq.rng.normal_block
+
+        def counted(seed, first_path, n_paths, n_steps, stream=xlq.rng.STATE_STREAM,
+                    **kwargs):
+            calls.append(("action" if stream == xlq.rng.ACTION_STREAM else "state",
+                          n_paths))
+            return normal_block(seed, first_path, n_paths, n_steps, stream, **kwargs)
+
+        monkeypatch.setattr(xlq.rng, "normal_block", counted)
+        xlq.simulate_exploratory(model, xlq.solve(model).policy, x0,
+                                 xlq.PathGrid(dt=0.01, n_steps=10), 3, SMALL,
+                                 discount_rate=1.0, action_noise=action_noise)
+        assert calls == drawn
 
     def test_action_noise_without_discount_rate_rejected(self, monkeypatch):
         def no_noise(*args, **kwargs):
@@ -1606,7 +1699,7 @@ class TestExactBatch:
             assert calls == []
             with pytest.raises(ValueError, match="n_paths must be >= 1, got -1"):
                 call(C0_MODEL, 1.0, grid, 7, -1, "c0")
-            with pytest.raises(ValueError, match="x0 must be finite, got nan"):
+            with pytest.raises(ValueError, match="x0 must be finite, and a real number, got nan"):
                 call(C0_MODEL, math.nan, grid, 7, 4, "c0")
         xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 4, "c0")
         assert len(calls) == 1
