@@ -15,7 +15,7 @@ Doss-Saussmann) and returns the gap's (rms, max, mean).
 import math
 
 import exploratory_lq as xlq
-from exploratory_lq.sde import doss_saussman_terms
+from exploratory_lq.exact import doss_saussman_terms
 
 D0 = xlq.LqModel(a=0.2, b=1, c=0.8, d=0, m=0, n=1, r=0, p=0, q=-0.5,
                  rho=2, lam=0.3)

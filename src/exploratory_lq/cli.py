@@ -9,7 +9,7 @@ across repeated runs with the same inputs.  ``--seed`` and
 ``--parallelism`` override ``sim.seed`` and ``sim.parallelism`` and
 meet the same checks in :func:`config.sim_settings`; the parallelism
 must be >= 1 and has no effect.  Two commands fork by themselves
-(see :func:`sde.fork_parts`): ``simulate`` splits its paths between
+(see :func:`forks.fork_parts`): ``simulate`` splits its paths between
 one process per usable CPU (see :func:`sde.simulate_to_csv`), and
 ``exact-vs-euler`` runs its finest dt level in the caller and the
 others in one child.  The other commands run in one process.
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form, config, moments, policy_eval, sde
+from . import closed_form, config, forks, moments, policy_eval, sde
 from .constants import ABS_TOL
 from .errors import ConfigError, ExploratoryLqError, ModelValidationError, NumericalError
 from .model import (ASSUMPTION_BOUND, LqModel, check_model, clears_bound,
@@ -236,10 +236,10 @@ def _cmd_exact_vs_euler(spec: RunSpec) -> None:
     # Where it can fork, the finest level, nearly all the work, runs in
     # this process and one forked child runs the others beside it.
     parts = [list(CONVERGENCE_DTS)]
-    if len(sde.split_parts(CONVERGENCE_DTS)) > 1:
+    if len(forks.split_parts(CONVERGENCE_DTS)) > 1:
         *coarse, finest = CONVERGENCE_DTS
         parts = [coarse, [finest]]
-    measured = sde.fork_parts(
+    measured = forks.fork_parts(
         measure, parts, lambda dts: "the process measuring dt " + ", ".join(map(repr, dts)),
         mine=len(parts) - 1)
     rows = [row for part in measured for row in part]

@@ -379,6 +379,8 @@ def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0, *,
     lam), the variance is exactly linear in lam, and the value gap
     v - w vanishes as lam -> 0.
     """
+    if not (rng.is_real(probe_x) and math.isfinite(probe_x)):
+        raise ValueError(f"probe_x must be finite, and a real number, got {probe_x!r}")
     out = []
     for lam in lambdas:
         if not rng.is_real(lam) or lam <= 0:

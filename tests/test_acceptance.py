@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import exploratory_lq as xlq
-from exploratory_lq import sde
+from exploratory_lq import exact
 from exploratory_lq.closed_form import solve_k0, solve_k1, solve_k2
 from exploratory_lq.model import DerivedCoeffs
 from conftest import BENCH_SI, C0_MODEL, D0_MODEL, DS_MODEL, S1, random_valid_model
@@ -245,9 +245,9 @@ def test_07_exact_path_oracles():
     worst_f = 0.0
     for _ in range(100):
         z, y = rng.uniform(-2, 2), rng.uniform(-3, 3)
-        fd = (sde.doss_saussman_terms(c, z + h, y)[0]
-              - sde.doss_saussman_terms(c, z - h, y)[0]) / (2 * h)
-        target = math.sqrt((c.b1 * sde.doss_saussman_terms(c, z, y)[0] + c.b2) ** 2 + c.c1)
+        fd = (exact.doss_saussman_terms(c, z + h, y)[0]
+              - exact.doss_saussman_terms(c, z - h, y)[0]) / (2 * h)
+        target = math.sqrt((c.b1 * exact.doss_saussman_terms(c, z, y)[0] + c.b2) ** 2 + c.c1)
         worst_f = max(worst_f, abs(fd - target))
     all_ok &= worst_f < 1e-6
     elapsed = time.time() - t0

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import exploratory_lq as xlq
-from exploratory_lq import LqModel, cli, closed_form, config, sde
+from exploratory_lq import LqModel, cli, closed_form, config, forks
 from exploratory_lq.errors import ConfigError
 from conftest import D0_MODEL, DS_MODEL, traced_peak
 
@@ -50,8 +50,8 @@ def ds_sim_config(n_paths: int) -> str:
 # bytes, of the interpreter and of the child it forked and reaped.
 PEAK_RSS_SCRIPT = """\
 import json, resource, sys
-from exploratory_lq import cli, sde
-sde._usable_cpus = lambda: 2
+from exploratory_lq import cli, forks
+forks._usable_cpus = lambda: 2
 rc = cli.main(["--config", sys.argv[1], "--command", "simulate", "--seed", "5",
                "--out", sys.argv[2]])
 # ru_maxrss is in KiB on Linux and in bytes on macOS.
@@ -458,7 +458,7 @@ class TestStochasticCommands:
         # path the 2100 extra paths would take 1.7 MB of recorded nodes
         # (its own 1024 extra, 0.8 MB), and streamed 256 paths at a time
         # the traced peak grows by far less than an eighth of that.
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forks, "_usable_cpus", lambda: 2)
         peaks = []
         for n_paths in (300, 2400):
             cfg = write_config(tmp_path, ds_sim_config(n_paths), name=f"{n_paths}.cfg")

@@ -1,9 +1,12 @@
 """The package's exported names, pinned: adding or removing one means
 editing this list on purpose."""
 
+import ast
 import types
+from pathlib import Path
 
 import exploratory_lq as xlq
+from exploratory_lq import exact, forks, sde
 
 EXPORTS = [
     # closed_form
@@ -36,3 +39,20 @@ def test_exported_names_are_the_pinned_48():
                       and not isinstance(obj, types.ModuleType))
     assert len(EXPORTS) == len(set(EXPORTS)) == 48
     assert exported == sorted(EXPORTS)
+
+
+def test_exact_and_forks_import_nothing_from_sde():
+    # sde imports both modules: an import back would be a cycle, and a
+    # moved name re-exported by sde would be a second way to reach it.
+    for module in (exact, forks):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                parts = [p for alias in node.names for p in alias.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [a.name for a in node.names]
+            else:
+                continue
+            assert "sde" not in parts, f"{module.__name__} line {node.lineno}"
+        defined = {name for name, obj in vars(module).items()
+                   if getattr(obj, "__module__", None) == module.__name__}
+        assert defined and not defined & set(vars(sde))

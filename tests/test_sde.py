@@ -60,12 +60,12 @@ EULER_STEPS = sde._STEP_BLOCK + 30
 REAL_INPUTS = {
     "dt": (ValueError, "dt", lambda v: xlq.PathGrid(dt=v, n_steps=3)),
     "x0-euler": (ValueError, "x0", lambda v: xlq.simulate_exploratory(
-        C0_MODEL, sde.state_independent_policy(C0_MODEL), v,
+        C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL), v,
         xlq.PathGrid(dt=0.01, n_steps=10), 7, 4)),
     "x0-exact": (ValueError, "x0", lambda v: xlq.exact_batch(
         C0_MODEL, v, xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, "c0")),
     "discount_rate": (ValueError, "discount_rate", lambda v: xlq.simulate_exploratory(
-        C0_MODEL, sde.state_independent_policy(C0_MODEL), 1.0,
+        C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL), 1.0,
         xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, discount_rate=v)),
     "slope": (ValueError, "policy slope", lambda v: xlq.AffineGaussianPolicy(v, 0.0, 0.1)),
     "intercept": (ValueError, "policy intercept",
@@ -78,6 +78,7 @@ REAL_INPUTS = {
                        lambda v: xlq.validate(replace(S1, a=v))),
     "lambda_sweep": (ValueError, "sweep temperatures",
                      lambda v: xlq.lambda_sweep(S1, [0.1, v])),
+    "probe_x": (ValueError, "probe_x", lambda v: xlq.lambda_sweep(S1, [0.1], probe_x=v)),
 }
 
 
@@ -201,10 +202,10 @@ class TestGridAndBrownian:
     @pytest.mark.parametrize("call", [
         pytest.param(lambda n: xlq.PathGrid(dt=0.01, n_steps=n), id="n_steps"),
         pytest.param(lambda n: xlq.simulate_exploratory(
-            C0_MODEL, sde.state_independent_policy(C0_MODEL), 1.0,
+            C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL), 1.0,
             xlq.PathGrid(dt=0.01, n_steps=10), 7, n), id="n_paths"),
         pytest.param(lambda n: xlq.simulate_exploratory(
-            C0_MODEL, sde.state_independent_policy(C0_MODEL), 1.0,
+            C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL), 1.0,
             xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, checkpoints=(n,)),
             id="checkpoints"),
         pytest.param(lambda n: xlq.rng.normal_block(n, 0, 1, 2), id="seed")])
@@ -242,6 +243,12 @@ class TestGridAndBrownian:
                                                 call, value):
         # Comparing or math.isfinite would raise TypeError on these.
         assert_refused_by_name(error, pattern, call, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_probe_x_must_be_finite(self, monkeypatch, value):
+        # Checked before any solve; a NaN would give a NaN mean_at_probe.
+        monkeypatch.setattr(xlq.closed_form, "solve", None)
+        assert_refused_by_name(*REAL_INPUTS["probe_x"], value)
 
     def test_an_integer_dt_is_stored_as_a_float(self):
         grid = xlq.PathGrid(dt=2, n_steps=3)
@@ -811,14 +818,14 @@ class TestEulerMaruyama:
         # A float where an integer belongs is rejected, not truncated.
         args = {**dict(x0=1.0, seed=1, n_paths=2), **bad}
         grid = xlq.PathGrid(dt=0.1, n_steps=4)
-        policy = sde.state_independent_policy(C0_MODEL)
+        policy = xlq.exact.state_independent_policy(C0_MODEL)
         with pytest.raises(ValueError, match=f"^{name} "):
             xlq.simulate_exploratory(C0_MODEL, policy, grid=grid, **args)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):
         grid = xlq.PathGrid(dt=0.1, n_steps=2)
-        policy = sde.state_independent_policy(C0_MODEL)
+        policy = xlq.exact.state_independent_policy(C0_MODEL)
         calls = (
             lambda: xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, seed, 2),
             lambda: xlq.exact_batch(C0_MODEL, 1.0, grid, seed, 2, method="c0"),
@@ -836,7 +843,7 @@ class TestEulerMaruyama:
 
         monkeypatch.setattr(sde, "_node_array", unavailable)
         grid = xlq.PathGrid(dt=0.1, n_steps=2)
-        policy = sde.state_independent_policy(C0_MODEL)
+        policy = xlq.exact.state_independent_policy(C0_MODEL)
         calls = (
             lambda: sde.simulate_to_csv(C0_MODEL, policy, 1.0, grid, seed, 2,
                                         tmp_path / "t.csv"),
@@ -875,6 +882,19 @@ class TestEulerMaruyama:
         direct = (w * batch.states[:, :-1]).sum(axis=1)
         assert np.allclose(batch.sums.x, direct, atol=1e-12)
         assert batch.sums.weight_total == pytest.approx(w.sum(), abs=1e-15)
+
+    @pytest.mark.parametrize("checkpoints, node, listed", [
+        ((3,), 4, r"\[3\]"), ((), 4, r"\[\]"),
+        # A bool cannot be recorded as a checkpoint, so it names none.
+        ((1,), True, r"\[1\]")], ids=["other-node", "no-node", "bool"])
+    def test_checkpoint_stats_of_a_node_not_recorded(self, checkpoints, node, listed):
+        grid = xlq.PathGrid(dt=0.01, n_steps=5)
+        batch = xlq.simulate_exploratory(
+            C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL), 1.0, grid, 7, 4,
+            checkpoints=checkpoints)
+        with pytest.raises(ValueError, match=f"^node {node} was not recorded; the "
+                           f"checkpoints are {listed}$"):
+            batch.checkpoint_stats(node)
 
     def test_summary_and_csv(self):
         _, policy = xlq.exploratory_solution(S1)
@@ -1027,7 +1047,7 @@ class TestSimulateToCsv:
         grid = xlq.PathGrid(dt=0.01, n_steps=10 ** 17)
         with pytest.raises(xlq.ExploratoryLqError,
                            match="^256 paths x 100000000000000001 nodes"):
-            sde.simulate_to_csv(C0_MODEL, sde.state_independent_policy(C0_MODEL),
+            sde.simulate_to_csv(C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL),
                                 1.0, grid, 7, 1000, tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
 
@@ -1083,7 +1103,7 @@ class TestSimulateToCsvParts:
         n_chunks = -(-n_paths // sde._RECORD_CHUNK)
         forks = counting_forks(monkeypatch)
         for n_parts in (1, 2, 3):
-            monkeypatch.setattr(sde, "_usable_cpus", lambda: n_parts)
+            monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: n_parts)
             forks.clear()
             out = tmp_path / f"{n_parts}.csv"
             batch = sde.simulate_to_csv(model, policy, 1.0, grid, 4, n_paths, out)
@@ -1094,13 +1114,13 @@ class TestSimulateToCsvParts:
         assert (recorded.n_diverged > 0) == (case == "explosive")
 
     def test_parts_are_contiguous_runs_of_whole_chunks(self, monkeypatch):
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 3)
         assert sde._record_parts(1000) == [[(0, 256)], [(256, 512)],
                                            [(512, 768), (768, 1000)]]
         assert sde._record_parts(300) == [[(0, 256)], [(256, 300)]]
 
     def test_one_part_without_fork_or_beside_another_thread(self, monkeypatch):
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 4)
         assert len(within(HANG_S, sde._record_parts, 1000)) == 1
         monkeypatch.delattr(os, "fork")
         assert len(sde._record_parts(1000)) == 1
@@ -1108,7 +1128,7 @@ class TestSimulateToCsvParts:
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_a_failure_leaves_no_child_and_no_temporary_file(self, tmp_path, monkeypatch,
                                                             where):
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 3)
         step_failing_in(monkeypatch, where, RuntimeError("step failed here"))
         grid = xlq.PathGrid(dt=0.01, n_steps=20)
         expected = xlq.ExploratoryLqError if where == "child" else RuntimeError
@@ -1124,7 +1144,7 @@ class TestSimulateToCsvParts:
     def test_an_interrupt_in_the_caller_kills_the_children(self, tmp_path, monkeypatch):
         # The children would step for 10 HANG_S: they must be killed, not
         # waited for.
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 3)
         step_failing_in(monkeypatch, "child", lambda: time.sleep(10 * HANG_S))
         step_failing_in(monkeypatch, "parent", KeyboardInterrupt())
         forks = counting_forks(monkeypatch)
@@ -1140,7 +1160,7 @@ class TestSimulateToCsvParts:
         assert os.listdir(tmp_path) == ["t.csv"]
 
     def test_a_child_killed_by_a_signal(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 2)
         step_failing_in(monkeypatch, "child",
                         lambda: os.kill(os.getpid(), signal.SIGKILL))
         grid = xlq.PathGrid(dt=0.01, n_steps=20)
@@ -1152,7 +1172,7 @@ class TestSimulateToCsvParts:
         assert os.listdir(tmp_path) == ["t.csv"]
 
     def test_cli_reports_a_child_failure_on_one_line(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 2)
         step_failing_in(monkeypatch, "child", ValueError("bad step"))
         cfg = tmp_path / "ds.cfg"
         cfg.write_text("".join(f"{key} = {getattr(DS_MODEL, name)!r}\n"
@@ -1202,16 +1222,16 @@ class TestExactVsEulerLevels:
 
     def test_levels_split_with_the_finest_in_the_caller(self, tmp_path, monkeypatch):
         calls = []
-        real = sde.fork_parts
+        real = xlq.forks.fork_parts
 
         def fork_parts(work, parts, describe, mine=0):
             calls.append((parts, mine))
             return real(work, parts, describe, mine)
 
-        monkeypatch.setattr(sde, "fork_parts", fork_parts)
+        monkeypatch.setattr(xlq.forks, "fork_parts", fork_parts)
         cfg = ds_config(tmp_path)
         for n_cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(sde, "_usable_cpus", lambda: n_cpus)
+            monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: n_cpus)
             assert cli.main(["--config", cfg, "--command", "exact-vs-euler",
                              "--seed", "12", "--out", str(tmp_path / "out")]) == 0
         assert calls == [([[0.05, 0.01, 0.002]], 0)] + [([[0.05, 0.01], [0.002]], 1)] * 3
@@ -1221,12 +1241,12 @@ class TestExactVsEulerLevels:
         forks = counting_forks(monkeypatch)
         tables = {}
         for n_cpus in (1, 2, 3):
-            monkeypatch.setattr(sde, "_usable_cpus", lambda: n_cpus)
+            monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: n_cpus)
             forks.clear()
             rc, err, tables[n_cpus] = run_exact_vs_euler(cfg, tmp_path / str(n_cpus), capsys)
             assert (rc, err, len(forks)) == (0, "", min(n_cpus - 1, 1))
         # Beside another Python thread, one process runs every level.
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 3)
         forks.clear()
         rc, err, tables["thread"] = within(
             HANG_S, run_exact_vs_euler, cfg, tmp_path / "thread", capsys)
@@ -1248,7 +1268,7 @@ class TestExactVsEulerLevels:
         cfg = ds_config(tmp_path)
         results = []
         for n_cpus in (1, 2, 3):
-            monkeypatch.setattr(sde, "_usable_cpus", lambda: n_cpus)
+            monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: n_cpus)
             results.append(run_exact_vs_euler(cfg, tmp_path / str(n_cpus), capsys))
             assert_no_child_left()
         assert results == [(3, f"numerical error: level dt={failing!r} failed\n",
@@ -1265,7 +1285,7 @@ class TestExactVsEulerLevels:
             return real(model, x0, grid, *args)
 
         monkeypatch.setattr(sde, "strong_errors", strong_errors)
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 3)
         assert run_exact_vs_euler(ds_config(tmp_path), tmp_path / "out", capsys) == (
             3, "numerical error: level dt=0.01 diverged\n", None)
         assert_no_child_left()
@@ -1280,7 +1300,7 @@ class TestExactVsEulerLevels:
             return real(*args)
 
         monkeypatch.setattr(sde, "strong_errors", strong_errors)
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(xlq.forks, "_usable_cpus", lambda: 2)
         assert run_exact_vs_euler(ds_config(tmp_path), tmp_path / "out", capsys) == (
             3, "error: the process measuring dt 0.05, 0.01 failed: RuntimeError: boom\n",
             None)
@@ -1298,7 +1318,7 @@ class TestForkParts:
     @pytest.mark.parametrize("mine", [0, 1, 2])
     def test_results_come_back_in_part_order(self, monkeypatch, mine):
         forks = counting_forks(monkeypatch)
-        got = sde.fork_parts(lambda part: (part, os.getpid()), ["a", "b", "c"],
+        got = xlq.forks.fork_parts(lambda part: (part, os.getpid()), ["a", "b", "c"],
                              self.describe, mine)
         assert [part for part, _ in got] == ["a", "b", "c"]
         pids = [pid for _, pid in got]
@@ -1313,7 +1333,7 @@ class TestForkParts:
             return part
 
         with pytest.raises(xlq.ModelValidationError) as caught:
-            sde.fork_parts(work, ["a", "b"], self.describe)
+            xlq.forks.fork_parts(work, ["a", "b"], self.describe)
         assert caught.value.violations == [xlq.Violation("n > 0", "n = -1"),
                                            xlq.Violation("lam > 0", "lam = 0")]
         assert str(caught.value) == "model validation failed: n > 0: n = -1; lam > 0: lam = 0"
@@ -1333,7 +1353,7 @@ class TestForkParts:
 
         start = time.monotonic()
         with pytest.raises(xlq.NumericalError, match="^b failed$"):
-            sde.fork_parts(work, ["a", "b", "c"], self.describe, mine=1)
+            xlq.forks.fork_parts(work, ["a", "b", "c"], self.describe, mine=1)
         assert time.monotonic() - start < HANG_S
         assert_no_child_left()
 
@@ -1394,7 +1414,7 @@ class TestExactPathC0:
         target = model.d ** 2 * model.lam / (2.0 * model.n)
         var = exact[:, -1].var(ddof=1)
         assert var == pytest.approx(target, rel=0.05)
-        coeffs = xlq.derived_coeffs(model, sde.state_independent_policy(model))
+        coeffs = xlq.derived_coeffs(model, xlq.exact.state_independent_policy(model))
         m_inf = float(xlq.second_moment_curve(coeffs, 1.0, 60.0))
         n_inf = float(xlq.mean_curve(coeffs, 1.0, 60.0))
         assert m_inf - n_inf ** 2 == pytest.approx(target, rel=1e-6)
@@ -1402,7 +1422,7 @@ class TestExactPathC0:
     def test_endpoint_distribution_kolmogorov_smirnov(self):
         grid = xlq.PathGrid(dt=1 / 16, n_steps=16)
         exact = xlq.exact_batch(C0_MODEL, 1.0, grid, 5, 100000, method="c0")
-        coeffs = xlq.derived_coeffs(C0_MODEL, sde.state_independent_policy(C0_MODEL))
+        coeffs = xlq.derived_coeffs(C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL))
         mean = float(xlq.mean_curve(coeffs, 1.0, 1.0))
         m2 = float(xlq.second_moment_curve(coeffs, 1.0, 1.0))
         ks = stats.kstest(exact[:, -1], "norm",
@@ -1431,7 +1451,7 @@ class TestDossSaussman:
     def test_initial_condition(self):
         c = ds_coeffs(DS_MODEL)
         for y in (-3.0, -0.2, 0.0, 1.7, 8.0):
-            assert sde.doss_saussman_terms(c, 0.0, y)[0] == pytest.approx(y, abs=1e-12)
+            assert xlq.exact.doss_saussman_terms(c, 0.0, y)[0] == pytest.approx(y, abs=1e-12)
 
     def test_dfdz_finite_difference(self, rng):
         c = ds_coeffs(DS_MODEL)
@@ -1439,9 +1459,9 @@ class TestDossSaussman:
         for _ in range(50):
             z = rng.uniform(-2, 2)
             y = rng.uniform(-3, 3)
-            fd = (sde.doss_saussman_terms(c, z + h, y)[0]
-                  - sde.doss_saussman_terms(c, z - h, y)[0]) / (2 * h)
-            f, df_dz, _ = sde.doss_saussman_terms(c, z, y)
+            fd = (xlq.exact.doss_saussman_terms(c, z + h, y)[0]
+                  - xlq.exact.doss_saussman_terms(c, z - h, y)[0]) / (2 * h)
+            f, df_dz, _ = xlq.exact.doss_saussman_terms(c, z, y)
             target = math.sqrt((c.b1 * f + c.b2) ** 2 + c.c1)
             assert fd == pytest.approx(target, abs=1e-6, rel=1e-6)
             assert df_dz == pytest.approx(target, abs=1e-10)
@@ -1452,9 +1472,9 @@ class TestDossSaussman:
         for _ in range(20):
             z = rng.uniform(-2, 2)
             y = rng.uniform(-3, 3)
-            fd = (sde.doss_saussman_terms(c, z, y + h)[0]
-                  - sde.doss_saussman_terms(c, z, y - h)[0]) / (2 * h)
-            assert sde.doss_saussman_terms(c, z, y)[2] == pytest.approx(fd, rel=1e-6)
+            fd = (xlq.exact.doss_saussman_terms(c, z, y + h)[0]
+                  - xlq.exact.doss_saussman_terms(c, z, y - h)[0]) / (2 * h)
+            assert xlq.exact.doss_saussman_terms(c, z, y)[2] == pytest.approx(fd, rel=1e-6)
 
     def test_strong_convergence_against_euler(self):
         errors = rms_ladder(DS_MODEL, "doss_saussman",
@@ -1496,11 +1516,11 @@ def per_node_doss_saussman(model, x0, grid, seed, n_paths):
     """Reference Doss-Saussmann batch, one grid node at a time: each RK4
     substep interpolates W anew and evaluates the drift of Y,
     G(z, y) = (a1 F + a2 - b1/2 (b1 F + b2)) / (dF/dy), through
-    :func:`sde.doss_saussman_terms`."""
+    :func:`exact.doss_saussman_terms`."""
     c = ds_coeffs(model)
 
     def g(z, y):
-        fv, _, dfy = sde.doss_saussman_terms(c, z, y)
+        fv, _, dfy = xlq.exact.doss_saussman_terms(c, z, y)
         num = c.a1 * fv + c.a2 - c.b1 / 2.0 * (c.b1 * fv + c.b2)
         return num / dfy
 
@@ -1521,7 +1541,7 @@ def per_node_doss_saussman(model, x0, grid, seed, n_paths):
             k3 = g(zh, y + 0.5 * h * k2)
             k4 = g(z1, y + h * k3)
             y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, k + 1] = sde.doss_saussman_terms(c, w[:, k + 1], y)[0]
+        out[:, k + 1] = xlq.exact.doss_saussman_terms(c, w[:, k + 1], y)[0]
     return out
 
 
@@ -1682,6 +1702,7 @@ class TestExactBatch:
             (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "doss_saussman")),
             (xlq.UnsupportedRegimeError,
              (C0_MODEL, 1.0, grid, 7, 4, "doss_saussman", c0_value)),
+            (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "doss_saussman", (1, 2, 3))),
             (ValueError, (C0_MODEL, 1.0, grid, 7, 0, "c0")),
             (ValueError, (C0_MODEL, 1.0, grid, 7, -1, "c0")),
             (ValueError, (C0_MODEL, 1.0, grid, 7, 2.5, "c0")),
@@ -1732,7 +1753,7 @@ class TestExactBatch:
 
         monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
         grid = xlq.PathGrid(dt=0.01, n_steps=10 ** 17)
-        policy = sde.state_independent_policy(C0_MODEL)
+        policy = xlq.exact.state_independent_policy(C0_MODEL)
         calls = (
             lambda: xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 1000, "c0"),
             lambda: xlq.simulate_exploratory(C0_MODEL, policy, 1.0, grid, 7, 1000),
@@ -1815,7 +1836,7 @@ class TestStrongErrors:
                               ("doss_saussman", DS_MODEL)):
             sol = xlq.solve(model)
             value, policy = ((sol.value, sol.policy) if method == "doss_saussman"
-                             else (None, sde.state_independent_policy(model)))
+                             else (None, xlq.exact.state_independent_policy(model)))
             euler = xlq.simulate_exploratory(model, policy, 1.0, grid, 3, 16)
             exact = xlq.exact_batch(model, 1.0, grid, 3, 16, method, value)
             d = euler.endpoints - exact[:, -1]
@@ -1836,7 +1857,7 @@ class TestStrongErrors:
                               ("doss_saussman", DS_MODEL)):
             sol = xlq.solve(model)
             value, policy = ((sol.value, sol.policy) if method == "doss_saussman"
-                             else (None, sde.state_independent_policy(model)))
+                             else (None, xlq.exact.state_independent_policy(model)))
             euler = xlq.simulate_exploratory(model, policy, 1.0, grid, 3, 16)
             exact = xlq.exact_batch(model, 1.0, grid, 3, 16, method, value)
             d = euler.endpoints - exact[:, -1]
