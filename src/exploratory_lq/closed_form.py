@@ -381,6 +381,10 @@ def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0, *,
     """
     if not (rng.is_real(probe_x) and math.isfinite(probe_x)):
         raise ValueError(f"probe_x must be finite, and a real number, got {probe_x!r}")
+    # A string is iterable, but its characters are not temperatures.
+    if isinstance(lambdas, (str, bytes)) or not np.iterable(lambdas):
+        raise ValueError("lambdas must be an iterable of temperatures other "
+                         f"than a string, got {lambdas!r}")
     out = []
     for lam in lambdas:
         if not rng.is_real(lam) or lam <= 0:

@@ -306,7 +306,11 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid,
 
 def builder(model: LqModel, x0: float, grid, method: str, value):
     """(build, policy): the builder of ``method``'s exact paths, its
-    regime checked, and the policy whose Euler process they solve."""
+    regime checked, and the policy whose Euler process they solve.  Only
+    'doss_saussman' takes a ``value``; d0 and c0 refuse one."""
+    if method in ("d0", "c0") and value is not None:
+        raise ValueError(f"value is used only by doss_saussman; {method} takes "
+                         f"None, got {value!r}")
     if method == "d0":
         return _d0_builder(model, x0, grid), state_independent_policy(model)
     if method == "c0":

@@ -29,20 +29,24 @@ would give u = 1 and z = +inf; the clamp maps that one raw value to
 u = 1 - 2**-53 (z = 8.2095...) and leaves every other value as it is.
 So u lies strictly inside (0, 1), and z is always finite.
 
-``normal_block`` writes each row's raw Philox bits straight into its
-float64 output (viewed as uint64), so a row costs only the re-key and
-the draw.  It converts the block in place in tiles of 64 rows: one
-in-place uint64 -> float64 pass over a whole block makes NumPy copy the
-overlap first (8.5 MB for 2048 x 512), while a tile's copy is 0.26 MB.
+``normal_block`` computes it in place, in this order.  Each row is
+filled with Philox's doubles, d = (raw >> 11) * 2**-53
+(``Generator.random(out=row)``), so a row costs only the re-key and the
+draw.  Then three in-place passes convert 64 rows at a time:
+d += 2**-54, d = min(d, 1 - 2**-53), z = ndtri(d).  Scaling by a power
+of two is exact, so d + 2**-54 rounds to u = ((raw >> 11) + 0.5) *
+2**-53 as computed above, and the clamp maps to the same value: the
+bits are those of the transform as written.  Every pass is float64 in
+place, so none copies its input.
 
-The calling thread draws every row and puts each tile on a queue once
-its rows are drawn.  In a block of two or more tiles, one helper
-thread, started and joined within the call, takes tiles from the queue
-and converts them: the conversion and ``ndtri`` release the
-interpreter lock, the row loop holds it.  Once every row is drawn, the
-caller converts the tiles still on the queue.  Conversion is
-elementwise and each row's stream is fixed by its counter, so which
-thread converts a tile does not change a bit.
+The 64-row tiles are the unit the threads hand over.  The calling
+thread draws every row and puts each tile on a queue once its rows are
+drawn.  In a block of two or more tiles, one helper thread, started and
+joined within the call, takes tiles from the queue and converts them:
+the conversion and ``ndtri`` release the interpreter lock, the row loop
+holds it.  Once every row is drawn, the caller converts the tiles still
+on the queue.  Conversion is elementwise and each row's stream is fixed
+by its counter, so which thread converts a tile does not change a bit.
 """
 
 from __future__ import annotations
@@ -59,10 +63,11 @@ from scipy.special import ndtri
 STATE_STREAM = 0
 ACTION_STREAM = 0x9E3779B97F4A7C15  # fixed odd salt, splitmix64 constant
 
-_INV_2_53 = 2.0 ** -53
-# The largest (raw >> 11) + 0.5 that keeps u below 1 (see above).
-_TOP = 2.0 ** 53 - 1
-# Rows per uint64 -> float64 conversion in normal_block.
+# (raw >> 11) * 2**-53 + 2**-54 = ((raw >> 11) + 0.5) * 2**-53, and the
+# largest u below 1 (see above).
+_HALF_STEP = 2.0 ** -54
+_TOP = 1.0 - 2.0 ** -53
+# Rows per tile: the unit of conversion handed to the helper thread.
 _TILE_ROWS = 64
 
 
@@ -110,6 +115,10 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
                          f"{(n_paths, n_steps)}, got {out.dtype} {out.shape}")
     if not out.flags.writeable:
         raise ValueError("out must be writeable, got a read-only array")
+    # Generator.random fills only a contiguous row.
+    if n_steps > 1 and out.strides[1] != out.itemsize:
+        raise ValueError(f"out must have contiguous rows, got a column stride "
+                         f"of {out.strides[1]} bytes")
     skip = first_step % 4
     # One generator, re-keyed per row: assigning .state is cheaper than
     # constructing a Philox, and cheaper again from Python ints and lists
@@ -121,18 +130,12 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
     state["state"] = {name: words.tolist() for name, words in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    # The raw bits go straight into ``out``; each row costs only the
-    # re-key and the draw.
-    bits = out.view(np.uint64)
+    draw = np.random.Generator(gen).random
 
     def convert(tile):
-        # In tiles of rows, so NumPy's copy of the overlap stays small.
-        rows = slice(tile * _TILE_ROWS, (tile + 1) * _TILE_ROWS)
-        raw, z = bits[rows], out[rows]
-        np.right_shift(raw, np.uint64(11), out=raw)
-        np.add(raw, 0.5, out=z)
+        z = out[tile * _TILE_ROWS:(tile + 1) * _TILE_ROWS]
+        z += _HALF_STEP
         np.minimum(z, _TOP, out=z)
-        z *= _INV_2_53
         ndtri(z, out=z)
 
     # Each tile goes on the queue once, when its rows are drawn, and the
@@ -157,7 +160,9 @@ def normal_block(seed: int, first_path: int, n_paths: int, n_steps: int,
             for i in range(tile * _TILE_ROWS, min((tile + 1) * _TILE_ROWS, n_paths)):
                 key[1] = first_path + i
                 gen.state = state
-                bits[i] = gen.random_raw(skip + n_steps)[skip:]
+                if skip:
+                    gen.random_raw(skip, output=False)
+                draw(out=out[i])
             drawn.put(tile)
         with contextlib.suppress(queue.Empty):
             while True:

@@ -16,13 +16,16 @@ so a path's values depend only on (seed, path_index), never on the
 batch size or the chunk it was stepped in.  Every sample path, Euler or
 exact, is walked the same way: 2048 paths per chunk, wide enough that
 NumPy's per-call overhead is small against each step's work, with their
-noise drawn in blocks of 512 steps into one reused buffer per stream.
-An Euler walk with zero volatility (b1 = b2 = c1 = 0) draws no state
+noise drawn in blocks of steps into one reused buffer per stream.  An
+Euler walk with zero volatility (b1 = b2 = c1 = 0) draws no state
 noise; one that draws both state and action noise steps 1024 paths per
-chunk, so its two streams' buffers together hold what one holds: at
-most about 8 MB of normals in all.  The buffer's rows are padded by 8
-columns: a step reads one column of the block, and with rows of exactly
-4096 B every element of that column would fall in the same cache set.
+chunk.  A block holds at most 512 steps, and a chunk's blocks at most
+2**19 normals (4 MB) across the streams it draws: a full chunk draws
+256 steps at a time, a chunk of 1024 or fewer path-streams 512.  The
+buffer's rows span an odd number of 64-byte lines (2112 B for 256
+steps): a step reads one column of the block, and with rows of exactly
+2048 or 4096 B the elements of that column would fall in two cache
+sets or one.
 :func:`simulate_to_csv` steps _RECORD_CHUNK (256) paths at a time into
 one reused node buffer and writes each chunk's rows before it steps the
 next, so its memory does not grow with the number of paths.  The Euler
@@ -49,12 +52,13 @@ from .constants import DIVERGENCE_THRESHOLD
 from .errors import ExploratoryLqError, SimulationDivergedError
 from .model import AffineGaussianPolicy, LqModel, derived_coeffs
 
-# Paths per chunk, and steps per noise block within a chunk, for Euler
-# and exact paths alike: a chunk's noise blocks hold at most 2048 x 512
-# normals (8 MB) in all, so a walk that draws both streams steps
+# Paths per chunk, the most steps per noise block, and the most normals a
+# chunk's noise blocks hold across its streams (2048 x 256, 4 MB), for
+# Euler and exact paths alike; a walk that draws both streams steps
 # _CHUNK // 2 paths per chunk.
 _CHUNK = 2048
 _STEP_BLOCK = 512
+_NOISE_BUDGET = 2 ** 19
 # Paths per chunk when simulate_to_csv hands each chunk's nodes to the
 # writer: it holds 256 x (n_steps + 1) nodes, whatever n_paths.
 _RECORD_CHUNK = 256
@@ -247,13 +251,22 @@ def _chunk_ranges(n_paths: int, width: int):
     return [(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
 
 
-def _noise_blocks(seed: int, lo: int, m: int, n_steps: int, stream=rng.STATE_STREAM):
-    """Yield (k0, z) per _STEP_BLOCK steps: z holds normals k0..k0+n-1 of
-    paths lo..lo+m-1, drawn into one reused buffer.  Its rows are padded
-    by 8 columns: a 512-step row of exactly 4096 B would put every
-    element of a column z[:, j] in the same cache set."""
-    width = min(_STEP_BLOCK, n_steps)
-    buf = np.empty((m, width + 8))
+def _block_steps(m: int, streams: int) -> int:
+    """Steps per noise block for a chunk of m paths drawing ``streams``
+    streams: _STEP_BLOCK, or fewer where the blocks would hold more than
+    _NOISE_BUDGET normals, cut to a multiple of 4 (one Philox block)."""
+    cap = _NOISE_BUDGET // (m * max(1, streams))
+    return min(_STEP_BLOCK, cap - cap % 4)
+
+
+def _noise_blocks(seed: int, lo: int, m: int, n_steps: int, width: int,
+                  stream=rng.STATE_STREAM):
+    """Yield (k0, z) per ``width`` steps: z holds normals k0..k0+n-1 of
+    paths lo..lo+m-1, drawn into one reused buffer.  Its rows span an
+    odd number of 64-byte lines, so the elements of a column z[:, j]
+    fall in every cache set, not in one or two."""
+    width = min(width, n_steps)
+    buf = np.empty((m, (-(-width // 8) | 1) * 8))
     for k0 in range(0, n_steps, width):
         n = min(width, n_steps - k0)
         yield k0, rng.normal_block(seed, lo, m, n, stream=stream, first_step=k0,
@@ -312,10 +325,11 @@ class _EulerBatch:
         a1, a2, b1, b2, c1, dt, one = self.operands
         state_noise, action_noise = self.state_noise, self.action_noise
         cp_states, weights, w_list = self.cp_states, self.weights, self.w_list
+        width = _block_steps(m, state_noise + action_noise)
         if state_noise:
-            blocks = _noise_blocks(seed, lo, m, k_steps)
+            blocks = _noise_blocks(seed, lo, m, k_steps, width)
         if action_noise:
-            action_blocks = _noise_blocks(seed, lo, m, k_steps, rng.ACTION_STREAM)
+            action_blocks = _noise_blocks(seed, lo, m, k_steps, width, rng.ACTION_STREAM)
         # x holds node k and xn receives node k + 1; every other per-step
         # temporary has its own (m,) buffer.
         x, xn, drift, vol, t, wz = (np.empty(m) for _ in range(6))
@@ -330,13 +344,13 @@ class _EulerBatch:
         record = nodes is not None
         if record:
             nodes[:, 0] = x
-        for k0 in range(0, k_steps, _STEP_BLOCK):
+        for k0 in range(0, k_steps, width):
             if state_noise:
                 z = next(blocks)[1]
                 z *= sq_dt                    # the increments z sqrt(dt)
             if action_noise:
                 za = next(action_blocks)[1]
-            for j in range(min(_STEP_BLOCK, k_steps - k0)):
+            for j in range(min(width, k_steps - k0)):
                 k = k0 + j
                 if k in cp_states:
                     cp_states[k][lo:hi] = x
@@ -503,7 +517,8 @@ def _exact_blocks(build, seed: int, n_paths: int, n_steps: int):
     """Yield (lo, k0, nodes) per chunk and noise block: the builder's
     nodes k0..k0+n of paths lo..lo+m-1, in a buffer it reuses."""
     for lo, hi in _chunk_ranges(n_paths, _CHUNK):
-        for k0, nodes in build(_noise_blocks(seed, lo, hi - lo, n_steps)):
+        for k0, nodes in build(_noise_blocks(seed, lo, hi - lo, n_steps,
+                                             _block_steps(hi - lo, 1))):
             yield lo, k0, nodes
 
 

@@ -48,8 +48,9 @@ DS_MIRROR = replace(DS_MODEL, c=-DS_MODEL.c, d=-DS_MODEL.d)
 # of the chunk width; a walk that draws action noise steps half as many
 # paths per chunk, so there BIG spans five chunks and SMALL three.
 BIG, SMALL = 2 * sde._CHUNK + 276, sde._CHUNK + 188
-# Two noise blocks, the second 30 steps long (not a multiple of the 4
-# steps one Philox block yields).
+# Two noise blocks in a chunk of at most 1024 paths x streams, the
+# second 30 steps long (not a multiple of the 4 steps one Philox block
+# yields); a full chunk's walk takes three, of 256, 256 and 30 steps.
 EULER_STEPS = sde._STEP_BLOCK + 30
 
 
@@ -250,6 +251,15 @@ class TestGridAndBrownian:
         monkeypatch.setattr(xlq.closed_form, "solve", None)
         assert_refused_by_name(*REAL_INPUTS["probe_x"], value)
 
+    @pytest.mark.parametrize("lambdas", [0.1, None, "0.1", b"0.1"],
+                             ids=["float", "None", "str", "bytes"])
+    def test_lambdas_must_be_an_iterable_of_numbers(self, monkeypatch, lambdas):
+        # Checked before any solve: a number or None is not iterable, and
+        # a string would sweep its characters.
+        monkeypatch.setattr(xlq.closed_form, "solve", None)
+        assert_refused_by_name(ValueError, "lambdas",
+                               lambda v: xlq.lambda_sweep(S1, v), lambdas)
+
     def test_an_integer_dt_is_stored_as_a_float(self):
         grid = xlq.PathGrid(dt=2, n_steps=3)
         assert type(grid.dt) is float and type(grid.horizon) is float
@@ -392,7 +402,10 @@ class TestRandomStreams:
         (dict(stream=True), "stream"),
         (dict(stream=-1), "stream"),
         (dict(stream=2 ** 64), "stream"),
-        (dict(stream=None), "stream")])
+        (dict(stream=None), "stream"),
+        # Each row is filled whole, so its elements must be adjacent.
+        (dict(out=np.empty((2, 10))[:, ::2]), "out"),
+        (dict(out=np.empty((5, 2)).T), "out")])
     def test_bad_block_rejected_before_any_philox(self, monkeypatch, bad, name):
         def no_philox(*args, **kwargs):
             raise AssertionError("a Philox was built")
@@ -403,8 +416,8 @@ class TestRandomStreams:
             xlq.rng.normal_block(**args)
 
     def test_block_into_out_allocates_under_1_mb(self):
-        # A full 2048 x 512 block (8 MB) converts its raw bits in place
-        # in row tiles, without a block-sized temporary.
+        # The largest block, 2048 x 512 (8 MB), is converted in place,
+        # without a block-sized temporary.
         out = np.empty((sde._CHUNK, sde._STEP_BLOCK))
         peak = traced_peak(
             lambda: xlq.rng.normal_block(3, 0, sde._CHUNK, sde._STEP_BLOCK, out=out))
@@ -412,14 +425,25 @@ class TestRandomStreams:
 
     def test_noise_block_rows_not_a_multiple_of_4096_bytes(self):
         # Rows of exactly 4096 B would put a column's elements in one
-        # cache set.
-        starts = []
-        for k0, z in sde._noise_blocks(3, 2, 5, EULER_STEPS):
-            starts.append(k0)
-            assert z.strides[0] % 4096 != 0
-            assert np.array_equal(
-                z, xlq.rng.normal_block(3, 2, 5, z.shape[1], first_step=k0))
-        assert starts == [0, sde._STEP_BLOCK]
+        # cache set, and rows of 2048 B in two: every row spans an odd
+        # number of 64-byte lines.
+        for width in (sde._STEP_BLOCK, 504, 348, 256, 7):
+            starts = []
+            for k0, z in sde._noise_blocks(3, 2, 5, width + 3, width):
+                starts.append(k0)
+                assert z.strides[0] % 128 == 64
+                assert np.array_equal(
+                    z, xlq.rng.normal_block(3, 2, 5, z.shape[1], first_step=k0))
+            assert starts == [0, width]
+
+    @pytest.mark.parametrize("m, streams, steps", [
+        (sde._CHUNK, 1, 256), (sde._CHUNK // 2, 2, 256), (1500, 1, 348),
+        (1040, 1, 504), (1024, 1, 512), (512, 2, 512), (200, 1, 512),
+        (200, 2, 512), (sde._CHUNK, 0, 256)])
+    def test_block_steps_keep_a_chunk_under_the_noise_budget(self, m, streams, steps):
+        # At most _STEP_BLOCK steps and 2**19 normals across the streams
+        # drawn, in whole Philox blocks of 4 steps.
+        assert sde._block_steps(m, streams) == steps
 
     def test_last_path_and_step_of_64_bits_drawn(self):
         rng = xlq.rng
@@ -451,17 +475,17 @@ class TestRandomStreams:
                 started.append(self)
                 super().start()
 
-        class FailOnLastRow(np.random.Philox):
+        class FailOnLastRow(np.random.Generator):
             rows = 0
 
-            def random_raw(self, size=None, output=True):
+            def random(self, *args, **kwargs):
                 FailOnLastRow.rows += 1
                 if fail and FailOnLastRow.rows == n_paths:
                     raise RuntimeError("last row failed")
-                return super().random_raw(size, output)
+                return super().random(*args, **kwargs)
 
         monkeypatch.setattr(xlq.rng.threading, "Thread", CountedThread)
-        monkeypatch.setattr(np.random, "Philox", FailOnLastRow)
+        monkeypatch.setattr(np.random, "Generator", FailOnLastRow)
         threads = threading.active_count()
         if fail:
             with pytest.raises(RuntimeError, match="last row failed"):
@@ -475,18 +499,18 @@ class TestRandomStreams:
         assert threading.active_count() == threads
 
     def test_row_failure_reaches_the_caller_and_stops_the_helper(self, monkeypatch):
-        class FailOnRow100(np.random.Philox):
+        class FailOnRow100(np.random.Generator):
             rows = 0
 
-            def random_raw(self, size=None, output=True):
+            def random(self, *args, **kwargs):
                 FailOnRow100.rows += 1
                 if FailOnRow100.rows == 101:
                     raise RuntimeError("row 100 failed")
-                return super().random_raw(size, output)
+                return super().random(*args, **kwargs)
 
         unhandled = []
         monkeypatch.setattr(threading, "excepthook", unhandled.append)
-        monkeypatch.setattr(np.random, "Philox", FailOnRow100)
+        monkeypatch.setattr(np.random, "Generator", FailOnRow100)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="row 100 failed"):
             within(HANG_S, xlq.rng.normal_block, 5, 0, 300, 40)
@@ -513,19 +537,19 @@ class TestRandomStreams:
                 raise FloatingPointError("second tile failed")
             return ndtri(z, out=out)
 
-        class WaitOnRow128(np.random.Philox):
+        class WaitOnRow128(np.random.Generator):
             rows = 0
 
-            def random_raw(self, size=None, output=True):
+            def random(self, *args, **kwargs):
                 WaitOnRow128.rows += 1
                 if WaitOnRow128.rows == 129:
                     tile_failed.wait(HANG_S)
-                return super().random_raw(size, output)
+                return super().random(*args, **kwargs)
 
         unhandled = []
         monkeypatch.setattr(threading, "excepthook", unhandled.append)
         monkeypatch.setattr(xlq.rng, "ndtri", fail_on_second_tile)
-        monkeypatch.setattr(np.random, "Philox", WaitOnRow128)
+        monkeypatch.setattr(np.random, "Generator", WaitOnRow128)
         threads = threading.active_count()
         caller = []
 
@@ -570,11 +594,13 @@ class TestRandomStreams:
         assert cases[0][1] == pytest.approx(8.2095361516, abs=1e-9)
         assert cases[1][1] == pytest.approx(8.1258906647, abs=1e-9)
         for word, expected in cases:
-            class FakePhilox(np.random.Philox):
-                def random_raw(self, size=None, output=True):
-                    return np.full(size, word, dtype=np.uint64)
+            class FakeWords(np.random.Generator):
+                # Each row is Philox's doubles of this one raw word.
+                def random(self, size=None, dtype=np.float64, out=None):
+                    out[...] = (word >> 11) * 2.0 ** -53
+                    return out
 
-            monkeypatch.setattr(np.random, "Philox", FakePhilox)
+            monkeypatch.setattr(np.random, "Generator", FakeWords)
             z = xlq.rng.normal_block(1, 0, n_paths, 5, first_step=2)
             assert (z == expected).all()
 
@@ -798,13 +824,13 @@ class TestEulerMaruyama:
     @pytest.mark.parametrize("model, policy, dt", [
         (DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 0.01),
         # About 17% of paths diverge, at steps 358-542, about 7% of them
-        # in the second noise block, so the divergence bookkeeping is
-        # exercised on both sides of a block boundary.
+        # after step 512, so the divergence bookkeeping is exercised on
+        # both sides of a block boundary in full and partial chunks.
         (EXPLOSIVE, EXPLOSIVE_POLICY, 0.002)])
     def test_rows_independent_of_chunking(self, model, policy, dt):
         # With action noise drawn, BIG paths span five chunks and SMALL
-        # three, and both step through two noise blocks; shared rows
-        # agree.
+        # three; full chunks step through three noise blocks and the
+        # last two; shared rows agree.
         grid = xlq.PathGrid(dt=dt, n_steps=EULER_STEPS)
         nodes = (0, 10, sde._STEP_BLOCK, EULER_STEPS)
         big = euler_with_sums(model, policy, grid, BIG, nodes)
@@ -858,8 +884,8 @@ class TestEulerMaruyama:
 
     def test_action_noise_adds_under_1_mb(self):
         # A walk that draws action noise steps half-width chunks, so its
-        # state and action blocks together hold one stream's 2048 x 512
-        # normals; at full width they would add another 8.5 MB.
+        # state and action blocks together hold one stream's 2048 x 256
+        # normals; at full width they would add another 4.3 MB.
         _, policy = xlq.exploratory_solution(DS_MODEL)
         grid = xlq.PathGrid(dt=0.01, n_steps=600)
         peaks = [traced_peak(lambda: xlq.simulate_exploratory(
@@ -868,6 +894,40 @@ class TestEulerMaruyama:
                      action_noise=action_noise))
                  for action_noise in (False, True)]
         assert peaks[1] - peaks[0] < 1e6
+
+    @pytest.mark.parametrize("action_noise", [False, True])
+    def test_block_steps_follow_the_chunk(self, monkeypatch, action_noise):
+        # SMALL paths: a full chunk draws 256 steps at a time and the
+        # last chunk, of 188 paths, 512: at most 2**19 normals a chunk.
+        calls = []
+        normal_block = xlq.rng.normal_block
+
+        def recording(seed, first_path, n_paths, n_steps, stream=xlq.rng.STATE_STREAM,
+                      first_step=0, out=None):
+            if stream == xlq.rng.STATE_STREAM:
+                calls.append((first_path, first_step, n_steps))
+            return normal_block(seed, first_path, n_paths, n_steps, stream,
+                                first_step, out)
+
+        monkeypatch.setattr(xlq.rng, "normal_block", recording)
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        xlq.simulate_exploratory(DS_MODEL, policy, 1.0, xlq.PathGrid(dt=0.01, n_steps=600),
+                                 3, SMALL, record_paths=False, discount_rate=1.0,
+                                 action_noise=action_noise)
+        full = [(0, 256), (256, 256), (512, 88)]
+        firsts = (0, sde._CHUNK // 2, sde._CHUNK) if action_noise else (0, sde._CHUNK)
+        expected = [(lo, *block) for lo in firsts[:-1] for block in full]
+        assert calls == expected + [(firsts[-1], 0, 512), (firsts[-1], 512, 88)]
+
+    def test_a_full_chunk_adds_under_5_mb(self):
+        # A 2048-path walk of one stream holds one 2048 x 256 noise block
+        # (4.3 MB with its padding), where a 64-path walk holds 64 rows.
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        grid = xlq.PathGrid(dt=0.01, n_steps=600)
+        peaks = [traced_peak(lambda: xlq.simulate_exploratory(
+                     DS_MODEL, policy, 1.0, grid, 3, n_paths, record_paths=False))
+                 for n_paths in (64, sde._CHUNK)]
+        assert peaks[1] - peaks[0] < 5e6
 
     def test_checkpoints_and_discounted_sums(self):
         _, policy = xlq.exploratory_solution(S1)
@@ -1703,6 +1763,9 @@ class TestExactBatch:
             (xlq.UnsupportedRegimeError,
              (C0_MODEL, 1.0, grid, 7, 4, "doss_saussman", c0_value)),
             (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "doss_saussman", (1, 2, 3))),
+            # Only Doss-Saussmann reads a value; d0 and c0 refuse one.
+            (ValueError, (D0_MODEL, 1.0, grid, 7, 4, "d0", (1, 2, 3))),
+            (ValueError, (C0_MODEL, 1.0, grid, 7, 4, "c0", c0_value)),
             (ValueError, (C0_MODEL, 1.0, grid, 7, 0, "c0")),
             (ValueError, (C0_MODEL, 1.0, grid, 7, -1, "c0")),
             (ValueError, (C0_MODEL, 1.0, grid, 7, 2.5, "c0")),
@@ -1722,6 +1785,8 @@ class TestExactBatch:
                 call(C0_MODEL, 1.0, grid, 7, -1, "c0")
             with pytest.raises(ValueError, match="x0 must be finite, and a real number, got nan"):
                 call(C0_MODEL, math.nan, grid, 7, 4, "c0")
+            with pytest.raises(ValueError, match="^value is used only by doss_saussman"):
+                call(D0_MODEL, 1.0, grid, 7, 4, "d0", (1, 2, 3))
         xlq.exact_batch(C0_MODEL, 1.0, grid, 7, 4, "c0")
         assert len(calls) == 1
         xlq.strong_errors(C0_MODEL, 1.0, grid, 7, 4, "c0")
