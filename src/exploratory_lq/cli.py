@@ -307,6 +307,18 @@ def run(spec: RunSpec) -> int:
     return 0
 
 
+def _out_dir(out: str) -> Path:
+    """``--out`` as a Path; ConfigError when it, or the nearest of its
+    parents that exists, is not a directory, so no run creates or writes
+    anything there."""
+    path = Path(out)
+    existing = next((d for d in (path, *path.parents) if d.exists()), None)
+    if existing is not None and not existing.is_dir():
+        below = "" if existing == path else f" lies below {str(existing)!r}, which"
+        raise ConfigError(f"--out {out!r}{below} is not a directory")
+    return path
+
+
 def build_spec(args, mapping: dict[str, str]) -> RunSpec:
     model = config.model_from_mapping(mapping)
     flags = {f"sim.{name}": str(value)
@@ -318,12 +330,13 @@ def build_spec(args, mapping: dict[str, str]) -> RunSpec:
             f"command {args.command!r} is stochastic: provide --seed or sim.seed "
             "(no wall-clock default)")
     sweep = config.sweep_lambdas(mapping) if args.command == "sweep" else []
+    out_dir = _out_dir(args.out)
     validate(model, allow_assumption_violation=args.override_assumptions)
     return RunSpec(
         command=args.command,
         model=model,
         sim=sim,
-        out_dir=Path(args.out),
+        out_dir=out_dir,
         fmt=config.output_format(mapping),
         sweep=sweep,
         override=args.override_assumptions,

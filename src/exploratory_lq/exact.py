@@ -15,9 +15,13 @@ beside the Euler batch of the process it solves, on the same noise, and
 returns their endpoint deviation.  The "exact" in the function and
 method names is kept.
 
-The exact builders carry what crosses a block edge and yield each
-block's nodes in one buffer per chunk, reused across blocks:
-:func:`sde.exact_batch` copies them into its read-only array, and
+The exact builders walk one chunk's noise blocks, laid out as
+``sde._noise_blocks`` draws them: normal k of a path in the column of
+node k + 1, in one buffer reused across blocks.  W is summed in that
+buffer in place, and c0 writes its nodes over the normals they come
+from; d0 and Doss-Saussmann build their nodes in buffers of their own.
+Each builder carries what crosses a block edge and yields a block's
+nodes: :func:`sde.exact_batch` copies them into its read-only array, and
 :func:`sde.strong_errors` keeps only the endpoints, so its memory does
 not grow with the number of steps.  A builder reads only its grid's
 ``dt``, so this module imports nothing from ``sde``.
@@ -41,10 +45,12 @@ _CHECK_ROWS = 16
 #     dX = (a X - b q / n) dt + sqrt((c X - d q / n)^2 + lam d^2 / n) dW;
 # Doss-Saussmann solves the state-dependent optimum.  Each builder checks
 # its regime once and returns the generator build(blocks), which walks
-# one chunk's noise blocks, carries what crosses a block edge and yields
-# (k0, nodes) per block: nodes k0..k0+n of the chunk's paths (rows), in
-# one (paths, width + 1) buffer reused across blocks.  Column 0 of the
-# first block is node 0, of a later block the node carried over.
+# one chunk's noise blocks (k0, block), normal k0 + j in block[:, j + 1],
+# carries what crosses a block edge and yields (k0, nodes) per block:
+# nodes k0..k0+n of the chunk's paths (rows), valid until the next block
+# is drawn.  c0's nodes are the noise block itself, d0's and
+# Doss-Saussmann's a buffer of their own reused across blocks.  Column 0
+# of the first block is node 0, of a later block the node carried over.
 
 
 def state_independent_policy(model: LqModel) -> AffineGaussianPolicy:
@@ -55,19 +61,16 @@ def state_independent_policy(model: LqModel) -> AffineGaussianPolicy:
 
 
 def _brownian_blocks(blocks, dt: float):
-    """Yield (k0, w) per noise block (k0, z): w holds W at nodes k0..k0+n
-    of the block's paths (rows), column 0 the last node before (W_0 = 0),
-    in one buffer reused across blocks."""
-    buf = last = None
-    for k0, z in blocks:
-        if buf is None:
-            buf = np.zeros((len(z), z.shape[1] + 1))
-        else:
-            buf[:, 0] = last
-        w = buf[:, :z.shape[1] + 1]
-        np.multiply(z, math.sqrt(dt), w[:, 1:])
+    """Yield (k0, w) per noise block (k0, w): the block made W in place,
+    W at nodes k0..k0+n of its paths (rows).  Column 0 gets the last
+    node of the block before (W_0 = 0), copied out before the next draw
+    overwrites it."""
+    last = 0.0
+    for k0, w in blocks:
+        w[:, 0] = last
+        w[:, 1:] *= math.sqrt(dt)
         np.cumsum(w, axis=1, out=w)
-        last = w[:, -1]
+        last = w[:, -1].copy()
         yield k0, w
 
 
@@ -151,16 +154,12 @@ def _c0_builder(model: LqModel, x0: float, grid):
         sdh = sigma * math.sqrt(dt)
 
     def build(blocks):
-        buf = x = None
-        for k0, z in blocks:
-            if buf is None:
-                buf = np.empty((len(z), z.shape[1] + 1))
-                x = np.full(len(z), float(x0))
-            nodes = buf[:, :z.shape[1] + 1]
+        x = float(x0)
+        for k0, nodes in blocks:
             nodes[:, 0] = x
-            for j in range(z.shape[1]):
-                x = eah * x + shift + sdh * z[:, j]
-                nodes[:, j + 1] = x
+            for j in range(1, nodes.shape[1]):
+                x = eah * x + shift + sdh * nodes[:, j]
+                nodes[:, j] = x               # over the normal it read
             yield k0, nodes
 
     return build

@@ -17,8 +17,11 @@ near band of those boundaries, where the closed forms lose digits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import rng
 from .constants import CASE_TOL, NEAR_BAND, RK_STEPS
 from .model import DerivedCoeffs, LqModel
 
@@ -68,10 +71,27 @@ def classify_case(coeffs: DerivedCoeffs) -> tuple[str, bool]:
     return tag, near
 
 
+def _checked_times(x0, t) -> np.ndarray:
+    """``t`` as a float64 array, once x0 is a finite real number and
+    every t a finite real number >= 0; ValueError naming the input
+    otherwise."""
+    if not (rng.is_real(x0) and math.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, and a real number, got {x0!r}")
+    t_arr = np.asarray(t)
+    if t_arr.dtype.kind not in "iuf":
+        raise ValueError(f"t must be real numbers, got {t!r}")
+    t_arr = t_arr.astype(float, copy=False)
+    ok = np.isfinite(t_arr) & (t_arr >= 0)
+    if not ok.all():
+        raise ValueError(f"t must be finite and >= 0, got {float(t_arr[~ok][0])!r}")
+    return t_arr
+
+
 def mean_curve(coeffs: DerivedCoeffs, x0: float, t):
     """n(t) = x0 e^{A1 t} + A2 t phi1(A1 t), one formula for every A1:
-    the form (x0 + A2/A1) e^{A1 t} - A2/A1 cancels as A1 -> 0."""
-    t = np.asarray(t, dtype=float)
+    the form (x0 + A2/A1) e^{A1 t} - A2/A1 cancels as A1 -> 0.  x0 must
+    be a finite real number and every t finite and >= 0 (ValueError)."""
+    t = _checked_times(x0, t)
     a1t = coeffs.a1 * t
     out = x0 * np.exp(a1t) + coeffs.a2 * t * _phi1(a1t)
     return out if out.shape else float(out)
@@ -165,9 +185,10 @@ def second_moment_curve(coeffs: DerivedCoeffs, x0: float, t):
     The classical curve m_hat(t) is the same call on the coefficients
     of the zero-variance policy (``Solution.classical_policy``), whose
     c1 is 0.  One of two closed forms serves the five case tags;
-    near-boundary coefficients fall back to the RK4 integrator.
+    near-boundary coefficients fall back to the RK4 integrator.  x0
+    and t are checked as in :func:`mean_curve`.
     """
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _checked_times(x0, t)
     tag, near = classify_case(coeffs)
     if near:
         _, m = integrate_moment_ode(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2,

@@ -88,6 +88,8 @@ def truncation_bound(model: LqModel, policy: AffineGaussianPolicy,
     ``solve(model).value`` whatever ``policy`` is, so this bounds the
     tail of the optimal policy only.  For any other policy the tail is
     e^{-rho T} E[V^pi(X_T)], and this bound can be far too small.
+    ``x0`` and ``horizon`` meet the checks of
+    :func:`~exploratory_lq.moments.second_moment_curve` on its x0 and t.
     """
     value = solve(
         model, allow_assumption_violation=allow_assumption_violation).value

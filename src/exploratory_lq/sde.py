@@ -16,20 +16,26 @@ so a path's values depend only on (seed, path_index), never on the
 batch size or the chunk it was stepped in.  Every sample path, Euler or
 exact, is walked the same way: 2048 paths per chunk, wide enough that
 NumPy's per-call overhead is small against each step's work, with their
-noise drawn in blocks of steps into one reused buffer per stream.  An
-Euler walk with zero volatility (b1 = b2 = c1 = 0) draws no state
-noise; one that draws both state and action noise steps 1024 paths per
-chunk.  A block holds at most 512 steps, and a chunk's blocks at most
-2**19 normals (4 MB) across the streams it draws: a full chunk draws
-256 steps at a time, a chunk of 1024 or fewer path-streams 512.  The
-buffer's rows span an odd number of 64-byte lines (2112 B for 256
-steps): a step reads one column of the block, and with rows of exactly
-2048 or 4096 B the elements of that column would fall in two cache
-sets or one.
-:func:`simulate_to_csv` steps _RECORD_CHUNK (256) paths at a time into
-one reused node buffer and writes each chunk's rows before it steps the
-next, so its memory does not grow with the number of paths.  The Euler
-step writes every temporary into a preallocated (paths,) buffer through
+noise drawn in blocks of steps.  An Euler walk with zero volatility
+(b1 = b2 = c1 = 0) draws no state noise; one that draws both state and
+action noise steps 1024 paths per chunk.  A block holds at most 512
+steps, and a chunk's blocks at most 2**19 normals (4 MB) across the
+streams it draws: a full chunk draws 256 steps at a time, a chunk of
+1024 or fewer path-streams 512.
+
+Every block has one layout (:func:`_noise_blocks`): normal k of a path
+sits in the column of node k + 1, the node it moves the path to.  A
+recorded walk draws its state noise into its node rows, and each step
+overwrites the normal it read with the node it made, so it holds no
+noise buffer beside its nodes.  Other walks draw into one reused buffer
+per stream, whose rows span an odd number of 64-byte lines (2112 B for
+256 steps): a step reads one column of the block, and with rows of
+exactly 2048 or 4096 B the elements of that column would fall in two
+cache sets or one.  :func:`simulate_to_csv` steps _RECORD_CHUNK (256)
+paths at a time into one reused node buffer, which holds their state
+noise too, and writes each chunk's rows before it steps the next, so
+its memory does not grow with the number of paths.  The Euler step
+writes every temporary into a preallocated (paths,) buffer through
 ufunc ``out=`` and swaps the old and new state buffers; each noise
 block is scaled by sqrt(dt) once, in place.  Both keep the arithmetic
 of the plain recursion op for op, so the bits do not depend on them.
@@ -260,26 +266,31 @@ def _block_steps(m: int, streams: int) -> int:
 
 
 def _noise_blocks(seed: int, lo: int, m: int, n_steps: int, width: int,
-                  stream=rng.STATE_STREAM):
-    """Yield (k0, z) per ``width`` steps: z holds normals k0..k0+n-1 of
-    paths lo..lo+m-1, drawn into one reused buffer.  Its rows span an
-    odd number of 64-byte lines, so the elements of a column z[:, j]
-    fall in every cache set, not in one or two."""
+                  stream=rng.STATE_STREAM, nodes: np.ndarray | None = None):
+    """Yield (k0, block) per ``width`` steps: normal k0 + j of paths
+    lo..lo+m-1 in block[:, j + 1], the column of the node it moves the
+    path to; column 0, which the draw leaves as it is, is node k0's.
+    Given a recorded walk's (m, n_steps + 1) node rows, block is
+    nodes[:, k0:k0 + n + 1]; otherwise one reused buffer whose rows span
+    an odd number of 64-byte lines, so the elements of a column
+    block[:, j] fall in every cache set, not in one or two."""
     width = min(width, n_steps)
-    buf = np.empty((m, (-(-width // 8) | 1) * 8))
+    if nodes is None:
+        buf = np.empty((m, (-(-(width + 1) // 8) | 1) * 8))
     for k0 in range(0, n_steps, width):
         n = min(width, n_steps - k0)
-        yield k0, rng.normal_block(seed, lo, m, n, stream=stream, first_step=k0,
-                                   out=buf[:, :n])
+        block = buf[:, :n + 1] if nodes is None else nodes[:, k0:k0 + n + 1]
+        rng.normal_block(seed, lo, m, n, stream=stream, first_step=k0, out=block[:, 1:])
+        yield k0, block
 
 
 class _EulerBatch:
     """The Euler kernel: one batch of :func:`simulate_exploratory`'s
     dynamics, stepped a chunk of paths at a time.  ``step(lo, hi,
     nodes)`` runs paths lo..hi-1 over the whole grid and, when ``nodes``
-    is given, writes node k of path lo + i to ``nodes[i, k]``;
-    ``batch(states)`` gathers every path's results.  The inputs are
-    checked before any noise is drawn.
+    is given, writes node k of path lo + i to ``nodes[i, k]``, over the
+    normal it was made from; ``batch(states)`` gathers every path's
+    results.  The inputs are checked before any noise is drawn.
     """
 
     def __init__(self, model: LqModel, policy: AffineGaussianPolicy, x0: float,
@@ -327,7 +338,7 @@ class _EulerBatch:
         cp_states, weights, w_list = self.cp_states, self.weights, self.w_list
         width = _block_steps(m, state_noise + action_noise)
         if state_noise:
-            blocks = _noise_blocks(seed, lo, m, k_steps, width)
+            blocks = _noise_blocks(seed, lo, m, k_steps, width, nodes=nodes)
         if action_noise:
             action_blocks = _noise_blocks(seed, lo, m, k_steps, width, rng.ACTION_STREAM)
         # x holds node k and xn receives node k + 1; every other per-step
@@ -346,10 +357,10 @@ class _EulerBatch:
             nodes[:, 0] = x
         for k0 in range(0, k_steps, width):
             if state_noise:
-                z = next(blocks)[1]
+                z = next(blocks)[1][:, 1:]
                 z *= sq_dt                    # the increments z sqrt(dt)
             if action_noise:
-                za = next(action_blocks)[1]
+                za = next(action_blocks)[1][:, 1:]
             for j in range(min(width, k_steps - k0)):
                 k = k0 + j
                 if k in cp_states:
@@ -515,7 +526,7 @@ def _record_parts(n_paths: int) -> list:
 
 def _exact_blocks(build, seed: int, n_paths: int, n_steps: int):
     """Yield (lo, k0, nodes) per chunk and noise block: the builder's
-    nodes k0..k0+n of paths lo..lo+m-1, in a buffer it reuses."""
+    nodes k0..k0+n of paths lo..lo+m-1, in a buffer reused across blocks."""
     for lo, hi in _chunk_ranges(n_paths, _CHUNK):
         for k0, nodes in build(_noise_blocks(seed, lo, hi - lo, n_steps,
                                              _block_steps(hi - lo, 1))):
@@ -529,8 +540,8 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     needs the value function), on the shared per-path Brownian streams.
 
     The path count, x0, the method, its regime and the room for every
-    node are checked before any noise is drawn.  Besides that array, the
-    builder holds one noise block's nodes per chunk at a time.
+    node are checked before any noise is drawn.  Besides that array, a
+    chunk holds one noise block and its builder's buffers at a time.
     """
     _check_batch(n_paths, x0, seed)
     build, _ = exact.builder(model, x0, grid, method, value)

@@ -296,6 +296,26 @@ class TestInputChecks:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("below, named", [
+        ("", "--out '{}' is not a directory"),
+        ("sub", "--out '{}' lies below '{}', which is not a directory"),
+        ("sub/deeper", "--out '{}' lies below '{}', which is not a directory")],
+        ids=["file", "below-a-file", "two-below-a-file"])
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_out_that_is_or_lies_below_a_file_exit_1(self, tmp_path, capsys, below,
+                                                     named, command):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("kept\n")
+        config = write_config(tmp_path, S1_CONFIG + "".join(
+            f"{k} = {v}\n" for k, v in self.SIM.items()))
+        out = str(taken / below) if below else str(taken)
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["--config", config, "--command", command, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {named.format(out, str(taken))}\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert taken.read_text() == "kept\n"
+
     def test_unallocatable_recorded_paths_exit_3(self, tmp_path, capsys):
         # simulate records 256 paths at a time, and even one such chunk
         # of 1e17 + 1 nodes exceeds any address space.

@@ -390,3 +390,47 @@ class TestMomentCurvesOnTimeArrays:
                        xlq.second_moment_curve(classical, 1.0, times)):
             assert values.shape == (3,) and values[0] == 1.0
         assert xlq.classify_case(coeffs)[0] == "e"
+
+
+class TestMomentInputs:
+    """x0 must be a finite real number and every t a finite real number
+    >= 0; anything else raises a ValueError naming the input, through
+    the curves and through the truncation bound built on them.  An x0
+    that is not a real number is in test_sde's REAL_INPUTS."""
+
+    CURVES = (xlq.mean_curve, xlq.second_moment_curve)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf, "1"])
+    def test_bad_x0(self, x0):
+        for curve in self.CURVES:
+            with pytest.raises(ValueError, match="^x0 must be finite, and a real number"):
+                curve(CASE_COEFFS["e"], x0, 1.0)
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        with pytest.raises(ValueError, match="^x0 "):
+            xlq.policy_eval.truncation_bound(DS_MODEL, policy, x0, 10.0)
+
+    @pytest.mark.parametrize("t, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-0.5, "-0.5"),
+        ([0.0, 1.0, -math.inf], "-inf"), (np.array([[0.5], [math.nan]]), "nan")])
+    def test_t_not_finite_or_negative(self, t, shown):
+        for curve in self.CURVES:
+            with pytest.raises(ValueError, match=f"^t must be finite and >= 0, got {shown}$"):
+                curve(CASE_COEFFS["e"], 1.0, t)
+
+    @pytest.mark.parametrize("t", ["1", [True, False], None, [0.5, "1"]])
+    def test_t_not_real_numbers(self, t):
+        for curve in self.CURVES:
+            with pytest.raises(ValueError, match="^t must be real numbers"):
+                curve(CASE_COEFFS["e"], 1.0, t)
+
+    def test_truncation_bound_horizon(self):
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        with pytest.raises(ValueError, match="^t must be finite and >= 0, got inf$"):
+            xlq.policy_eval.truncation_bound(DS_MODEL, policy, 1.0, math.inf)
+
+    @pytest.mark.parametrize("x0, t", [(np.float64(1.0), 2), (np.int64(-3), np.arange(3)),
+                                       (1, [0, 0.5]), (1.0, -0.0)])
+    def test_real_numbers_of_any_type_accepted(self, x0, t):
+        for curve in self.CURVES:
+            expected = curve(CASE_COEFFS["e"], float(x0), np.asarray(t, dtype=float))
+            assert np.array_equal(curve(CASE_COEFFS["e"], x0, t), expected)

@@ -54,6 +54,8 @@ BIG, SMALL = 2 * sde._CHUNK + 276, sde._CHUNK + 188
 EULER_STEPS = sde._STEP_BLOCK + 30
 
 
+C0_COEFFS = xlq.derived_coeffs(C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL))
+
 # Every real-number input of the library: (error, pattern, call), where
 # ``call(v)`` passes v to the input and the error's message starts with
 # ``pattern``, the input's name.  A model field raises
@@ -65,6 +67,9 @@ REAL_INPUTS = {
         xlq.PathGrid(dt=0.01, n_steps=10), 7, 4)),
     "x0-exact": (ValueError, "x0", lambda v: xlq.exact_batch(
         C0_MODEL, v, xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, "c0")),
+    "x0-mean": (ValueError, "x0", lambda v: xlq.mean_curve(C0_COEFFS, v, 1.0)),
+    "x0-second-moment": (ValueError, "x0",
+                         lambda v: xlq.second_moment_curve(C0_COEFFS, v, 1.0)),
     "discount_rate": (ValueError, "discount_rate", lambda v: xlq.simulate_exploratory(
         C0_MODEL, xlq.exact.state_independent_policy(C0_MODEL), 1.0,
         xlq.PathGrid(dt=0.01, n_steps=10), 7, 4, discount_rate=v)),
@@ -227,7 +232,9 @@ class TestGridAndBrownian:
     @pytest.mark.parametrize("x0", ["1.0", np.array([1.0]), None, 1 + 0j])
     @pytest.mark.parametrize("call", [
         pytest.param(REAL_INPUTS["x0-euler"][2], id="euler"),
-        pytest.param(REAL_INPUTS["x0-exact"][2], id="exact")])
+        pytest.param(REAL_INPUTS["x0-exact"][2], id="exact"),
+        pytest.param(REAL_INPUTS["x0-mean"][2], id="mean"),
+        pytest.param(REAL_INPUTS["x0-second-moment"][2], id="second-moment")])
     def test_x0_must_be_a_real_number(self, no_noise, call, x0):
         # math.isfinite would raise TypeError on these, not name x0.
         assert_refused_by_name(ValueError, "x0", call, x0)
@@ -426,15 +433,29 @@ class TestRandomStreams:
     def test_noise_block_rows_not_a_multiple_of_4096_bytes(self):
         # Rows of exactly 4096 B would put a column's elements in one
         # cache set, and rows of 2048 B in two: every row spans an odd
-        # number of 64-byte lines.
+        # number of 64-byte lines.  Normal k0 + j sits in column j + 1.
         for width in (sde._STEP_BLOCK, 504, 348, 256, 7):
             starts = []
-            for k0, z in sde._noise_blocks(3, 2, 5, width + 3, width):
+            for k0, block in sde._noise_blocks(3, 2, 5, width + 3, width):
                 starts.append(k0)
+                z = block[:, 1:]
                 assert z.strides[0] % 128 == 64
                 assert np.array_equal(
                     z, xlq.rng.normal_block(3, 2, 5, z.shape[1], first_step=k0))
             assert starts == [0, width]
+
+    def test_recorded_blocks_are_the_node_rows(self):
+        # Given node rows, block k0 is nodes[:, k0:k0 + n + 1]: normal k
+        # lands in column k + 1, and column 0 is left as it was.
+        nodes = np.full((5, 11), -7.0)
+        starts = []
+        for k0, block in sde._noise_blocks(3, 2, 5, 10, 4, nodes=nodes):
+            starts.append(k0)
+            assert block.base is nodes and block.shape == (5, min(4, 10 - k0) + 1)
+            assert np.array_equal(block, nodes[:, k0:k0 + block.shape[1]])
+        assert starts == [0, 4, 8]
+        assert np.all(nodes[:, 0] == -7.0)
+        assert np.array_equal(nodes[:, 1:], xlq.rng.normal_block(3, 2, 5, 10))
 
     @pytest.mark.parametrize("m, streams, steps", [
         (sde._CHUNK, 1, 256), (sde._CHUNK // 2, 2, 256), (1500, 1, 348),
@@ -928,6 +949,16 @@ class TestEulerMaruyama:
                      DS_MODEL, policy, 1.0, grid, 3, n_paths, record_paths=False))
                  for n_paths in (64, sde._CHUNK)]
         assert peaks[1] - peaks[0] < 5e6
+
+    def test_a_recorded_walk_holds_its_nodes_plus_under_1_mb(self):
+        # The state normals are drawn into the node rows they become, so
+        # beside its 9.8 MB of nodes a recorded 2048-path walk holds no
+        # 2048 x 256 noise block (4.3 MB with its padding).
+        _, policy = xlq.exploratory_solution(DS_MODEL)
+        grid = xlq.PathGrid(dt=0.01, n_steps=600)
+        peak = traced_peak(lambda: xlq.simulate_exploratory(
+            DS_MODEL, policy, 1.0, grid, 3, sde._CHUNK))
+        assert peak - sde._CHUNK * 601 * 8 < 1e6
 
     def test_checkpoints_and_discounted_sums(self):
         _, policy = xlq.exploratory_solution(S1)
@@ -1962,6 +1993,24 @@ class TestStrongErrors:
                  for n_steps in (1000, 10000)]
         extra_nodes = 200 * 9000 * 8
         assert peaks[1] - peaks[0] < extra_nodes / 8
+
+    @pytest.mark.parametrize("method, model, blocks", [
+        ("c0", C0_MODEL, 0.5), ("doss_saussman", DS_MODEL, 2.25)])
+    def test_exact_walk_adds_no_noise_buffer(self, method, model, blocks):
+        # The Euler walk holds one noise block; a 200-path block is
+        # 200 x 520 normals.  The exact walk draws into a block of its
+        # own, which c0 overwrites with its nodes, so it holds no more
+        # than the Euler walk; Doss-Saussmann sums W in place and holds
+        # it and a node block, one block more, plus its defect-check
+        # tiles (about 0.7 of a block).
+        value = xlq.solve(model).value if method == "doss_saussman" else None
+        grid = xlq.PathGrid(dt=1e-3, n_steps=1000)
+        _, policy = xlq.exact.builder(model, 1.0, grid, method, value)
+        euler = traced_peak(lambda: xlq.simulate_exploratory(
+            model, policy, 1.0, grid, 3, 200, record_paths=False))
+        both = traced_peak(lambda: xlq.strong_errors(model, 1.0, grid, 3, 200,
+                                                     method, value))
+        assert both - euler < blocks * 200 * 520 * 8
 
     def test_diverged_euler_path_raises_before_the_exact_batch(self, monkeypatch):
         # 49 of these 300 Euler paths pass the divergence threshold; an
