@@ -14,7 +14,8 @@ import exploratory_lq as xlq
 
 model = xlq.LqModel(a=0, b=1, c=0.5, d=1, m=1, n=2, r=0, p=0, q=0,
                     rho=3, lam=0.2)
-value, policy = xlq.exploratory_solution(model)
+sol = xlq.solve(model)
+value, policy = sol.value, sol.policy
 grid = xlq.PathGrid(dt=1e-3, n_steps=2000)
 
 batch = xlq.simulate_exploratory(model, policy, 1.0, grid, seed=2024,
@@ -28,7 +29,7 @@ print("sample mean at T:       ", batch.endpoint_mean())
 
 # The classical optimum is the same feedback with variance zero: its
 # state shares the mean curve and has the classical second moment.
-_, feedback = xlq.classical_solution(model)
+feedback = sol.classical_policy
 classical = xlq.simulate_exploratory(model, feedback, 1.0, grid, seed=2024,
                                      n_paths=2000)
 print("classical sample mean at T:          ", classical.endpoint_mean())

@@ -14,7 +14,8 @@ import exploratory_lq as xlq
 
 model = xlq.LqModel(a=0, b=1, c=0.5, d=1, m=1, n=2, r=0, p=0, q=0,
                     rho=3, lam=0.2)
-value, policy = xlq.exploratory_solution(model)
+sol = xlq.solve(model)
+value, policy = sol.value, sol.policy
 grid = xlq.PathGrid(dt=1e-3, n_steps=3000)
 
 est = xlq.mc_value(model, policy, 1.0, grid, seed=17, n_paths=4000)

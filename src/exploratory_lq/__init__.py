@@ -9,9 +9,7 @@ every closed form.
 from .closed_form import (
     QuadraticValue,
     Solution,
-    classical_solution,
     exploration_cost,
-    exploratory_solution,
     hjb_residual,
     k0_residual,
     k1_residual,
@@ -19,7 +17,6 @@ from .closed_form import (
     lambda_sweep,
     policy_from_value,
     softmax_density,
-    solution_record,
     solve,
     value_gap,
 )

@@ -286,22 +286,15 @@ def solve(model: LqModel, *, allow_assumption_violation: bool = False) -> Soluti
 
 
 def exploratory_solution(model: LqModel) -> tuple[QuadraticValue, AffineGaussianPolicy]:
-    """Value function and optimal Gaussian feedback of the regularized problem.
-
-    In the state-independent-reward case (m = r = p = 0) this reduces to
-    the constant value q^2/(2 rho n) + lam/(2 rho)(ln(2 pi e lam/n) - 1)
-    with policy N(-q/n, lam/n) at every state.
-    """
+    """``(solve(model).value, solve(model).policy)``.  Not exported: it
+    remains only because the benchmark calls it by name."""
     sol = solve(model)
     return sol.value, sol.policy
 
 
 def classical_solution(model: LqModel) -> tuple[QuadraticValue, AffineGaussianPolicy]:
-    """Value function and zero-variance optimal feedback of the
-    unregularized problem.
-
-    The feedback equals the exploratory policy mean at every state.
-    """
+    """``(solve(model).classical_value, solve(model).classical_policy)``.
+    Not exported: it remains only because the benchmark calls it by name."""
     sol = solve(model)
     return sol.classical_value, sol.classical_policy
 
@@ -403,5 +396,6 @@ def lambda_sweep(model: LqModel, lambdas, probe_x: float = 1.0, *,
 
 
 def solution_record(model: LqModel) -> dict:
-    """JSON-ready record of the full closed-form solution."""
+    """``solve(model).record()``.  Not exported: it remains only because
+    the benchmark calls it by name."""
     return solve(model).record()

@@ -36,7 +36,8 @@ import numpy as np
 from .closed_form import QuadraticValue, policy_from_value
 from .constants import ABS_TOL, DS_DEFECT_TOL, ODE_SUBSTEPS
 from .errors import NumericalError, UnsupportedRegimeError
-from .model import AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs
+from .model import (AffineGaussianPolicy, DerivedCoeffs, LqModel, derived_coeffs,
+                    validate)
 
 # Paths per tile of the Doss-Saussmann node check.
 _CHECK_ROWS = 16
@@ -306,7 +307,11 @@ def _doss_saussman_builder(model: LqModel, x0: float, grid,
 def builder(model: LqModel, x0: float, grid, method: str, value):
     """(build, policy): the builder of ``method``'s exact paths, its
     regime checked, and the policy whose Euler process they solve.  Only
-    'doss_saussman' takes a ``value``; d0 and c0 refuse one."""
+    'doss_saussman' takes a ``value``; d0 and c0 refuse one.  The model
+    is validated first (its discount-rate bound forgiven: a path is not
+    discounted), then the value, the method and its regime; no check
+    draws noise."""
+    validate(model, allow_assumption_violation=True)
     if method in ("d0", "c0") and value is not None:
         raise ValueError(f"value is used only by doss_saussman; {method} takes "
                          f"None, got {value!r}")

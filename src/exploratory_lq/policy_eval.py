@@ -16,6 +16,8 @@ Euler scheme's filtration convention, and the discarded tail beyond the
 horizon is bounded analytically from the moment curves.  That bound is
 built from the optimal value's coefficients, so it holds for the
 optimal policy only; for any other policy it can be far too small.
+Both estimators call ``solve``, the one check of the model, before any
+noise is drawn, then walk, then bound the tail.
 """
 
 from __future__ import annotations
@@ -146,18 +148,19 @@ def mc_value(model: LqModel, policy: AffineGaussianPolicy, x0: float,
     Left-endpoint Riemann sum of the running integrand along
     Euler-Maruyama paths; the tail beyond the horizon is bounded via
     the moment oracle and returned, never silently dropped.  The bound
-    is :func:`truncation_bound`, which holds for the optimal policy
+    is :func:`truncation_bound`'s, which holds for the optimal policy
     only: for any other ``policy`` it can be far smaller than the true
     tail.  With ``sample_actions`` the action integral is sampled
-    instead of analytic (variance > 0 required).
+    instead of analytic (variance > 0 required).  The model is solved
+    before any noise is drawn, and the tail bounded after the walk.
     """
     if sample_actions and policy.variance <= 0:
         raise ValueError("sample_actions requires a randomized policy")
+    value = solve(
+        model, allow_assumption_violation=allow_assumption_violation).value
     values = _per_path_values(model, policy, x0, grid, seed, n_paths,
                               sample_actions)
-    bound = truncation_bound(
-        model, policy, x0, grid.horizon,
-        allow_assumption_violation=allow_assumption_violation)
+    bound = _tail_bound(model, value, policy, x0, grid.horizon)
     return _estimate(values, bound, grid, seed)
 
 

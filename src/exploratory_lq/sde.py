@@ -304,7 +304,8 @@ class _EulerBatch:
             raise ValueError("discount_rate must be finite and >= 0, and a real "
                              f"number, got {discount_rate!r}")
         k_steps = grid.n_steps
-        if not all(rng.is_integer(c) and 0 <= c <= k_steps for c in checkpoints):
+        if not (np.iterable(checkpoints)
+                and all(rng.is_integer(c) and 0 <= c <= k_steps for c in checkpoints)):
             raise ValueError(f"checkpoints must be integer nodes in [0, {k_steps}]: {checkpoints}")
         self.x0, self.grid, self.seed, self.n_paths = x0, grid, seed, n_paths
         self.action_noise = action_noise
@@ -539,9 +540,9 @@ def exact_batch(model: LqModel, x0: float, grid: PathGrid, seed: int,
     path of (seed, p), for method 'd0', 'c0' or 'doss_saussman' (which
     needs the value function), on the shared per-path Brownian streams.
 
-    The path count, x0, the method, its regime and the room for every
-    node are checked before any noise is drawn.  Besides that array, a
-    chunk holds one noise block and its builder's buffers at a time.
+    The path count, x0, the model, the method, its regime and the room
+    for every node are checked before any noise is drawn.  Besides that
+    array, a chunk holds one noise block and its builder's buffers.
     """
     _check_batch(n_paths, x0, seed)
     build, _ = exact.builder(model, x0, grid, method, value)
@@ -560,8 +561,8 @@ def strong_errors(model: LqModel, x0: float, grid: PathGrid, seed: int,
     of (seed, p).  d0 and c0 solve :func:`exact.state_independent_policy`'s
     process, 'doss_saussman' the optimum under ``value``.
 
-    The path count, x0, the method, its regime and the value are
-    checked before any noise is drawn; a diverged Euler path raises
+    The path count, x0, the model, the method, its regime and the value
+    are checked before any noise is drawn; a diverged Euler path raises
     SimulationDivergedError before any exact path is built.  The exact
     paths are walked one noise block per chunk at a time and only their
     endpoints kept, so memory does not grow with n_steps.

@@ -66,6 +66,15 @@ def random_valid_model(rng: np.random.Generator, *, state_dependent=True,
                    rho=float(rho), lam=float(lam))
 
 
+@pytest.fixture
+def no_noise(monkeypatch):
+    """``rng.normal_block`` fails the test if it is called."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr("exploratory_lq.rng.normal_block", drawn)
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_or_helper_thread_left():
     """After every test: no multiprocessing child, no child process of

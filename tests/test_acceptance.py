@@ -48,7 +48,7 @@ def test_01_riccati_and_hjb_residuals():
         value = xlq.QuadraticValue(k2, k1, k0)
         worst_hjb = max(worst_hjb, float(np.max(np.abs(
             xlq.hjb_residual(model, value, xs, "exploratory")))))
-        wval, _ = xlq.classical_solution(model)
+        wval = xlq.solve(model).classical_value
         worst_hjb = max(worst_hjb, float(np.max(np.abs(
             xlq.hjb_residual(model, wval, xs, "classical")))))
     elapsed = time.time() - t0
@@ -66,7 +66,8 @@ def test_02_softmax_equals_gaussian_policy():
     worst = 0.0
     for _ in range(100):
         model = random_valid_model(rng)
-        value, policy = xlq.exploratory_solution(model)
+        sol = xlq.solve(model)
+        value, policy = sol.value, sol.policy
         xs = np.linspace(-2.0, 2.0, 21)[:, None]
         us = policy.mean(xs) + policy.std * np.linspace(-4.0, 4.0, 21)[None, :]
         soft = xlq.softmax_density(model, value, xs, us)
@@ -130,13 +131,15 @@ def test_05_value_verification():
     """mc_value under the optimal policy matches closed-form V within
     3 se + truncation bound on S1 and the state-independent benchmark."""
     t0 = time.time()
-    value, policy = xlq.exploratory_solution(S1)
+    sol = xlq.solve(S1)
+    value, policy = sol.value, sol.policy
     est = xlq.mc_value(S1, policy, 1.0, xlq.PathGrid(dt=5e-4, n_steps=6000),
                        seed=7, n_paths=200)
     err1 = abs(est.value - value(1.0))
     tol1 = 3 * est.std_error + est.truncation_bound
 
-    value2, policy2 = xlq.exploratory_solution(BENCH_SI)
+    sol = xlq.solve(BENCH_SI)
+    value2, policy2 = sol.value, sol.policy
     target2 = value2(1.0)
     est2 = xlq.mc_value(BENCH_SI, policy2, 1.0,
                         xlq.PathGrid(dt=1e-3, n_steps=10000),
@@ -197,7 +200,7 @@ def test_06_moment_oracle():
     details = []
     t0 = time.time()
     for model in (DS_MODEL, C0_MODEL, D0_MODEL):
-        _, policy = xlq.exploratory_solution(model)
+        policy = xlq.solve(model).policy
         coeffs = xlq.derived_coeffs(model, policy)
         grid = xlq.PathGrid(dt=5e-4, n_steps=4000)
         nodes = (1000, 2000, 4000)  # t = 0.5, 1, 2
@@ -283,7 +286,8 @@ def test_09_admissibility_decay():
     worst = -np.inf
     for i in range(1000):
         model = random_valid_model(rng, state_dependent=(i % 3 != 0))
-        value, policy = xlq.exploratory_solution(model)
+        sol = xlq.solve(model)
+        value, policy = sol.value, sol.policy
         coeffs = xlq.derived_coeffs(model, policy)
         exponent, decays = xlq.admissibility_decay(model, coeffs)
         assert decays
@@ -291,7 +295,7 @@ def test_09_admissibility_decay():
     mc_ok = True
     t0 = time.time()
     for model in (S1, DS_MODEL, C0_MODEL):
-        _, policy = xlq.exploratory_solution(model)
+        policy = xlq.solve(model).policy
         horizon = 20.0 / model.rho
         n_steps = max(2000, int(round(horizon / 0.01)))
         grid = xlq.PathGrid(dt=horizon / n_steps, n_steps=n_steps)
@@ -311,7 +315,8 @@ def test_10_suboptimality_sweep():
     """50 policies jittered +-20% from optimal never beat the value
     function beyond 3 se + truncation bound."""
     rng = np.random.default_rng(RNG_SEED + 7)
-    value, policy = xlq.exploratory_solution(DS_MODEL)
+    sol = xlq.solve(DS_MODEL)
+    value, policy = sol.value, sol.policy
     target = value(1.0)
     grid = xlq.PathGrid(dt=2e-3, n_steps=1500)
     t0 = time.time()

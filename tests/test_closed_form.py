@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import exploratory_lq as xlq
+from exploratory_lq import closed_form
 from exploratory_lq.closed_form import riccati_roots, solve_k0, solve_k1, solve_k2
 from exploratory_lq.constants import ABS_TOL
 from conftest import DS_MODEL, S1, random_valid_model
@@ -242,13 +243,13 @@ class TestResidualDomain:
 
 class TestExploratorySolution:
     def test_s1_policy(self):
-        value, policy = xlq.exploratory_solution(S1)
+        value, policy = closed_form.exploratory_solution(S1)
         assert policy.slope == pytest.approx(GOLDEN, abs=1e-14)
         assert policy.intercept == 0.0
         assert policy.variance == pytest.approx(0.2, abs=1e-15)
 
     def test_state_independent_policy_constant(self):
-        value, policy = xlq.exploratory_solution(
+        value, policy = closed_form.exploratory_solution(
             xlq.LqModel(a=0, b=1, c=0, d=0, m=0, n=2, r=0, p=0, q=1,
                         rho=0.5, lam=1.0))
         assert policy.slope == 0.0
@@ -258,12 +259,12 @@ class TestExploratorySolution:
 
     def test_volatile_control_shrinks_variance(self):
         model = S1.__class__(**{**S1.__dict__, "d": 1.0})
-        _, policy = xlq.exploratory_solution(model)
+        _, policy = closed_form.exploratory_solution(model)
         assert policy.variance < model.lam / model.n  # k2 < 0 strictly
 
     def test_invalid_model_rejected(self):
         with pytest.raises(xlq.ModelValidationError):
-            xlq.exploratory_solution(
+            closed_form.exploratory_solution(
                 S1.__class__(**{**S1.__dict__, "r": 1.5}))
 
 
@@ -292,14 +293,14 @@ class TestSolution:
 
 class TestClassicalSolution:
     def test_s1(self):
-        wvalue, feedback = xlq.classical_solution(S1)
+        wvalue, feedback = closed_form.classical_solution(S1)
         assert wvalue.k0 == 0.0
         assert feedback.slope == pytest.approx(GOLDEN, abs=1e-14)
         assert feedback.intercept == 0.0
         assert feedback.variance == 0.0
 
     def test_state_independent(self):
-        wvalue, feedback = xlq.classical_solution(
+        wvalue, feedback = closed_form.classical_solution(
             xlq.LqModel(a=0, b=1, c=0, d=0, m=0, n=2, r=0, p=0, q=1,
                         rho=0.5, lam=1.0))
         assert wvalue.k0 == pytest.approx(0.5, abs=1e-15)
@@ -308,25 +309,25 @@ class TestClassicalSolution:
     def test_feedback_equals_policy_mean(self, rng):
         for _ in range(50):
             model = random_valid_model(rng)
-            _, policy = xlq.exploratory_solution(model)
-            _, feedback = xlq.classical_solution(model)
+            _, policy = closed_form.exploratory_solution(model)
+            _, feedback = closed_form.classical_solution(model)
             for x in (-10.0, 0.0, 10.0):
                 assert feedback.mean(x) == policy.mean(x)  # same floats
 
 
 class TestHjbResidual:
     def test_solution_solves_equation(self):
-        value, _ = xlq.exploratory_solution(S1)
+        value = xlq.solve(S1).value
         assert abs(xlq.hjb_residual(S1, value, 0.0, "exploratory")) < 1e-10
 
     def test_constant_shift_scales_by_rho(self):
-        value, _ = xlq.exploratory_solution(S1)
+        value = xlq.solve(S1).value
         shifted = xlq.QuadraticValue(value.k2, value.k1, value.k0 + 1.0)
         res = xlq.hjb_residual(S1, shifted, 0.0, "exploratory")
         assert res == pytest.approx(S1.rho * 1.0, abs=1e-10)
 
     def test_classical_grid_sweep(self):
-        wval, _ = xlq.classical_solution(S1)
+        wval = xlq.solve(S1).classical_value
         grid = np.arange(-5.0, 5.5, 1.0)
         res = xlq.hjb_residual(S1, wval, grid, "classical")
         assert np.max(np.abs(res)) < 1e-9
@@ -343,7 +344,7 @@ class TestHjbResidual:
                                                   "classical"))) < 1e-9
 
     def test_unknown_kind_named(self):
-        value, _ = xlq.exploratory_solution(S1)
+        value = xlq.solve(S1).value
         with pytest.raises(ValueError, match="unknown HJB kind 'bogus'"):
             xlq.hjb_residual(S1, value, 0.0, "bogus")
 
@@ -356,13 +357,13 @@ class TestHjbResidual:
 
 class TestSoftmaxDensity:
     def test_s1_at_origin(self):
-        value, _ = xlq.exploratory_solution(S1)
+        value = xlq.solve(S1).value
         # N(0 | 0, 0.2) = 1/sqrt(0.4 pi), frozen at high precision.
         assert xlq.softmax_density(S1, value, 0.0, 0.0) == pytest.approx(
             0.8920620580763856, abs=1e-14)
 
     def test_normalization_by_quadrature(self):
-        value, _ = xlq.exploratory_solution(S1)
+        value = xlq.solve(S1).value
         total, _ = integrate.quad(
             lambda u: xlq.softmax_density(S1, value, 0.7, u), -50, 50)
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -371,7 +372,7 @@ class TestSoftmaxDensity:
         """Reconstruct the density from its definition: exponentiate
         (r + sigma^2 v''/2 + b v')/lam and normalize by quadrature."""
         model = DS_MODEL
-        value, _ = xlq.exploratory_solution(model)
+        value = xlq.solve(model).value
 
         def numerator(u, x):
             sig = model.c * x + model.d * u
@@ -388,7 +389,8 @@ class TestSoftmaxDensity:
                     direct, rel=1e-7)
 
     def test_mode_equals_policy_mean(self):
-        value, policy = xlq.exploratory_solution(S1)
+        sol = xlq.solve(S1)
+        value, policy = sol.value, sol.policy
         us = np.linspace(-3, 3, 600001)
         dens = xlq.softmax_density(S1, value, 1.0, us)
         assert us[np.argmax(dens)] == pytest.approx(policy.mean(1.0), abs=1e-5)
@@ -396,7 +398,8 @@ class TestSoftmaxDensity:
     def test_equals_policy_density_on_grid(self, rng):
         for _ in range(50):
             model = random_valid_model(rng)
-            value, policy = xlq.exploratory_solution(model)
+            sol = xlq.solve(model)
+            value, policy = sol.value, sol.policy
             xs = np.linspace(-2, 2, 21)[:, None]
             us = policy.mean(xs) + policy.std * np.linspace(-4, 4, 21)[None, :]
             soft = xlq.softmax_density(model, value, xs, us)
@@ -478,7 +481,7 @@ class TestLambdaSweep:
 
 class TestSolutionRecord:
     def test_record_fields(self):
-        record = xlq.solution_record(S1)
+        record = closed_form.solution_record(S1)
         assert set(record) == {"k2", "k1", "k0", "alpha0", "policy", "cost",
                                "assumption_bound"}
         assert record["cost"] == pytest.approx(0.1)

@@ -10,10 +10,9 @@ from exploratory_lq import exact, forks, sde
 
 EXPORTS = [
     # closed_form
-    "QuadraticValue", "Solution", "classical_solution", "exploration_cost",
-    "exploratory_solution", "hjb_residual", "k0_residual", "k1_residual",
-    "k2_residual", "lambda_sweep", "policy_from_value", "softmax_density",
-    "solution_record", "solve", "value_gap",
+    "QuadraticValue", "Solution", "exploration_cost", "hjb_residual",
+    "k0_residual", "k1_residual", "k2_residual", "lambda_sweep",
+    "policy_from_value", "softmax_density", "solve", "value_gap",
     # errors
     "ConfigError", "DegenerateLinearTermError", "ExploratoryLqError",
     "ModelValidationError", "NoConcaveRootError", "NonIntegrableDensityError",
@@ -33,11 +32,11 @@ EXPORTS = [
 ]
 
 
-def test_exported_names_are_the_pinned_48():
+def test_exported_names_are_the_pinned_45():
     exported = sorted(name for name, obj in vars(xlq).items()
                       if not name.startswith("__")
                       and not isinstance(obj, types.ModuleType))
-    assert len(EXPORTS) == len(set(EXPORTS)) == 48
+    assert len(EXPORTS) == len(set(EXPORTS)) == 45
     assert exported == sorted(EXPORTS)
 
 

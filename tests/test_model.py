@@ -12,7 +12,7 @@ from exploratory_lq import (
     assumption_bound,
     check_model,
     derived_coeffs,
-    exploratory_solution,
+    solve,
     validate,
 )
 from conftest import S1, random_valid_model
@@ -145,7 +145,7 @@ class TestValidate:
                                rho=model.rho, lam=model.lam)
             valid = not check_model(model)
             try:
-                value, _ = exploratory_solution(model)
+                value = solve(model).value
                 solved = True
             except Exception:
                 solved = False
@@ -161,7 +161,8 @@ class TestValidate:
 
 class TestDerivedCoeffs:
     def test_s1_optimal_policy(self):
-        value, policy = exploratory_solution(S1)
+        sol = solve(S1)
+        value, policy = sol.value, sol.policy
         coeffs = derived_coeffs(S1, policy)
         assert coeffs.a1 == pytest.approx(value.k2, abs=1e-15)
         assert coeffs.a2 == 0.0

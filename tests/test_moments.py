@@ -103,7 +103,8 @@ class TestSecondMomentClosedForms:
             1.5 ** 2 + 0.7 * 3.0, abs=1e-14)
 
     def test_s1_optimal_decay(self):
-        value, policy = xlq.exploratory_solution(S1)
+        sol = xlq.solve(S1)
+        value, policy = sol.value, sol.policy
         coeffs = xlq.derived_coeffs(S1, policy)
         for t in (0.5, 1.0, 2.0):
             assert xlq.second_moment_curve(coeffs, 1.0, t) == pytest.approx(
@@ -300,7 +301,8 @@ class TestMomentInvariants:
             assert float(xlq.second_moment_curve(coeffs, 1.0, 0.0)) == 1.0
 
     def test_monte_carlo_agreement(self):
-        value, policy = xlq.exploratory_solution(DS_MODEL)
+        sol = xlq.solve(DS_MODEL)
+        value, policy = sol.value, sol.policy
         coeffs = xlq.derived_coeffs(DS_MODEL, policy)
         grid = xlq.PathGrid(dt=5e-4, n_steps=4000)
         nodes = (1000, 2000, 4000)
@@ -334,7 +336,8 @@ class TestMomentInvariants:
 
 class TestAdmissibilityDecay:
     def test_s1_exponent(self):
-        value, policy = xlq.exploratory_solution(S1)
+        sol = xlq.solve(S1)
+        value, policy = sol.value, sol.policy
         coeffs = xlq.derived_coeffs(S1, policy)
         exponent, decays = xlq.admissibility_decay(S1, coeffs)
         assert exponent == pytest.approx(2 * value.k2 - 1.0, abs=1e-14)
@@ -349,7 +352,8 @@ class TestAdmissibilityDecay:
     def test_expanded_form_matches_direct(self, rng):
         for _ in range(200):
             model = random_valid_model(rng)
-            value, policy = xlq.exploratory_solution(model)
+            sol = xlq.solve(model)
+            value, policy = sol.value, sol.policy
             coeffs = xlq.derived_coeffs(model, policy)
             direct, decays = xlq.admissibility_decay(model, coeffs)
             expanded = xlq.decay_exponent_from_riccati(model, value.k2)
@@ -361,7 +365,8 @@ class TestAdmissibilityDecay:
         negative (the margin comes from k2 < 0, not from slack in rho)."""
         for _ in range(100):
             model = random_valid_model(rng, rho_margin=(1e-6, 1e-3))
-            value, policy = xlq.exploratory_solution(model)
+            sol = xlq.solve(model)
+            value, policy = sol.value, sol.policy
             coeffs = xlq.derived_coeffs(model, policy)
             exponent, decays = xlq.admissibility_decay(model, coeffs)
             assert decays, (model, exponent)
@@ -369,7 +374,8 @@ class TestAdmissibilityDecay:
     def test_discounted_moment_vanishes(self, rng):
         for _ in range(50):
             model = random_valid_model(rng)
-            value, policy = xlq.exploratory_solution(model)
+            sol = xlq.solve(model)
+            value, policy = sol.value, sol.policy
             coeffs = xlq.derived_coeffs(model, policy)
             exponent, decays = xlq.admissibility_decay(model, coeffs)
             assert decays
@@ -405,7 +411,7 @@ class TestMomentInputs:
         for curve in self.CURVES:
             with pytest.raises(ValueError, match="^x0 must be finite, and a real number"):
                 curve(CASE_COEFFS["e"], x0, 1.0)
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         with pytest.raises(ValueError, match="^x0 "):
             xlq.policy_eval.truncation_bound(DS_MODEL, policy, x0, 10.0)
 
@@ -424,7 +430,7 @@ class TestMomentInputs:
                 curve(CASE_COEFFS["e"], 1.0, t)
 
     def test_truncation_bound_horizon(self):
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         with pytest.raises(ValueError, match="^t must be finite and >= 0, got inf$"):
             xlq.policy_eval.truncation_bound(DS_MODEL, policy, 1.0, math.inf)
 

@@ -46,7 +46,7 @@ class TestRunningIntegrand:
         """Analytic action integration vs numerical quadrature of
         r(x, u) pi(u) - lam pi ln pi."""
         model = DS_MODEL
-        _, policy = xlq.exploratory_solution(model)
+        policy = xlq.solve(model).policy
         for x in (-1.0, 0.4, 2.0):
             def f(u):
                 pdf = policy.density(x, u)
@@ -74,7 +74,8 @@ class TestRunningIntegrand:
 
 class TestMcValue:
     def test_s1_reference(self):
-        value, policy = xlq.exploratory_solution(S1)
+        sol = xlq.solve(S1)
+        value, policy = sol.value, sol.policy
         grid = xlq.PathGrid(dt=5e-4, n_steps=6000)
         est = xlq.mc_value(S1, policy, 1.0, grid, seed=7, n_paths=64)
         target = value(1.0)
@@ -82,7 +83,8 @@ class TestMcValue:
         assert abs(est.value - target) <= 3 * est.std_error + est.truncation_bound
 
     def test_state_independent_benchmark(self):
-        value, policy = xlq.exploratory_solution(BENCH_SI)
+        sol = xlq.solve(BENCH_SI)
+        value, policy = sol.value, sol.policy
         grid = xlq.PathGrid(dt=1e-3, n_steps=10000)
         est = xlq.mc_value(BENCH_SI, policy, 1.0, grid, seed=11, n_paths=64)
         target = value(1.0)
@@ -93,7 +95,8 @@ class TestMcValue:
         # m = r = p = q = 0, n = 1: value = (lam/2rho)(ln(2 pi e lam) - 1).
         model = xlq.LqModel(a=0, b=1, c=0, d=0, m=0, n=1, r=0, p=0, q=0,
                             rho=1.0, lam=0.4)
-        value, policy = xlq.exploratory_solution(model)
+        sol = xlq.solve(model)
+        value, policy = sol.value, sol.policy
         target = (model.lam / (2 * model.rho)) * (
             math.log(2 * math.pi * math.e * model.lam) - 1.0)
         assert value(0.0) == pytest.approx(target, abs=1e-14)
@@ -102,7 +105,8 @@ class TestMcValue:
         assert abs(est.value - target) <= 3 * est.std_error + est.truncation_bound
 
     def test_classical_route_reproduces_classical_value(self):
-        wvalue, feedback = xlq.classical_solution(DS_MODEL)
+        sol = xlq.solve(DS_MODEL)
+        wvalue, feedback = sol.classical_value, sol.classical_policy
         grid = xlq.PathGrid(dt=1e-3, n_steps=4000)
         est = xlq.mc_value(DS_MODEL, feedback, 1.0, grid, seed=5, n_paths=4000)
         target = wvalue(1.0)
@@ -110,7 +114,7 @@ class TestMcValue:
             est.truncation_bound + 2e-3
 
     def test_sampled_actions_agree_with_analytic(self):
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         grid = xlq.PathGrid(dt=2e-3, n_steps=1500)
         analytic = xlq.mc_value(DS_MODEL, policy, 1.0, grid, seed=9,
                                 n_paths=4000)
@@ -130,7 +134,7 @@ class TestMcValue:
                          sample_actions=True)
 
     def test_clt_scaling(self):
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         grid = xlq.PathGrid(dt=2e-3, n_steps=1000)
         small = xlq.mc_value(DS_MODEL, policy, 1.0, grid, seed=13, n_paths=2000)
         big = xlq.mc_value(DS_MODEL, policy, 1.0, grid, seed=13, n_paths=8000)
@@ -138,7 +142,7 @@ class TestMcValue:
         assert abs(ratio - 2.0) < 0.4  # quadrupling halves SE within 20%
 
     def test_discretization_bias_below_noise(self):
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         coarse = xlq.mc_value(DS_MODEL, policy, 1.0,
                               xlq.PathGrid(dt=2e-3, n_steps=1500),
                               seed=17, n_paths=3000)
@@ -151,7 +155,7 @@ class TestMcValue:
         """Halving dt moves the S1 estimate by less than 2 se.  The
         reference model has no diffusion, so the statistical error bar
         only exists in sampled-action mode."""
-        _, policy = xlq.exploratory_solution(S1)
+        policy = xlq.solve(S1).policy
         coarse = xlq.mc_value(S1, policy, 1.0,
                               xlq.PathGrid(dt=1e-3, n_steps=3000),
                               seed=99, n_paths=512, sample_actions=True)
@@ -163,13 +167,26 @@ class TestMcValue:
     def test_divergence_propagates(self):
         model = xlq.LqModel(a=40.0, b=0, c=0, d=0, m=1, n=1, r=0, p=0, q=0,
                             rho=81.0, lam=0.1)  # valid (bound 80) but explosive
-        _, policy = xlq.exploratory_solution(model)
+        policy = xlq.solve(model).policy
         grid = xlq.PathGrid(dt=0.5, n_steps=200)
         with pytest.raises(xlq.SimulationDivergedError):
             xlq.mc_value(model, policy, 1.0, grid, seed=1, n_paths=4)
 
+    @pytest.mark.parametrize("model, policy, grid, n_paths", [
+        # Bound 2.25: the walk would take 4096 x 2000 Euler steps.
+        (replace(DS_MODEL, a=1.0, rho=1.0), xlq.solve(DS_MODEL).policy,
+         xlq.PathGrid(dt=1e-3, n_steps=2000), 4096),
+        # Bound 20, and every path of the walk would diverge: the error
+        # names the model, not the walk.
+        (replace(DS_MODEL, a=8.0, c=2.0, rho=1.0), xlq.AffineGaussianPolicy(0.0, 0.0, 0.1),
+         xlq.PathGrid(dt=1e-2, n_steps=1000), 100)], ids=["slow", "explosive"])
+    def test_invalid_model_rejected_before_noise(self, no_noise, model, policy,
+                                                 grid, n_paths):
+        with pytest.raises(xlq.ModelValidationError, match="rho>assumption_bound"):
+            xlq.mc_value(model, policy, 1.0, grid, seed=1, n_paths=n_paths)
+
     def test_estimate_report_keys(self):
-        _, policy = xlq.exploratory_solution(S1)
+        policy = xlq.solve(S1).policy
         grid = xlq.PathGrid(dt=0.01, n_steps=100)
         est = xlq.mc_value(S1, policy, 1.0, grid, seed=1, n_paths=8)
         assert set(est.as_dict()) == {"value", "std_error", "truncation_bound",
@@ -198,7 +215,8 @@ class TestMcExplorationCost:
 
 class TestSuboptimality:
     def test_jittered_policies_never_beat_value(self, rng):
-        value, policy = xlq.exploratory_solution(DS_MODEL)
+        sol = xlq.solve(DS_MODEL)
+        value, policy = sol.value, sol.policy
         grid = xlq.PathGrid(dt=2e-3, n_steps=1500)
         target = value(1.0)
         for _ in range(10):

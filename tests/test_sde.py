@@ -13,6 +13,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import signal
 import sys
 import tempfile
@@ -94,15 +95,6 @@ def assert_refused_by_name(error, pattern, call, value):
     with pytest.raises(error, match=f"^{pattern}") as info:
         call(value)
     assert str(info.value).endswith(repr(value))
-
-
-@pytest.fixture
-def no_noise(monkeypatch):
-    """``rng.normal_block`` fails the test if it is called."""
-    def drawn(*args, **kwargs):
-        raise AssertionError("noise was drawn")
-
-    monkeypatch.setattr(xlq.rng, "normal_block", drawn)
 
 
 def euler_with_sums(model, policy, grid, n_paths, nodes, x0=1.0):
@@ -674,7 +666,8 @@ class TestEulerMaruyama:
     def test_s1_mean_matches_moment_oracle(self):
         # S1 is noiseless, so the Euler endpoint approximates e^{k2 T}
         # with O(dt) bias and zero statistical error.
-        value, policy = xlq.exploratory_solution(S1)
+        sol = xlq.solve(S1)
+        value, policy = sol.value, sol.policy
         grid = xlq.PathGrid(dt=1e-3, n_steps=1000)
         batch = xlq.simulate_exploratory(S1, policy, 1.0, grid, 11, 4)
         coeffs = xlq.derived_coeffs(S1, policy)
@@ -683,7 +676,8 @@ class TestEulerMaruyama:
         assert batch.endpoint_mean() == pytest.approx(target, abs=2e-4)
 
     def test_noisy_mean_within_mc_error(self):
-        value, policy = xlq.exploratory_solution(DS_MODEL)
+        sol = xlq.solve(DS_MODEL)
+        value, policy = sol.value, sol.policy
         grid = xlq.PathGrid(dt=1e-3, n_steps=1000)
         batch = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 17, 4000)
         coeffs = xlq.derived_coeffs(DS_MODEL, policy)
@@ -718,7 +712,7 @@ class TestEulerMaruyama:
         assert batch.endpoints.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("model, policy, dt, n_paths", [
-        (DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 0.002, 40),
+        (DS_MODEL, xlq.solve(DS_MODEL).policy, 0.002, 40),
         # Paths diverge in both noise blocks (checked below).
         (EXPLOSIVE, EXPLOSIVE_POLICY, 0.002, 300)])
     def test_batch_with_sums_is_the_written_out_euler_loop(self, model, policy, dt,
@@ -797,7 +791,7 @@ class TestEulerMaruyama:
             raise AssertionError("noise was drawn")
 
         monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
         with pytest.raises(ValueError, match="action_noise.*discount_rate"):
             xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 4,
@@ -809,7 +803,7 @@ class TestEulerMaruyama:
             raise AssertionError("noise was drawn")
 
         monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
         with pytest.raises(ValueError, match="^discount_rate must be finite and >= 0"):
             xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 3, 4,
@@ -817,7 +811,7 @@ class TestEulerMaruyama:
 
     def test_determinism_under_partitioning_and_parallelism(self):
         grid = xlq.PathGrid(dt=0.01, n_steps=EULER_STEPS)
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         big = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, BIG)
         par = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 9, BIG,
                                        parallelism=4)
@@ -843,7 +837,7 @@ class TestEulerMaruyama:
                 stat()
 
     @pytest.mark.parametrize("model, policy, dt", [
-        (DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 0.01),
+        (DS_MODEL, xlq.solve(DS_MODEL).policy, 0.01),
         # About 17% of paths diverge, at steps 358-542, about 7% of them
         # after step 512, so the divergence bookkeeping is exercised on
         # both sides of a block boundary in full and partial chunks.
@@ -860,8 +854,10 @@ class TestEulerMaruyama:
 
     @pytest.mark.parametrize("bad, name", [
         (dict(checkpoints=(2.5,)), "checkpoints"), (dict(seed=1.5), "seed"),
-        (dict(n_paths=2.5), "n_paths"), (dict(x0=math.nan), "x0")])
-    def test_inexact_integer_or_non_finite_input_named(self, bad, name):
+        (dict(n_paths=2.5), "n_paths"), (dict(x0=math.nan), "x0"),
+        # Not a collection of nodes at all: named, not a raw TypeError.
+        (dict(checkpoints=5), "checkpoints"), (dict(checkpoints=None), "checkpoints")])
+    def test_inexact_integer_or_non_finite_input_named(self, no_noise, bad, name):
         # A float where an integer belongs is rejected, not truncated.
         args = {**dict(x0=1.0, seed=1, n_paths=2), **bad}
         grid = xlq.PathGrid(dt=0.1, n_steps=4)
@@ -907,7 +903,7 @@ class TestEulerMaruyama:
         # A walk that draws action noise steps half-width chunks, so its
         # state and action blocks together hold one stream's 2048 x 256
         # normals; at full width they would add another 4.3 MB.
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         grid = xlq.PathGrid(dt=0.01, n_steps=600)
         peaks = [traced_peak(lambda: xlq.simulate_exploratory(
                      DS_MODEL, policy, 1.0, grid, 3, 2 * sde._CHUNK,
@@ -931,7 +927,7 @@ class TestEulerMaruyama:
                                 first_step, out)
 
         monkeypatch.setattr(xlq.rng, "normal_block", recording)
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         xlq.simulate_exploratory(DS_MODEL, policy, 1.0, xlq.PathGrid(dt=0.01, n_steps=600),
                                  3, SMALL, record_paths=False, discount_rate=1.0,
                                  action_noise=action_noise)
@@ -943,7 +939,7 @@ class TestEulerMaruyama:
     def test_a_full_chunk_adds_under_5_mb(self):
         # A 2048-path walk of one stream holds one 2048 x 256 noise block
         # (4.3 MB with its padding), where a 64-path walk holds 64 rows.
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         grid = xlq.PathGrid(dt=0.01, n_steps=600)
         peaks = [traced_peak(lambda: xlq.simulate_exploratory(
                      DS_MODEL, policy, 1.0, grid, 3, n_paths, record_paths=False))
@@ -954,14 +950,14 @@ class TestEulerMaruyama:
         # The state normals are drawn into the node rows they become, so
         # beside its 9.8 MB of nodes a recorded 2048-path walk holds no
         # 2048 x 256 noise block (4.3 MB with its padding).
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         grid = xlq.PathGrid(dt=0.01, n_steps=600)
         peak = traced_peak(lambda: xlq.simulate_exploratory(
             DS_MODEL, policy, 1.0, grid, 3, sde._CHUNK))
         assert peak - sde._CHUNK * 601 * 8 < 1e6
 
     def test_checkpoints_and_discounted_sums(self):
-        _, policy = xlq.exploratory_solution(S1)
+        policy = xlq.solve(S1).policy
         grid = xlq.PathGrid(dt=0.01, n_steps=100)
         batch = xlq.simulate_exploratory(
             S1, policy, 1.0, grid, 3, 4, record_paths=True,
@@ -988,7 +984,7 @@ class TestEulerMaruyama:
             batch.checkpoint_stats(node)
 
     def test_summary_and_csv(self):
-        _, policy = xlq.exploratory_solution(S1)
+        policy = xlq.solve(S1).policy
         grid = xlq.PathGrid(dt=0.1, n_steps=3)
         batch = xlq.simulate_exploratory(S1, policy, 1.0, grid, 3, 2)
         s = batch.summary()
@@ -1048,7 +1044,7 @@ class TestWriteCsv:
         assert buf.calls == 1 + batch.n_paths  # header, then one per path
 
     def test_seeded_batch_digest(self):
-        _, policy = xlq.exploratory_solution(DS_MODEL)
+        policy = xlq.solve(DS_MODEL).policy
         grid = xlq.PathGrid(dt=0.01, n_steps=50)
         batch = xlq.simulate_exploratory(DS_MODEL, policy, 1.0, grid, 11, 5)
         buf = io.StringIO()
@@ -1534,7 +1530,7 @@ class TestExactPathC0:
 def ds_coeffs(model):
     """The derived coefficients of ``model``'s optimal policy: those its
     Doss-Saussmann transform is built from."""
-    value = xlq.exploratory_solution(model)[0]
+    value = xlq.solve(model).value
     return xlq.derived_coeffs(model, xlq.policy_from_value(model, value))
 
 
@@ -1569,18 +1565,18 @@ class TestDossSaussman:
 
     def test_strong_convergence_against_euler(self):
         errors = rms_ladder(DS_MODEL, "doss_saussman",
-                            xlq.exploratory_solution(DS_MODEL)[0])
+                            xlq.solve(DS_MODEL).value)
         assert errors[1] < errors[0]
         assert math.log10(errors[0] / errors[1]) >= 0.4
 
     def test_rejects_vanishing_volatility_slope(self):
-        value, _ = xlq.exploratory_solution(C0_MODEL)
+        value = xlq.solve(C0_MODEL).value
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
         with pytest.raises(xlq.UnsupportedRegimeError):
             exact_row(C0_MODEL, 1.0, grid, 7, 0, "doss_saussman", value)
 
     def test_rejects_d_zero(self):
-        value, _ = xlq.exploratory_solution(S1)
+        value = xlq.solve(S1).value
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
         with pytest.raises(ValueError):
             exact_row(S1, 1.0, grid, 7, 0, "doss_saussman", value)
@@ -1597,7 +1593,7 @@ class TestDossSaussman:
             raise AssertionError("noise was drawn")
 
         monkeypatch.setattr(xlq.rng, "normal_block", no_noise)
-        value = xlq.exploratory_solution(model)[0] if with_value else None
+        value = xlq.solve(model).value if with_value else None
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
         with pytest.raises(error, match=message):
             call(model, 1.0, grid, 7, 4, "doss_saussman", value)
@@ -1683,7 +1679,7 @@ def assert_poisoned_path_raises(monkeypatch, n_paths, path):
         return z
 
     monkeypatch.setattr(xlq.rng, "normal_block", poisoned)
-    value = xlq.exploratory_solution(DS_MODEL)[0]
+    value = xlq.solve(DS_MODEL).value
     grid = xlq.PathGrid(dt=1e-2, n_steps=100)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(xlq.NumericalError, match="defining ODE"):
@@ -1699,7 +1695,7 @@ class TestDossSaussmanBlocks:
         for dt in cli.CONVERGENCE_DTS])  # dt 1e-4 takes about 10 s
     def test_convergence_grids(self, dt):
         grid = xlq.PathGrid(dt=dt, n_steps=int(round(cli.CONVERGENCE_HORIZON / dt)))
-        value = xlq.exploratory_solution(DS_MODEL)[0]
+        value = xlq.solve(DS_MODEL).value
         exact = xlq.exact_batch(DS_MODEL, 1.0, grid, 1, 6, "doss_saussman", value)
         assert_same_bits(exact, per_node_doss_saussman(DS_MODEL, 1.0, grid, 1, 6))
 
@@ -1718,7 +1714,7 @@ class TestDossSaussmanBlocks:
             exact = xlq.exact_batch(model, 0.4, grid, 3, 7, method)
             assert_same_bits(exact, reference(model, 0.4, grid, 3, 7))
             return
-        value = xlq.exploratory_solution(model)[0]
+        value = xlq.solve(model).value
         assert math.copysign(1.0, ds_coeffs(model).b1) == sign
         exact = xlq.exact_batch(model, -0.4, grid, 3, 7, "doss_saussman", value)
         assert_same_bits(exact, per_node_doss_saussman(model, -0.4, grid, 3, 7))
@@ -1741,7 +1737,7 @@ class TestExactBatch:
     def test_rows_independent_of_chunking(self, method, model, n_steps):
         # BIG paths span three chunks, SMALL two; shared rows
         # agree.
-        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        value = xlq.solve(model).value if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
         big = xlq.exact_batch(model, 1.0, grid, 9, BIG, method, value)
         small = xlq.exact_batch(model, 1.0, grid, 9, SMALL, method, value)
@@ -1750,7 +1746,7 @@ class TestExactBatch:
     @pytest.mark.parametrize("method, model", [
         ("d0", D0_MODEL), ("c0", C0_MODEL), ("doss_saussman", DS_MODEL)])
     def test_a_read_only_node_array(self, method, model):
-        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        value = xlq.solve(model).value if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=0.01, n_steps=12)
         exact = xlq.exact_batch(model, 0.3, grid, 4, 5, method, value)
         assert type(exact) is np.ndarray and exact.dtype == np.float64
@@ -1766,7 +1762,7 @@ class TestExactBatch:
         # d0 computes node 0 from its formula, 0 * a2 + x0 with
         # a2 = -bq/n = 0.5 on D0_MODEL, which is +0.0; c0 and
         # Doss-Saussmann start from x0 itself.
-        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        value = xlq.solve(model).value if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=0.01, n_steps=3)
         exact = xlq.exact_batch(model, -0.0, grid, 4, 5, method, value)
         assert np.all(exact[:, 0] == 0.0)
@@ -1784,7 +1780,7 @@ class TestExactBatch:
         grid = xlq.PathGrid(dt=0.01, n_steps=10)
         mirror = xlq.LqModel(a=0, b=1, c=0.5, d=0, m=0, n=1, r=0, p=0, q=1.0,
                              rho=1, lam=0.2)  # b*q > 0 needs x0 <= 0
-        c0_value = xlq.exploratory_solution(C0_MODEL)[0]
+        c0_value = xlq.solve(C0_MODEL).value
         bad = [
             (ValueError, (C0_MODEL, 1.0, grid, 7, 4, "bogus")),
             (ValueError, (DS_MODEL, 1.0, grid, 7, 4, "d0")),
@@ -1803,7 +1799,7 @@ class TestExactBatch:
             (ValueError, (C0_MODEL, math.nan, grid, 7, 4, "c0")),
             (ValueError, (D0_MODEL, math.inf, grid, 7, 4, "d0")),
             (ValueError, (DS_MODEL, -math.inf, grid, 7, 4, "doss_saussman",
-                          xlq.exploratory_solution(DS_MODEL)[0])),
+                          xlq.solve(DS_MODEL).value)),
         ]
         # strong_errors takes exact_batch's arguments and checks them
         # before its Euler batch draws any noise.
@@ -1823,6 +1819,24 @@ class TestExactBatch:
         xlq.strong_errors(C0_MODEL, 1.0, grid, 7, 4, "c0")
         assert len(calls) == 3  # one block each for Euler and exact paths
 
+    @pytest.mark.parametrize("method, model, violation", [
+        ("c0", replace(C0_MODEL, n=0.0), "n>0: n=0.0"),
+        ("d0", replace(D0_MODEL, a=math.nan), "finite: a=nan"),
+        # abs(nan) > ABS_TOL is False: unchecked, c0 would walk as if a = 0.
+        ("c0", replace(C0_MODEL, a=math.nan), "finite: a=nan"),
+        ("d0", replace(D0_MODEL, q=math.inf), "finite: q=inf"),
+        ("c0", replace(C0_MODEL, q=math.inf), "finite: q=inf"),
+        ("d0", replace(D0_MODEL, n=-1.0), "n>0: n=-1.0"),
+        ("c0", replace(C0_MODEL, n=-1.0), "n>0: n=-1.0")])
+    def test_invalid_model_named_before_noise(self, no_noise, method, model, violation):
+        # The model's own check runs first, not a division by n, a NaN
+        # walk or the state-independent policy's field checks.
+        grid = xlq.PathGrid(dt=0.01, n_steps=10)
+        for call in (xlq.exact_batch, xlq.strong_errors):
+            with pytest.raises(xlq.ModelValidationError,
+                               match=f"^model validation failed: {re.escape(violation)}"):
+                call(model, 1.0, grid, 7, 4, method)
+
     @pytest.mark.parametrize("method, model", [
         ("d0", D0_MODEL), ("c0", C0_MODEL), ("doss_saussman", DS_MODEL)])
     def test_noise_drawn_one_step_block_at_a_time(self, monkeypatch, method, model):
@@ -1837,7 +1851,7 @@ class TestExactBatch:
 
         monkeypatch.setattr(xlq.rng, "normal_block", recording)
         block = sde._STEP_BLOCK
-        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        value = xlq.solve(model).value if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=1e-3, n_steps=2 * block + 3)
         xlq.exact_batch(model, 1.0, grid, 7, 3, method, value)
         assert calls == [(0, 0, block), (0, block, block), (0, 2 * block, 3)]
@@ -1871,7 +1885,7 @@ class TestChunkWidths:
     def test_euler_bits_independent_of_widths(self, case, n_paths, n_steps,
                                               chunk, step_block):
         if case == "ds":
-            model, policy, dt = DS_MODEL, xlq.exploratory_solution(DS_MODEL)[1], 0.05
+            model, policy, dt = DS_MODEL, xlq.solve(DS_MODEL).policy, 0.05
         else:  # most paths diverge, at steps 14-17
             model, policy, dt = EXPLOSIVE, EXPLOSIVE_POLICY, 0.2
         grid = xlq.PathGrid(dt=dt, n_steps=n_steps)
@@ -1890,7 +1904,7 @@ class TestChunkWidths:
     def test_exact_bits_independent_of_chunk_width(self, method, n_paths,
                                                    n_steps, chunk, step_block):
         model = {"d0": D0_MODEL, "c0": C0_MODEL, "doss_saussman": DS_MODEL}[method]
-        value = xlq.exploratory_solution(model)[0] if method == "doss_saussman" else None
+        value = xlq.solve(model).value if method == "doss_saussman" else None
         grid = xlq.PathGrid(dt=0.01, n_steps=n_steps)
         args = (model, 1.0, grid, 9, n_paths, method, value)
         default = xlq.exact_batch(*args), xlq.strong_errors(*args)
@@ -2030,7 +2044,8 @@ class TestAdmissibilityDecaySampled:
     def test_discounted_second_moment_decreases(self):
         """When 2 A1 + B1^2 < rho the discounted sample second moment
         decays toward zero over growing horizons."""
-        value, policy = xlq.exploratory_solution(DS_MODEL)
+        sol = xlq.solve(DS_MODEL)
+        value, policy = sol.value, sol.policy
         coeffs = xlq.derived_coeffs(DS_MODEL, policy)
         exponent, decays = xlq.admissibility_decay(DS_MODEL, coeffs)
         assert decays
